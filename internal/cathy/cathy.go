@@ -60,9 +60,11 @@ type Options struct {
 	// Ctx cancels construction between EM sweeps (nil = background).
 	Ctx context.Context
 	// Rec, when non-nil, receives one obs.SweepStats per EM sweep
-	// (Engine "cathy", Label "<path> k=<k> r<restart>", LogLikelihood
-	// filled from the E-step) plus pool telemetry. Observational only:
-	// the fitted hierarchy is bit-identical with or without it.
+	// (Engine "cathy", Label "<path> k=<k> r<restart>") plus pool
+	// telemetry. LogLikelihood is NaN on every sweep but the last of each
+	// run, which carries the value restart selection and BIC compare.
+	// Observational only: the fitted hierarchy is bit-identical with or
+	// without it.
 	Rec obs.Recorder
 }
 
@@ -154,7 +156,7 @@ func Build(net *hin.Network, opt Options) (*Result, error) {
 			c := t.AddChild()
 			c.Rho = em.rho[z+1] // rho[0] is background
 			for x := 0; x < g.NumTypes(); x++ {
-				c.Phi[core.TypeID(x)] = em.phi[z+1][x]
+				c.Phi[core.TypeID(x)] = em.column(z+1, x)
 			}
 			res.Networks[c.Path] = subs[z]
 		}

@@ -41,8 +41,8 @@ func TestEMSeparatesBlocks(t *testing.T) {
 	// Each topic's phi should concentrate on one block.
 	mass := func(z, lo int) float64 {
 		s := 0.0
-		for i := lo; i < lo+5; i++ {
-			s += st.phi[z][0][i]
+		for _, v := range st.column(z, 0)[lo : lo+5] {
+			s += v
 		}
 		return s
 	}
@@ -56,21 +56,47 @@ func TestEMSeparatesBlocks(t *testing.T) {
 	}
 }
 
+// TestEMLikelihoodNonDecreasing pins EM monotonicity on the likelihood the
+// final pass computes (the value restart selection and BIC read). A final
+// sweep runs the same M-step as an ordinary one, so the state is stepped
+// with final sweeps throughout while a twin stepped with ordinary sweeps
+// must stay bit-identical to it and report no likelihood.
 func TestEMLikelihoodNonDecreasing(t *testing.T) {
 	net := blockNetwork(2)
-	opt := Options{K: 2, Levels: 1}.withDefaults()
-	rng := rand.New(rand.NewSource(2))
-	root := core.NewHierarchy().Root
-	st := newEMState(net, root, 2, opt, rng)
-	prev := math.Inf(-1)
-	for it := 0; it < 30; it++ {
-		if err := st.sweep(false, par.Opts{}); err != nil {
-			t.Fatal(err)
+	for _, bg := range []bool{false, true} {
+		opt := Options{K: 2, Levels: 1, Background: bg}.withDefaults()
+		root := core.NewHierarchy().Root
+		st := newEMState(net, root, 2, opt, rand.New(rand.NewSource(2)))
+		twin := newEMState(net, root, 2, opt, rand.New(rand.NewSource(2)))
+		prev := math.Inf(-1)
+		for it := 0; it < 30; it++ {
+			if err := st.sweep(true, par.Opts{}); err != nil {
+				t.Fatal(err)
+			}
+			if err := twin.sweep(false, par.Opts{}); err != nil {
+				t.Fatal(err)
+			}
+			if math.IsNaN(st.logL) || math.IsInf(st.logL, 0) {
+				t.Fatalf("bg=%v iter %d: final-pass log-likelihood %v", bg, it, st.logL)
+			}
+			if !math.IsNaN(twin.logL) {
+				t.Fatalf("bg=%v iter %d: ordinary sweep computed log-likelihood %v", bg, it, twin.logL)
+			}
+			if st.logL < prev-1e-6 {
+				t.Fatalf("bg=%v: log-likelihood decreased at iter %d: %v -> %v", bg, it, prev, st.logL)
+			}
+			prev = st.logL
+			for z := range st.rho {
+				if st.rho[z] != twin.rho[z] {
+					t.Fatalf("bg=%v iter %d: rho[%d] %v != %v", bg, it, z, st.rho[z], twin.rho[z])
+				}
+			}
+			for i := range st.phi.flat {
+				if st.phi.flat[i] != twin.phi.flat[i] {
+					t.Fatalf("bg=%v iter %d: phi differs at %d", bg, it, i)
+				}
+			}
 		}
-		if st.logL < prev-1e-6 {
-			t.Fatalf("log-likelihood decreased at iter %d: %v -> %v", it, prev, st.logL)
-		}
-		prev = st.logL
 	}
 }
 
@@ -93,7 +119,7 @@ func TestPhiAndRhoNormalized(t *testing.T) {
 	}
 	for z := 0; z <= 3; z++ {
 		s := 0.0
-		for _, v := range st.phi[z][0] {
+		for _, v := range st.column(z, 0) {
 			s += v
 		}
 		if math.Abs(s-1) > 1e-9 {

@@ -30,54 +30,68 @@ type emState struct {
 	alpha map[hin.TypePair]float64
 	// rho[z] for z in 0..k; rho[0] is the background share (0 if disabled).
 	rho []float64
-	// phi[z][x][i]; phi[0] is the background distribution per type.
-	phi [][][]float64
+	// phi holds phi^x_z(i) node-major (see table); z = 0 is the background
+	// distribution per type, left unnormalized and unread without a
+	// background topic.
+	phi table
+	// next is the M-step's target, swapped with phi after every sweep.
+	next table
 	// parentPhi[x][i] is phi^x_t of the topic being split (the second end of
 	// background links draws from it).
 	parentPhi [][]float64
-	// childW[pi][li][z-1] is the expected weight of link li of pair pi in
-	// subtopic z (both directions summed), filled by the final E pass.
-	childW [][][]float64
-	logL   float64
+	// childW[(linkOff[pi]+li)*k+z-1] is the expected weight of link li of
+	// pair pi in subtopic z (both directions summed), filled by the final
+	// E pass.
+	childW []float64
+	// logL is the log-likelihood under the parameters the last sweep
+	// started from. Only the final pass computes it; other passes leave
+	// NaN.
+	logL float64
 	// accs is the pool of per-chunk E-step accumulators, reused across
 	// sweeps (the per-worker scratch of the parallel runtime).
 	accs []*sweepAcc
+}
+
+// table stores k+1 topic values per node for every node type, node-major:
+// byType[x][i*(k+1)+z] is topic z's value at type-x node i. The k+1 values
+// one link end reads and writes are adjacent, and all types share the one
+// backing array flat, so merging and clearing run over a contiguous range.
+type table struct {
+	flat   []float64
+	byType [][]float64
+}
+
+func newTable(nz int, numNodes []int) table {
+	n := 0
+	for _, c := range numNodes {
+		n += c * nz
+	}
+	t := table{flat: make([]float64, n), byType: make([][]float64, len(numNodes))}
+	off := 0
+	for x, c := range numNodes {
+		t.byType[x] = t.flat[off : off+c*nz : off+c*nz]
+		off += c * nz
+	}
+	return t
 }
 
 // sweepAcc is one chunk's E-step accumulator. Chunks are merged in chunk
 // order, so results are bit-identical at any parallelism level.
 type sweepAcc struct {
 	rho    []float64
-	phi    [][][]float64
+	phi    table
 	s      []float64 // per-link posterior scratch
 	logL   float64
 	totalW float64
 }
 
 func newSweepAcc(nz int, g *hin.Network) *sweepAcc {
-	a := &sweepAcc{rho: make([]float64, nz), s: make([]float64, nz)}
-	a.phi = make([][][]float64, nz)
-	for z := 0; z < nz; z++ {
-		a.phi[z] = make([][]float64, g.NumTypes())
-		for x := 0; x < g.NumTypes(); x++ {
-			a.phi[z][x] = make([]float64, g.NumNodes[x])
-		}
-	}
-	return a
+	return &sweepAcc{rho: make([]float64, nz), phi: newTable(nz, g.NumNodes), s: make([]float64, nz)}
 }
 
+// reset clears the scalar accumulators; the merge already cleared phi.
 func (a *sweepAcc) reset() {
-	for i := range a.rho {
-		a.rho[i] = 0
-	}
-	for z := range a.phi {
-		for x := range a.phi[z] {
-			d := a.phi[z][x]
-			for i := range d {
-				d[i] = 0
-			}
-		}
-	}
+	clear(a.rho)
 	a.logL = 0
 	a.totalW = 0
 }
@@ -142,26 +156,26 @@ func newEMState(g *hin.Network, t *core.TopicNode, k int, opt Options, rng *rand
 	// parentPhi: the current topic's ranking distribution per type; for the
 	// root this is the degree distribution (set by Build), and for non-root
 	// topics it is the phi estimated when the parent was split.
+	base := make([][]float64, g.NumTypes())
 	st.parentPhi = make([][]float64, g.NumTypes())
 	for x := 0; x < g.NumTypes(); x++ {
+		base[x] = degreeDistribution(g, core.TypeID(x))
 		if p, ok := t.Phi[core.TypeID(x)]; ok && len(p) == g.NumNodes[x] {
 			st.parentPhi[x] = p
 		} else {
-			st.parentPhi[x] = degreeDistribution(g, core.TypeID(x))
+			st.parentPhi[x] = base[x]
 		}
 	}
-	// Random initialization of phi and rho.
-	st.phi = make([][][]float64, k+1)
+	// Random initialization of phi and rho: each (z, x) column draws its
+	// perturbations in node order.
+	nz := k + 1
+	st.phi = newTable(nz, g.NumNodes)
 	for z := 0; z <= k; z++ {
-		st.phi[z] = make([][]float64, g.NumTypes())
-		for x := 0; x < g.NumTypes(); x++ {
-			d := make([]float64, g.NumNodes[x])
-			base := degreeDistribution(g, core.TypeID(x))
-			for i := range d {
-				d[i] = base[i] * (0.5 + rng.Float64())
+		for x, d := range st.phi.byType {
+			for i, b := range base[x] {
+				d[i*nz+z] = b * (0.5 + rng.Float64())
 			}
-			normalize(d)
-			st.phi[z][x] = d
+			normalizeColumns(d, nz, z, z+1)
 		}
 	}
 	st.rho = make([]float64, k+1)
@@ -173,6 +187,7 @@ func newEMState(g *hin.Network, t *core.TopicNode, k int, opt Options, rng *rand
 	for z := 1; z <= k; z++ {
 		st.rho[z] = (1 - bg) / float64(k)
 	}
+	st.logL = math.NaN()
 	return st
 }
 
@@ -190,6 +205,41 @@ func normalize(d []float64) {
 	for i := range d {
 		d[i] /= s
 	}
+}
+
+// normalizeColumns applies normalize to each column z in [zlo, zhi) of the
+// node-major rows d (nz values per node). Every column sums in ascending
+// node order, so the result equals normalizing it as a contiguous slice.
+func normalizeColumns(d []float64, nz, zlo, zhi int) {
+	sums := make([]float64, nz)
+	for r := 0; r < len(d); r += nz {
+		row := d[r : r+nz]
+		for z := zlo; z < zhi; z++ {
+			sums[z] += row[z]
+		}
+	}
+	uniform := 1 / float64(len(d)/nz)
+	for r := 0; r < len(d); r += nz {
+		row := d[r : r+nz]
+		for z := zlo; z < zhi; z++ {
+			if s := sums[z]; s <= 0 {
+				row[z] = uniform
+			} else {
+				row[z] /= s
+			}
+		}
+	}
+}
+
+// column returns a copy of topic z's distribution over the type-x nodes.
+func (st *emState) column(z, x int) []float64 {
+	nz := st.k + 1
+	rows := st.phi.byType[x]
+	out := make([]float64, len(rows)/nz)
+	for i := range out {
+		out[i] = rows[i*nz+z]
+	}
+	return out
 }
 
 func (st *emState) normalizeAlpha() {
@@ -211,10 +261,10 @@ func (st *emState) normalizeAlpha() {
 }
 
 // run executes opt.EMIters E/M sweeps, optionally re-estimating the
-// link-type weights, then fills childW and the final log-likelihood.
-// When opt.Rec is set, each sweep (including the final childW pass)
-// emits one obs.SweepStats carrying the E-step log-likelihood — CATHY's
-// convergence trace comes for free since the E pass computes it anyway.
+// link-type weights, then a final sweep that fills childW and the
+// log-likelihood restart selection and BIC compare. When opt.Rec is set,
+// each sweep emits one obs.SweepStats; only the final one carries a
+// log-likelihood (the earlier sweeps skip computing it and report NaN).
 func (st *emState) run(opt Options, o par.Opts, label string) error {
 	nLinks := st.linkOff[len(st.pairs)]
 	sweeps := opt.EMIters + 1
@@ -257,6 +307,9 @@ func (st *emState) run(opt Options, o par.Opts, label string) error {
 		return err
 	}
 	emit(sweeps, time.Since(t0))
+	// The sweep scratch is dead once the run is over; drop it so a kept
+	// best state does not pin it through the remaining restarts.
+	st.accs, st.next = nil, table{}
 	return nil
 }
 
@@ -274,29 +327,24 @@ const maxSweepChunks = 32
 func sweepChunks(nLinks int) int { return par.NumChunksCapped(nLinks, maxSweepChunks) }
 
 // sweep performs one E+M step. When final is true it also records per-link
-// child weights and the log-likelihood under the pre-update parameters. The
-// E pass runs on the shared worker pool: links are chunked deterministically
-// by flat index, each chunk accumulates into its own scratch (from the
-// reusable pool), and chunks merge in order — so the result is identical at
-// any parallelism level.
+// child weights and the log-likelihood under the pre-update parameters;
+// otherwise it skips the likelihood (the M-step never reads it) and leaves
+// st.logL NaN. The E pass runs on the shared worker pool: links are chunked
+// deterministically by flat index, each chunk accumulates into its own
+// scratch (from the reusable pool), and chunks merge in order — so the
+// result is identical at any parallelism level.
 func (st *emState) sweep(final bool, o par.Opts) error {
 	k := st.k
 	g := st.g
 	nz := k + 1
 	nLinks := st.linkOff[len(st.pairs)]
 	if final {
-		st.childW = make([][][]float64, len(st.pairs))
-		for pi, p := range st.pairs {
-			cw := make([][]float64, len(g.Links[p]))
-			for li := range cw {
-				cw[li] = make([]float64, k)
-			}
-			st.childW[pi] = cw
-		}
+		st.childW = make([]float64, nLinks*k)
 	}
 	if st.accs == nil {
 		st.accs = make([]*sweepAcc, sweepChunks(nLinks))
 	}
+	rho, phi, parentPhi := st.rho, st.phi.byType, st.parentPhi
 	err := par.ForChunksN(o, nLinks, sweepChunks(nLinks), func(c, lo, hi int) {
 		acc := st.accs[c]
 		if acc == nil {
@@ -305,12 +353,14 @@ func (st *emState) sweep(final bool, o par.Opts) error {
 		} else {
 			acc.reset()
 		}
-		s := acc.s
+		s, arho, aphi := acc.s[:nz], acc.rho[:nz], acc.phi.byType
 		for pi, idx := st.pairAt(lo), lo; idx < hi; pi++ {
 			p := st.pairs[pi]
 			links := g.Links[p]
 			a := st.alpha[p]
 			x, y := int(p.X), int(p.Y)
+			phiX, phiY, accX, accY := phi[x], phi[y], aphi[x], aphi[y]
+			parentX, parentY := parentPhi[x], parentPhi[y]
 			end := hi - st.linkOff[pi]
 			if end > len(links) {
 				end = len(links)
@@ -318,28 +368,31 @@ func (st *emState) sweep(final bool, o par.Opts) error {
 			for li := idx - st.linkOff[pi]; li < end; li++ {
 				l := links[li]
 				w := a * l.W
-				acc.totalW += 2 * w // both directions
 				var cwz []float64
 				if final {
-					cwz = st.childW[pi][li]
+					acc.totalW += 2 * w // both directions
+					off := (st.linkOff[pi] + li) * k
+					cwz = st.childW[off : off+k]
 				}
-				// Two directions: (I first, J second) and (J first, I second).
+				// The rows of the first end (pa in phi, read; ea in the
+				// accumulator, written) and of the second end (pb, eb),
+				// plus the second end's parentPhi (pp at j). On a
+				// self-loop the two ends' rows alias, exactly as the
+				// per-topic columns would.
+				ri, rj := l.I*nz, l.J*nz
+				pa, pb := phiX[ri:ri+nz], phiY[rj:rj+nz]
+				ea, eb := accX[ri:ri+nz], accY[rj:rj+nz]
+				pp, j := parentY, l.J
+				// Two directions: (I first, J second), then (J first, I second).
 				for dir := 0; dir < 2; dir++ {
-					var fx, fy int // first-end type, second-end type
-					var fi, fj int // first-end node, second-end node
-					if dir == 0 {
-						fx, fy, fi, fj = x, y, l.I, l.J
-					} else {
-						fx, fy, fi, fj = y, x, l.J, l.I
-					}
 					total := 0.0
-					for z := 1; z <= k; z++ {
-						v := st.rho[z] * st.phi[z][fx][fi] * st.phi[z][fy][fj]
+					for z := 1; z < nz; z++ {
+						v := rho[z] * pa[z] * pb[z]
 						s[z] = v
 						total += v
 					}
 					if st.background {
-						v := st.rho[0] * st.phi[0][fx][fi] * st.parentPhi[fy][fj]
+						v := rho[0] * pa[0] * pp[j]
 						s[0] = v
 						total += v
 					} else {
@@ -347,80 +400,75 @@ func (st *emState) sweep(final bool, o par.Opts) error {
 					}
 					if total <= 0 {
 						// Degenerate link: spread uniformly over subtopics.
-						for z := 1; z <= k; z++ {
+						for z := 1; z < nz; z++ {
 							s[z] = 1
 						}
 						total = float64(k)
 					}
-					acc.logL += w * math.Log(total)
-					for z := 1; z <= k; z++ {
+					if final {
+						acc.logL += w * math.Log(total)
+					}
+					for z := 1; z < nz; z++ {
 						e := w * s[z] / total
-						acc.rho[z] += e
-						acc.phi[z][fx][fi] += e
-						acc.phi[z][fy][fj] += e
+						arho[z] += e
+						ea[z] += e
+						eb[z] += e
 						if final {
 							cwz[z-1] += e
 						}
 					}
 					if st.background {
 						e := w * s[0] / total
-						acc.rho[0] += e
-						acc.phi[0][fx][fi] += e
+						arho[0] += e
+						ea[0] += e
 					}
+					pa, pb, ea, eb, pp, j = pb, pa, eb, ea, parentX, l.I
 				}
 			}
 			idx = st.linkOff[pi] + end
 		}
 	})
 	if err != nil {
+		st.accs = nil // partly filled; never merged or cleared
 		return err
 	}
-	// Ordered merge of the chunk accumulators. The merged phi arrays are
-	// fresh because the M-step installs them into st.phi.
-	rhoAcc := make([]float64, nz)
-	phiAcc := make([][][]float64, nz)
-	for z := 0; z < nz; z++ {
-		phiAcc[z] = make([][]float64, g.NumTypes())
-		for x := 0; x < g.NumTypes(); x++ {
-			phiAcc[z][x] = make([]float64, g.NumNodes[x])
-		}
+	if st.next.flat == nil {
+		st.next = newTable(nz, g.NumNodes)
 	}
+	st.mergePhi(o.P)
+	rhoAcc := make([]float64, nz)
 	logL := 0.0
 	totalW := 0.0
-	for c := 0; c < sweepChunks(nLinks); c++ {
-		acc := st.accs[c]
+	for _, acc := range st.accs {
 		logL += acc.logL
 		totalW += acc.totalW
-		for z := 0; z < nz; z++ {
+		for z := range rhoAcc {
 			rhoAcc[z] += acc.rho[z]
-			for x := 0; x < g.NumTypes(); x++ {
-				dst, src := phiAcc[z][x], acc.phi[z][x]
-				for i := range dst {
-					dst[i] += src[i]
-				}
+		}
+	}
+	if final {
+		// Add the theta term: sum over pairs of (directed weight)*log(theta_xy),
+		// theta_xy = directed pair weight / total directed weight; minus M.
+		for pi, p := range st.pairs {
+			pw := 2 * st.alpha[p] * st.pairW[pi]
+			if pw > 0 && totalW > 0 {
+				logL += pw * math.Log(pw/totalW)
 			}
 		}
+		logL -= totalW
+		st.logL = logL
+	} else {
+		st.logL = math.NaN()
 	}
-	// Add the theta term: sum over pairs of (directed weight)*log(theta_xy),
-	// theta_xy = directed pair weight / total directed weight; minus M.
-	for pi, p := range st.pairs {
-		pw := 2 * st.alpha[p] * st.pairW[pi]
-		if pw > 0 && totalW > 0 {
-			logL += pw * math.Log(pw/totalW)
-		}
-	}
-	logL -= totalW
-	st.logL = logL
 	// M-step.
-	for z := 0; z <= st.k; z++ {
-		if z == 0 && !st.background {
-			continue
-		}
-		for x := 0; x < g.NumTypes(); x++ {
-			normalize(phiAcc[z][x])
-			st.phi[z][x] = phiAcc[z][x]
-		}
+	zlo := 0
+	if !st.background {
+		zlo = 1
 	}
+	for _, d := range st.next.byType {
+		normalizeColumns(d, nz, zlo, nz)
+	}
+	st.phi, st.next = st.next, st.phi
 	normalize(rhoAcc)
 	if !st.background {
 		rhoAcc[0] = 0
@@ -431,6 +479,31 @@ func (st *emState) sweep(final bool, o par.Opts) error {
 	return nil
 }
 
+// mergeRanges is the number of element ranges the phi merge is split into.
+// Every element still sums its chunks in chunk order, so the split cannot
+// change a bit; it only bounds each worker's destination range (one eighth
+// of the table stays cache-resident while the chunks stream past it).
+const mergeRanges = 8
+
+// mergePhi sums the chunk accumulators' phi tables into st.next in chunk
+// order and clears them for the next sweep, on up to p workers. It runs
+// without the caller's context (so the scratch is never left half-cleared)
+// and without its pool observer (the E pass is the sweep's reported pass).
+func (st *emState) mergePhi(p int) {
+	dst := st.next.flat
+	par.ForChunksN(par.Opts{P: p}, len(dst), mergeRanges, func(_, lo, hi int) {
+		d := dst[lo:hi]
+		clear(d)
+		for _, acc := range st.accs {
+			src := acc.phi.flat[lo:hi]
+			for i := range d {
+				d[i] += src[i]
+			}
+			clear(src)
+		}
+	})
+}
+
 // updateAlpha re-estimates link-type weights by the closed form of Eq. 3.37:
 // alpha is inversely proportional to sigma_{x,y}, the average per-link KL
 // surprise of the observed weights under the current model, normalized to a
@@ -438,7 +511,9 @@ func (st *emState) sweep(final bool, o par.Opts) error {
 // worker pool with the same deterministic chunking as the E-step.
 func (st *emState) updateAlpha(o par.Opts) error {
 	k := st.k
+	nz := k + 1
 	nLinks := st.linkOff[len(st.pairs)]
+	phi := st.phi.byType
 	sums, err := par.MapReduce(o, nLinks,
 		func() []float64 { return make([]float64, len(st.pairs)) },
 		func(acc []float64, _, lo, hi int) {
@@ -460,12 +535,13 @@ func (st *emState) updateAlpha(o par.Opts) error {
 						} else {
 							fx, fy, fi, fj = y, x, l.J, l.I
 						}
+						pa, pb := phi[fx][fi*nz:fi*nz+nz], phi[fy][fj*nz:fj*nz+nz]
 						sij := 0.0
 						for z := 1; z <= k; z++ {
-							sij += st.rho[z] * st.phi[z][fx][fi] * st.phi[z][fy][fj]
+							sij += st.rho[z] * pa[z] * pb[z]
 						}
 						if st.background {
-							sij += st.rho[0] * st.phi[0][fx][fi] * st.parentPhi[fy][fj]
+							sij += st.rho[0] * pa[0] * st.parentPhi[fy][fj]
 						}
 						if sij <= 1e-300 {
 							sij = 1e-300
@@ -521,8 +597,9 @@ func (st *emState) childNetworks(minW float64) []*hin.Network {
 	for pi, p := range st.pairs {
 		links := st.g.Links[p]
 		for li, l := range links {
-			for z := 0; z < st.k; z++ {
-				if w := st.childW[pi][li][z]; w >= minW {
+			off := (st.linkOff[pi] + li) * st.k
+			for z, w := range st.childW[off : off+st.k] {
+				if w >= minW {
 					subs[z].Links[p] = append(subs[z].Links[p], hin.Link{I: l.I, J: l.J, W: w})
 				}
 			}

@@ -34,9 +34,10 @@ func TestScaleInvarianceLemma31(t *testing.T) {
 			if math.Abs(st1.rho[z]-st2.rho[z]) > 1e-9 {
 				t.Fatalf("c=%v: rho[%d] %v != %v", c, z, st1.rho[z], st2.rho[z])
 			}
-			for i := range st1.phi[z][0] {
-				if math.Abs(st1.phi[z][0][i]-st2.phi[z][0][i]) > 1e-9 {
-					t.Fatalf("c=%v: phi[%d][%d] %v != %v", c, z, i, st1.phi[z][0][i], st2.phi[z][0][i])
+			phi1, phi2 := st1.column(z, 0), st2.column(z, 0)
+			for i := range phi1 {
+				if math.Abs(phi1[i]-phi2[i]) > 1e-9 {
+					t.Fatalf("c=%v: phi[%d][%d] %v != %v", c, z, i, phi1[i], phi2[i])
 				}
 			}
 		}

@@ -36,12 +36,12 @@ func TestEMDeterministicAcrossParallelism(t *testing.T) {
 			t.Fatalf("rho[%d] differs: %v vs %v", z, a.rho[z], b.rho[z])
 		}
 	}
-	for z := range a.phi {
-		for x := range a.phi[z] {
-			for i := range a.phi[z][x] {
-				if a.phi[z][x][i] != b.phi[z][x][i] {
-					t.Fatalf("phi[%d][%d][%d] differs: %v vs %v",
-						z, x, i, a.phi[z][x][i], b.phi[z][x][i])
+	for z := range a.rho {
+		for x := range a.phi.byType {
+			pa, pb := a.column(z, x), b.column(z, x)
+			for i := range pa {
+				if pa[i] != pb[i] {
+					t.Fatalf("phi[%d][%d][%d] differs: %v vs %v", z, x, i, pa[i], pb[i])
 				}
 			}
 		}

@@ -237,10 +237,11 @@ type HierarchyOptions struct {
 	// loops (0 = GOMAXPROCS). Same seed gives bit-identical hierarchies at
 	// any setting.
 	Parallelism int
-	// Recorder, when non-nil, receives one record per CATHY EM sweep
-	// (log-likelihood convergence trace, labeled by topic path and
-	// restart) plus pool telemetry. Observational only. EngineSTROD has
-	// no sweep loop and ignores it.
+	// Recorder, when non-nil, receives one record per CATHY EM sweep,
+	// labeled by topic path, k and restart, plus pool telemetry. Only the
+	// final sweep of each run carries a log-likelihood (the one restart
+	// selection and BIC compare); the others report NaN. Observational
+	// only. EngineSTROD has no sweep loop and ignores it.
 	Recorder Recorder
 	// Ctx cancels construction between work chunks (nil = background).
 	Ctx context.Context
