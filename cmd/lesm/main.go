@@ -56,7 +56,7 @@ func main() {
 	par := flag.Int("p", 0, "parallel workers for the mining engines (0 = GOMAXPROCS)")
 	save := flag.String("save", "", "persist the fitted artifacts as a snapshot at this path (see cmd/lesmd)")
 	topics := flag.Int("topics", 0, "with -save: also fit a flat Gibbs topic model with this many topics for /infer")
-	sampler := flag.String("sampler", "", "Gibbs sampling core for the -topics flat model: empty for auto (resolved per workload), 'mh' for the Metropolis-Hastings alias core, 'sparse' for the bucket+alias core, 'dense' for the O(K)-per-token core")
+	sampler := flag.String("sampler", "", "Gibbs sampling core for the -topics flat model: empty for auto (resolved per workload), 'mh' for the Metropolis-Hastings alias core, 'dense' for the O(K)-per-token core")
 	aliasRefresh := flag.Int("alias-refresh", 0, "mh sampler: rebuild the alias proposal tables every this many sweeps (0 = default)")
 	progress := flag.Bool("progress", false, "paint a live per-sweep status line on stderr (throughput, changed fraction, accept rates, convergence)")
 	trace := flag.String("trace", "", "write per-sweep sampler statistics and pool telemetry as JSON lines to this file")
@@ -68,8 +68,8 @@ func main() {
 
 	// Reject a bad -sampler up front, even when -topics is 0 and the flag
 	// would otherwise be silently unused.
-	if !lesm.Sampler(*sampler).Valid() {
-		log.Fatalf("lesm: unknown -sampler %q (want 'mh', 'sparse' or 'dense')", *sampler)
+	if err := lesm.Sampler(*sampler).Validate(); err != nil {
+		log.Fatalf("lesm: -sampler: %v", err)
 	}
 	if *aliasRefresh < 0 {
 		log.Fatalf("lesm: -alias-refresh %d, need >= 0", *aliasRefresh)

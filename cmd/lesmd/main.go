@@ -89,7 +89,7 @@ func main() {
 	inflight := flag.Int("max-inflight", 4, "max concurrent /infer batches")
 	sweeps := flag.Int("sweeps", 30, "default fold-in Gibbs sweeps")
 	alpha := flag.Float64("alpha", 0, "fold-in document prior (0 = 0.1; the fitted 50/K prior swamps short documents — pass it explicitly for posterior-mean behavior)")
-	sampler := flag.String("sampler", "", "fold-in sampling core: empty for auto (resolved per model), 'mh' for Metropolis-Hastings alias proposals, 'sparse' for the bucket+alias core, 'dense' for the O(K)-per-token core (A/B validation)")
+	sampler := flag.String("sampler", "", "fold-in sampling core: empty for auto (resolved per model), 'mh' for Metropolis-Hastings alias proposals, 'dense' for the O(K)-per-token core")
 	mmap := flag.Bool("mmap", false, "decode snapshots zero-copy over a read-only memory map (large models: page tables instead of heap)")
 	reloadPoll := flag.Duration("reload-poll", 0, "poll the snapshot file at this interval and hot-reload on change (0 = admin-reload only)")
 	batchWindow := flag.Duration("batch-window", 0, "coalesce /infer requests arriving within this window into one fold-in batch (0 = off)")

@@ -1,14 +1,15 @@
-// Gibbs-sampler benchmarks: dense vs sparse vs MH core at Parallelism 1
-// and NumCPU over fixed-seed workloads, reporting tokens/sec so the perf
-// trajectory stays comparable across BENCH_*.json files regardless of
-// workload shape. `go test -bench 'LDA|FoldIn' -run '^$' ./internal/lda`
-// regenerates the numbers recorded in BENCH_pr4.json / BENCH_pr6.json.
-// The determinism guarantee means every variant of one core produces
-// identical models at any P, so P1-vs-PN comparisons are pure wall clock;
-// cross-core comparisons are over different (equally valid) trajectories
-// of the same workload — see TestSparseDensePerplexityParity for the
-// quality gate. The K200 benches additionally report rebuilds/sweep, the
-// amortization the MH core buys (sparse pays 1; MH 1/AliasRefresh).
+// Gibbs-sampler benchmarks: dense vs MH core at Parallelism 1 and NumCPU
+// over fixed-seed workloads, reporting tokens/sec so the perf trajectory
+// stays comparable across BENCH_*.json files regardless of workload shape.
+// `go test -bench 'LDA|FoldIn' -run '^$' ./internal/lda` regenerates the
+// numbers recorded in BENCH_pr4.json / BENCH_pr6.json (those files also
+// carry rows for the since-retired sparse core). The determinism guarantee
+// means every variant of one core produces identical models at any P, so
+// P1-vs-PN comparisons are pure wall clock; cross-core comparisons are
+// over different (equally valid) trajectories of the same workload — see
+// TestMHDensePerplexityParity for the quality gate. The K200 benches
+// additionally report rebuilds/sweep, the amortization the MH core buys
+// (1/AliasRefresh instead of one rebuild per sweep).
 package lda
 
 import (
@@ -120,24 +121,18 @@ func benchFoldIn(b *testing.B, sampler Sampler) {
 	reportTokensPerSec(b, 256*16*cfg.Sweeps)
 }
 
-func BenchmarkLDA_Dense_P1(b *testing.B)  { benchLDA(b, 1, SamplerDense) }
-func BenchmarkLDA_Dense_PN(b *testing.B)  { benchLDA(b, runtime.NumCPU(), SamplerDense) }
-func BenchmarkLDA_Sparse_P1(b *testing.B) { benchLDA(b, 1, SamplerSparse) }
-func BenchmarkLDA_Sparse_PN(b *testing.B) { benchLDA(b, runtime.NumCPU(), SamplerSparse) }
-func BenchmarkLDA_MH_P1(b *testing.B)     { benchLDA(b, 1, SamplerMH) }
-func BenchmarkLDA_MH_PN(b *testing.B)     { benchLDA(b, runtime.NumCPU(), SamplerMH) }
+func BenchmarkLDA_Dense_P1(b *testing.B) { benchLDA(b, 1, SamplerDense) }
+func BenchmarkLDA_Dense_PN(b *testing.B) { benchLDA(b, runtime.NumCPU(), SamplerDense) }
+func BenchmarkLDA_MH_P1(b *testing.B)    { benchLDA(b, 1, SamplerMH) }
+func BenchmarkLDA_MH_PN(b *testing.B)    { benchLDA(b, runtime.NumCPU(), SamplerMH) }
 
-func BenchmarkLDA_K200_Dense(b *testing.B)  { benchLDAK200(b, SamplerDense) }
-func BenchmarkLDA_K200_Sparse(b *testing.B) { benchLDAK200(b, SamplerSparse) }
-func BenchmarkLDA_K200_MH(b *testing.B)     { benchLDAK200(b, SamplerMH) }
+func BenchmarkLDA_K200_Dense(b *testing.B) { benchLDAK200(b, SamplerDense) }
+func BenchmarkLDA_K200_MH(b *testing.B)    { benchLDAK200(b, SamplerMH) }
 
-func BenchmarkPhraseLDA_Dense_P1(b *testing.B)  { benchPhraseLDA(b, 1, SamplerDense) }
-func BenchmarkPhraseLDA_Dense_PN(b *testing.B)  { benchPhraseLDA(b, runtime.NumCPU(), SamplerDense) }
-func BenchmarkPhraseLDA_Sparse_P1(b *testing.B) { benchPhraseLDA(b, 1, SamplerSparse) }
-func BenchmarkPhraseLDA_Sparse_PN(b *testing.B) { benchPhraseLDA(b, runtime.NumCPU(), SamplerSparse) }
-func BenchmarkPhraseLDA_MH_P1(b *testing.B)     { benchPhraseLDA(b, 1, SamplerMH) }
-func BenchmarkPhraseLDA_MH_PN(b *testing.B)     { benchPhraseLDA(b, runtime.NumCPU(), SamplerMH) }
+func BenchmarkPhraseLDA_Dense_P1(b *testing.B) { benchPhraseLDA(b, 1, SamplerDense) }
+func BenchmarkPhraseLDA_Dense_PN(b *testing.B) { benchPhraseLDA(b, runtime.NumCPU(), SamplerDense) }
+func BenchmarkPhraseLDA_MH_P1(b *testing.B)    { benchPhraseLDA(b, 1, SamplerMH) }
+func BenchmarkPhraseLDA_MH_PN(b *testing.B)    { benchPhraseLDA(b, runtime.NumCPU(), SamplerMH) }
 
-func BenchmarkFoldIn_Dense(b *testing.B)  { benchFoldIn(b, SamplerDense) }
-func BenchmarkFoldIn_Sparse(b *testing.B) { benchFoldIn(b, SamplerSparse) }
-func BenchmarkFoldIn_MH(b *testing.B)     { benchFoldIn(b, SamplerMH) }
+func BenchmarkFoldIn_Dense(b *testing.B) { benchFoldIn(b, SamplerDense) }
+func BenchmarkFoldIn_MH(b *testing.B)    { benchFoldIn(b, SamplerMH) }

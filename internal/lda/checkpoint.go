@@ -74,13 +74,13 @@ type Checkpoint struct {
 	AliasRebuilds int
 	// MHStale is the MH rebuild schedule's staleness counter at the
 	// boundary: how many sweeps the active tables have aged since they
-	// were swapped in. 0 for other cores.
+	// were swapped in. 0 for the dense core.
 	MHStale int
 	// MHSourceKV is the frozen topic-word count table the MH core's
 	// active alias tables were built from — generally *older* than the
 	// counts implied by Z (tables rebuild every AliasRefresh sweeps), so
 	// it must travel with the checkpoint to reproduce the proposal
-	// distributions exactly. nil for other cores.
+	// distributions exactly. nil for the dense core.
 	MHSourceKV [][]int
 }
 
@@ -140,23 +140,21 @@ func newFingerprint(engine string, core Sampler, cfg Config, v, docs int, tokens
 
 // check validates cp against the run it is being resumed into: exact
 // fingerprint equality, a sweep within the run, assignments shaped like
-// the corpus with every topic in range, and — when the run's core is MH —
-// a complete source count table. docLens[di] is the expected length of
-// Z[di] (tokens per document for Run, phrases per document for
-// RunPhrases).
-func (cp *Checkpoint) check(fp Fingerprint, kTotal int, docLens []int) error {
+// the corpus's slots with every topic in range, and — when the run's core
+// is MH — a complete source count table.
+func (cp *Checkpoint) check(fp Fingerprint, kTotal int, c corpus) error {
 	if cp.Fingerprint != fp {
 		return fmt.Errorf("lda: resume checkpoint does not match this run (checkpoint %+v, run %+v)", cp.Fingerprint, fp)
 	}
 	if cp.Sweep < 1 || cp.Sweep > fp.Iters {
 		return fmt.Errorf("lda: resume checkpoint sweep %d outside [1, %d]", cp.Sweep, fp.Iters)
 	}
-	if len(cp.Z) != len(docLens) {
-		return fmt.Errorf("lda: resume checkpoint has %d documents, corpus has %d", len(cp.Z), len(docLens))
+	if len(cp.Z) != c.numDocs() {
+		return fmt.Errorf("lda: resume checkpoint has %d documents, corpus has %d", len(cp.Z), c.numDocs())
 	}
 	for di, zd := range cp.Z {
-		if len(zd) != docLens[di] {
-			return fmt.Errorf("lda: resume checkpoint doc %d has %d assignments, corpus wants %d", di, len(zd), docLens[di])
+		if len(zd) != c.slots(di) {
+			return fmt.Errorf("lda: resume checkpoint doc %d has %d assignments, corpus wants %d", di, len(zd), c.slots(di))
 		}
 		for i, k := range zd {
 			if k < 0 || k >= kTotal {
@@ -164,7 +162,7 @@ func (cp *Checkpoint) check(fp Fingerprint, kTotal int, docLens []int) error {
 			}
 		}
 	}
-	if fp.Sampler == SamplerMH && len(docLens) > 0 {
+	if fp.Sampler == SamplerMH && c.numDocs() > 0 {
 		if cp.AliasRebuilds < 1 {
 			return fmt.Errorf("lda: resume checkpoint for the MH core records %d alias rebuilds, need >= 1", cp.AliasRebuilds)
 		}
@@ -190,22 +188,19 @@ func (cp *Checkpoint) check(fp Fingerprint, kTotal int, docLens []int) error {
 
 // restoreCounts replays the checkpoint's assignments into freshly zeroed
 // count tables, exactly reproducing the tables the uninterrupted fit held
-// at the end of sweep cp.Sweep. weight(di, slot) is the token mass of one
-// assignment slot (1 for token documents, the phrase length for phrase
-// documents); word(di, slot, j) enumerates that slot's j-th word.
-func restoreCounts(cp *Checkpoint, kTotal int, nDK [][]int, nKV [][]int, nK []int,
-	z [][]int, weight func(di, slot int) int, word func(di, slot, j int) int) {
+// at the end of sweep cp.Sweep: each slot adds its words to its topic.
+func restoreCounts(cp *Checkpoint, c corpus, kTotal int, nDK [][]int, nKV [][]int, nK []int, z [][]int) {
 	for di, zd := range cp.Z {
 		row := make([]int, len(zd))
 		copy(row, zd)
 		z[di] = row
 		nDK[di] = make([]int, kTotal)
 		for slot, k := range row {
-			n := weight(di, slot)
-			nDK[di][k] += n
-			nK[k] += n
-			for j := 0; j < n; j++ {
-				nKV[k][word(di, slot, j)]++
+			ws := c.words(di, slot)
+			nDK[di][k] += len(ws)
+			nK[k] += len(ws)
+			for _, w := range ws {
+				nKV[k][w]++
 			}
 		}
 	}
@@ -234,7 +229,7 @@ type ckptState struct {
 	// snapshot deep-copies them at the boundary, after the sweep's deltas
 	// have merged, so the copy is a consistent end-of-sweep state.
 	z [][]int
-	// mh is the MH run's rebuild schedule (nil for other cores), the
+	// mh is the MH run's rebuild schedule (nil for the dense core), the
 	// source of the alias-state fields of a checkpoint.
 	mh *mhRebuildSchedule
 	// rec receives one RecordCheckpoint per delivered checkpoint when the

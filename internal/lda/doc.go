@@ -18,9 +18,11 @@
 // the design and its AD-LDA-style staleness trade).
 //
 // Two sampling cores implement the per-token draw (Config.Sampler /
-// FoldInConfig.Sampler): the default sparse core — a SparseLDA-style
-// bucket decomposition with per-sweep Walker alias tables, O(K_d + 1)
-// amortized per token (sparse.go) — and the classic dense O(K) core kept
-// for A/B validation. Fold-in inference against a frozen model (foldin.go)
-// shares the machinery and is what the serving daemon runs per request.
+// FoldInConfig.Sampler): the classic dense O(K) core, and the MH core —
+// LightLDA-style Metropolis–Hastings over stale Walker alias proposals,
+// O(1) amortized per token (mh.go). SamplerAuto picks dense for small
+// topic/vocabulary workloads and MH above them. Every fit variant runs
+// through one sweep driver (gibbs.go). Fold-in inference against a frozen
+// model (foldin.go) shares the machinery and is what the serving daemon
+// runs per request.
 package lda

@@ -22,14 +22,12 @@ import (
 // document's trajectory is a pure function of (Seed, doc index). This is
 // the inference mode the serving daemon (internal/serve) runs per request.
 //
-// The conditional p(k) ∝ (n_dk + α_k)·φ_kw splits into a document part
-// n_dk·φ_kw (sparse over the topics the query document uses, O(K_d)) and a
-// prior part α_k·φ_kw that depends only on the word — served by one Walker
-// alias table per word, built lazily once per model and cached (the model
-// is immutable, so unlike the fitting side the tables never go stale and
-// the sparse fold-in samples the *exact* same conditional as the dense
-// one, just through a different draw pattern). FoldInConfig.Sampler picks
-// the core; the default is sparse.
+// The MH core's word proposal is the prior part α_k·φ_kw of the
+// conditional p(k) ∝ (n_dk + α_k)·φ_kw, served by one Walker alias table
+// per word, built lazily once per model and cached (the model is
+// immutable, so unlike the fitting side the tables never go stale and the
+// proposal is exact). FoldInConfig.Sampler picks the core; auto resolves
+// it per model exactly as fitting does.
 
 // DefaultFoldInAlpha is the document prior fold-in consumers should reach
 // for when the caller doesn't supply one. The *fitting* default (50/K) is
@@ -41,7 +39,7 @@ const DefaultFoldInAlpha = 0.1
 
 // FoldInModel is the frozen topic side of fold-in: the per-topic word
 // likelihoods and the document prior. Treat a model as immutable once it
-// has served a FoldIn call (the sparse core caches per-word alias tables
+// has served a FoldIn call (the MH core caches per-word alias tables
 // derived from it).
 type FoldInModel struct {
 	// PhiLike[k][w] is the fixed p(w | topic k) each token is scored
@@ -52,15 +50,14 @@ type FoldInModel struct {
 	// kept per-topic so a background topic's inflated prior survives).
 	Alpha []float64
 
-	// Lazily-built sparse/MH machinery: per-word alias tables over the
-	// prior part α_k·φ_kw of the conditional, plus their masses, plus one
-	// table over α alone (the MH doc proposal's prior arm). ~2 extra words
-	// of memory per (topic, word) cell, paid only when a non-dense core is
-	// first used.
-	sparseOnce sync.Once
-	qMass      []float64
-	qTab       []linalg.Alias
-	alphaTab   *linalg.Alias
+	// Lazily-built MH machinery: per-word alias tables over the prior part
+	// α_k·φ_kw of the conditional, plus their masses, plus one table over
+	// α alone (the doc proposal's prior arm). ~2 extra words of memory per
+	// (topic, word) cell, paid only when the MH core is first used.
+	aliasOnce sync.Once
+	qMass     []float64
+	qTab      []linalg.Alias
+	alphaTab  *linalg.Alias
 }
 
 // NewFoldInModel freezes explicit topic-word distributions (e.g. a STROD
@@ -132,11 +129,11 @@ func (fm *FoldInModel) validate() error {
 	return nil
 }
 
-// ensureSparse builds the per-word alias tables over α_k·φ_kw once. The
+// ensureAlias builds the per-word alias tables over α_k·φ_kw once. The
 // build is O(K·V) and the result is cached for the model's lifetime —
-// serving pays it on the first sparse /infer, not per request.
-func (fm *FoldInModel) ensureSparse() {
-	fm.sparseOnce.Do(func() {
+// serving pays it on the first MH /infer, not per request.
+func (fm *FoldInModel) ensureAlias() {
+	fm.aliasOnce.Do(func() {
 		k, v := fm.K(), fm.V()
 		fm.qMass = make([]float64, v)
 		fm.qTab = make([]linalg.Alias, v)
@@ -155,11 +152,12 @@ func (fm *FoldInModel) ensureSparse() {
 	})
 }
 
-// PrecomputeSparse eagerly builds the sparse core's cached per-word alias
-// tables (normally built lazily on the first sparse FoldIn call), so a
+// PrecomputeSparse eagerly builds the MH core's cached per-word alias
+// tables (normally built lazily on the first MH FoldIn call), so a
 // long-lived server pays the O(K·V) build at startup instead of on its
 // first request. Safe to call concurrently; a no-op after the first build.
-func (fm *FoldInModel) PrecomputeSparse() { fm.ensureSparse() }
+// (The name predates the MH core; it keeps it for existing callers.)
+func (fm *FoldInModel) PrecomputeSparse() { fm.ensureAlias() }
 
 // FoldInConfig parameterizes FoldIn.
 type FoldInConfig struct {
@@ -174,9 +172,9 @@ type FoldInConfig struct {
 	P int
 	// Sampler selects the sampling core. SamplerAuto resolves per workload
 	// exactly as in fitting (dense below the K/V thresholds, MH above; see
-	// Sampler.ResolveFor). All cores sample the same per-token conditional
-	// — the fold-in model is frozen, so even the MH core's proposal tables
-	// are exact and acceptance only reshapes the trajectory, never the
+	// Sampler.ResolveFor). Both cores sample the same per-token conditional
+	// — the fold-in model is frozen, so the MH core's proposal tables are
+	// exact and acceptance only reshapes the trajectory, never the
 	// stationary distribution.
 	Sampler Sampler
 	// Ctx cancels the batch between document chunks (nil = background).
@@ -208,20 +206,9 @@ func FoldIn(fm *FoldInModel, docs [][]int, cfg FoldInConfig) ([][]float64, error
 	if err != nil {
 		return nil, err
 	}
-	agg := newFoldInAgg(cfg.Rec)
-	theta := make([][]float64, len(docs))
-	err = par.For(w.parOpts(), len(docs), func(lo, hi int) {
-		sc := w.newScratch()
-		for di := lo; di < hi; di++ {
-			theta[di] = w.doc(sc, docs[di], w.cfg.Seed, uint64(di), w.cfg.Sweeps)
-		}
-		agg.absorb(&sc.ctr)
+	return w.run(len(docs), func(i int) ([]int, int64, uint64, int) {
+		return docs[i], w.cfg.Seed, uint64(i), w.cfg.Sweeps
 	})
-	if err != nil {
-		return nil, err
-	}
-	agg.emit(len(docs), w.cfg.Sweeps)
-	return theta, nil
 }
 
 // BatchDoc is one document of a heterogeneous fold-in batch. Its sampling
@@ -254,25 +241,13 @@ func FoldInBatch(fm *FoldInModel, docs []BatchDoc, cfg FoldInConfig) ([][]float6
 	if err != nil {
 		return nil, err
 	}
-	agg := newFoldInAgg(cfg.Rec)
-	theta := make([][]float64, len(docs))
-	err = par.For(w.parOpts(), len(docs), func(lo, hi int) {
-		sc := w.newScratch()
-		for di := lo; di < hi; di++ {
-			d := docs[di]
-			sweeps := d.Sweeps
-			if sweeps <= 0 {
-				sweeps = w.cfg.Sweeps
-			}
-			theta[di] = w.doc(sc, d.Tokens, d.Seed, d.Index, sweeps)
+	return w.run(len(docs), func(i int) ([]int, int64, uint64, int) {
+		d := docs[i]
+		if d.Sweeps > 0 {
+			return d.Tokens, d.Seed, d.Index, d.Sweeps
 		}
-		agg.absorb(&sc.ctr)
+		return d.Tokens, d.Seed, d.Index, w.cfg.Sweeps
 	})
-	if err != nil {
-		return nil, err
-	}
-	agg.emit(len(docs), w.cfg.Sweeps)
-	return theta, nil
 }
 
 // foldInWorkload is the validated, core-resolved state one fold-in batch
@@ -286,9 +261,8 @@ type foldInWorkload struct {
 }
 
 type foldInScratch struct {
-	nDK    []int
-	vals   []float64
-	docSet *linalg.IndexSet
+	nDK  []int
+	vals []float64
 	// ctr tallies this worker chunk's sampling events; absorbed into
 	// the batch aggregate (and only read at all) when a Recorder is
 	// attached to the batch.
@@ -303,6 +277,27 @@ func (w *foldInWorkload) parOpts() par.Opts {
 		o.Obs = w.cfg.Rec
 	}
 	return o
+}
+
+// run folds in n documents on the shared pool — the one batch driver
+// behind FoldIn and FoldInBatch. doc(i) names document i's tokens, its
+// (seed, index) stream key and its sweep count.
+func (w *foldInWorkload) run(n int, doc func(i int) (tokens []int, seed int64, index uint64, sweeps int)) ([][]float64, error) {
+	agg := newFoldInAgg(w.cfg.Rec)
+	theta := make([][]float64, n)
+	err := par.For(w.parOpts(), n, func(lo, hi int) {
+		sc := w.newScratch()
+		for di := lo; di < hi; di++ {
+			toks, seed, index, sweeps := doc(di)
+			theta[di] = w.doc(sc, toks, seed, index, sweeps)
+		}
+		agg.absorb(&sc.ctr)
+	})
+	if err != nil {
+		return nil, err
+	}
+	agg.emit(n, w.cfg.Sweeps)
+	return theta, nil
 }
 
 // foldInAgg accumulates a batch's counters across workers and emits the
@@ -355,16 +350,16 @@ func newFoldInWorkload(fm *FoldInModel, cfg FoldInConfig) (*foldInWorkload, erro
 	if err := fm.validate(); err != nil {
 		return nil, err
 	}
-	if !cfg.Sampler.Valid() {
-		return nil, cfg.Sampler.errUnknown()
+	if err := cfg.Sampler.Validate(); err != nil {
+		return nil, err
 	}
 	cfg = cfg.withDefaults()
 	w := &foldInWorkload{
 		fm: fm, cfg: cfg, k: fm.K(), v: fm.V(),
 		core: cfg.Sampler.ResolveFor(fm.K(), fm.V()),
 	}
-	if w.core != SamplerDense {
-		fm.ensureSparse()
+	if w.core == SamplerMH {
+		fm.ensureAlias()
 	}
 	for _, a := range fm.Alpha {
 		w.alphaSum += a
@@ -373,43 +368,37 @@ func newFoldInWorkload(fm *FoldInModel, cfg FoldInConfig) (*foldInWorkload, erro
 }
 
 func (w *foldInWorkload) newScratch() *foldInScratch {
-	sc := &foldInScratch{nDK: make([]int, w.k), vals: make([]float64, w.k)}
-	if w.core == SamplerSparse {
-		sc.docSet = linalg.NewIndexSet(w.k)
-	}
-	return sc
+	return &foldInScratch{nDK: make([]int, w.k), vals: make([]float64, w.k)}
 }
 
 // doc samples one document through the workload's core. The (seed, index,
-// sweeps) triple fully determines the trajectory.
+// sweeps) triple fully determines the trajectory. Unknown token ids are
+// dropped; a document without usable tokens gets the normalized prior.
 func (w *foldInWorkload) doc(sc *foldInScratch, doc []int, seed int64, index uint64, sweeps int) []float64 {
-	switch w.core {
-	case SamplerSparse:
-		return foldInDocSparse(w.fm, doc, seed, index, sweeps, sc.nDK, sc.docSet, sc.vals, w.alphaSum, w.v, &sc.ctr)
-	case SamplerMH:
-		return foldInDocMH(w.fm, doc, seed, index, sweeps, sc.nDK, w.alphaSum, w.v, &sc.ctr)
-	default:
-		return foldInDoc(w.fm, doc, seed, index, sweeps, sc.nDK, sc.vals, w.alphaSum, w.v, &sc.ctr)
+	for t := range sc.nDK {
+		sc.nDK[t] = 0
 	}
-}
-
-// foldInDoc runs the dense per-document sampler. nDK and probs are
-// caller-owned scratch of length K; nDK is re-zeroed here before use.
-func foldInDoc(fm *FoldInModel, doc []int, seed int64, di uint64, sweeps int, nDK []int, probs []float64, alphaSum float64, v int, ctr *sweepCounters) []float64 {
-	k := len(nDK)
-	for t := range nDK {
-		nDK[t] = 0
-	}
-	// Keep only tokens the model can score.
 	toks := make([]int, 0, len(doc))
-	for _, w := range doc {
-		if w >= 0 && w < v {
-			toks = append(toks, w)
+	for _, tok := range doc {
+		if tok >= 0 && tok < w.v {
+			toks = append(toks, tok)
 		}
 	}
-	z := make([]int, len(toks))
-	ctr.tokens += int64(len(toks)) * int64(sweeps+1)
+	sc.ctr.tokens += int64(len(toks)) * int64(sweeps+1)
+	if w.core == SamplerMH {
+		foldInDocMH(w.fm, toks, seed, index, sweeps, sc.nDK, w.alphaSum, &sc.ctr)
+	} else {
+		foldInDoc(w.fm, toks, seed, index, sweeps, sc.nDK, sc.vals, &sc.ctr)
+	}
+	return foldInTheta(w.fm, sc.nDK, len(toks), w.alphaSum)
+}
 
+// foldInDoc runs the dense per-document sampler over the usable tokens
+// toks, leaving the document's topic counts in nDK (zeroed by the
+// caller). probs is scratch of length K.
+func foldInDoc(fm *FoldInModel, toks []int, seed int64, di uint64, sweeps int, nDK []int, probs []float64, ctr *sweepCounters) {
+	k := len(nDK)
+	z := make([]int, len(toks))
 	// Initialization pass (sweep 0): sample from alpha * phi.
 	rng := newStream(seed, di, 0)
 	for i, w := range toks {
@@ -441,97 +430,6 @@ func foldInDoc(fm *FoldInModel, doc []int, seed int64, di uint64, sweeps int, nD
 			nDK[z[i]]++
 		}
 	}
-
-	return foldInTheta(fm, nDK, len(toks), alphaSum)
-}
-
-// foldInDocSparse runs the per-document sampler through the sparse
-// decomposition: the prior part answers from the model's cached alias
-// tables in O(1), the document part walks the query document's topic
-// support in O(K_d). Same conditional as foldInDoc, different trajectory.
-// nDK, docSet and tvals are caller-owned scratch of length K; nDK and
-// docSet are reset here before use.
-func foldInDocSparse(fm *FoldInModel, doc []int, seed int64, di uint64, sweeps int, nDK []int, docSet *linalg.IndexSet, tvals []float64, alphaSum float64, v int, ctr *sweepCounters) []float64 {
-	k := len(nDK)
-	for t := range nDK {
-		nDK[t] = 0
-	}
-	docSet.Clear()
-	toks := make([]int, 0, len(doc))
-	for _, w := range doc {
-		if w >= 0 && w < v {
-			toks = append(toks, w)
-		}
-	}
-	z := make([]int, len(toks))
-	ctr.tokens += int64(len(toks)) * int64(sweeps+1)
-
-	// Initialization pass (sweep 0): the conditional is exactly the prior
-	// part α_k·φ_kw — a pure alias draw.
-	rng := newStream(seed, di, 0)
-	for i, w := range toks {
-		var t int
-		if fm.qMass[w] > 0 {
-			t = fm.qTab[w].Draw(rng.Float64())
-		} else {
-			t = rng.Intn(k) // every topic scores zero: uniform fallback
-		}
-		z[i] = t
-		nDK[t]++
-		docSet.Add(t)
-	}
-
-	for sweep := 1; sweep <= sweeps; sweep++ {
-		rng := newStream(seed, di, uint64(sweep))
-		for i, w := range toks {
-			told := z[i]
-			nDK[told]--
-			if nDK[told] == 0 {
-				docSet.Remove(told)
-			}
-			nz := docSet.Indices()
-			tv := tvals[:len(nz)]
-			tMass := 0.0
-			for j, t32 := range nz {
-				t := int(t32)
-				val := float64(nDK[t]) * fm.PhiLike[t][w]
-				tv[j] = val
-				tMass += val
-			}
-			qm := fm.qMass[w]
-			total := tMass + qm
-			var t int
-			switch {
-			case total <= 0:
-				t = rng.Intn(k) // every topic scores zero: uniform fallback
-			default:
-				u := rng.Float64() * total
-				switch {
-				case u < tMass:
-					t = int(nz[len(nz)-1])
-					for j, val := range tv {
-						u -= val
-						if u <= 0 {
-							t = int(nz[j])
-							break
-						}
-					}
-				case qm > 0:
-					t = fm.qTab[w].Draw(rng.Float64())
-				default:
-					t = int(nz[len(nz)-1]) // rounding pushed u past tMass
-				}
-			}
-			if t != told {
-				ctr.changed++
-			}
-			z[i] = t
-			nDK[t]++
-			docSet.Add(t)
-		}
-	}
-
-	return foldInTheta(fm, nDK, len(toks), alphaSum)
 }
 
 // foldInDocMH runs the per-document sampler through the MH kernel: per
@@ -544,24 +442,13 @@ func foldInDocSparse(fm *FoldInModel, doc []int, seed int64, di uint64, sweeps i
 //	π = [(n_dt + α_t)·α_k] / [(n_dk + α_k)·α_t]
 //
 // leaving pure O(1) arithmetic per step (fitting-side MH pays an O(log K_w)
-// stale-density lookup here). Same stationary conditional as the other
-// cores, different trajectory. nDK is caller-owned scratch of length K.
-func foldInDocMH(fm *FoldInModel, doc []int, seed int64, di uint64, sweeps int, nDK []int, alphaSum float64, v int, ctr *sweepCounters) []float64 {
+// stale-density lookup here). Same stationary conditional as the dense
+// core, different trajectory. Arguments as for foldInDoc.
+func foldInDocMH(fm *FoldInModel, toks []int, seed int64, di uint64, sweeps int, nDK []int, alphaSum float64, ctr *sweepCounters) {
 	k := len(nDK)
-	for t := range nDK {
-		nDK[t] = 0
-	}
-	toks := make([]int, 0, len(doc))
-	for _, w := range doc {
-		if w >= 0 && w < v {
-			toks = append(toks, w)
-		}
-	}
 	z := make([]int, len(toks))
-	ctr.tokens += int64(len(toks)) * int64(sweeps+1)
-
 	// Initialization pass (sweep 0): the conditional is exactly the prior
-	// part α_k·φ_kw — a pure alias draw, identical to the sparse init.
+	// part α_k·φ_kw — a pure alias draw.
 	rng := newStream(seed, di, 0)
 	for i, w := range toks {
 		var t int
@@ -638,7 +525,6 @@ func foldInDocMH(fm *FoldInModel, doc []int, seed int64, di uint64, sweeps int, 
 		}
 	}
 
-	return foldInTheta(fm, nDK, len(toks), alphaSum)
 }
 
 // foldInTheta is the smoothed normalization both cores share.

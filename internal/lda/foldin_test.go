@@ -221,7 +221,7 @@ func TestFoldInBatchMatchesFoldIn(t *testing.T) {
 		{seed: 99, sweeps: 5, docs: [][]int{{9, 9, 9}, {}, {42, 0}}},
 		{seed: 7, sweeps: 12, docs: [][]int{{4, 4, 1, 6}}},
 	}
-	for _, sampler := range []Sampler{SamplerSparse, SamplerDense} {
+	for _, sampler := range []Sampler{SamplerMH, SamplerDense} {
 		for _, p := range []int{1, 8} {
 			var want [][][]float64
 			for _, r := range reqs {

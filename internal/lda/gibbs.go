@@ -1,12 +1,13 @@
 package lda
 
 import (
+	"fmt"
 	"time"
 
 	"lesm/internal/par"
 )
 
-// Parallel Gibbs machinery shared by Run and RunPhrases.
+// Parallel Gibbs machinery shared by Run and RunPhrases, for both cores.
 //
 // A sweep is one chunked pass over the documents on the shared runtime
 // (internal/par). The global count tables nKV/nK are frozen for the
@@ -95,9 +96,9 @@ func (dl *delta) applyTo(nKV [][]int, nK []int) {
 	}
 }
 
-// sweepScratch is the per-chunk scratch of a sampler run — delta tables,
-// probability buffers and (for the sparse sampler) incremental bucket
-// state — allocated once and reused across all sweeps (the tables are
+// sweepScratch is the per-chunk scratch of a fit — delta tables,
+// probability buffers and (for the MH core) per-chunk sampling state —
+// allocated once and reused across all sweeps (the tables are
 // O(topics x vocabulary) each, too big to reallocate per sweep). applyTo
 // re-zeroes each delta as it folds it into the globals.
 type sweepScratch struct {
@@ -105,34 +106,35 @@ type sweepScratch struct {
 	probs  [][]float64
 	// rngs[c] is chunk c's reusable stream slot: per-document streams are
 	// values reseeded in place, so a sweep performs no per-document heap
-	// allocation (the pointer handed to visit would otherwise force each
-	// stream to escape).
+	// allocation (the pointer handed to the kernel would otherwise force
+	// each stream to escape).
 	rngs []stream
-	// sparse[c] is chunk c's incremental bucket state; nil for dense runs
-	// (see enableSparse / sparse.go).
-	sparse []*sparseChunk
 	// mh[c] is chunk c's Metropolis–Hastings state; nil unless the MH core
 	// runs (see enableMH / mh.go).
 	mh []*mhChunk
-	// ps, when non-nil, makes gibbsPass accumulate pass timings and
-	// delta-table sizes (set by newRunRecorder; nil keeps the pass free
-	// of time syscalls on the unrecorded path).
+	// ps, when non-nil, makes pass accumulate pass timings and delta-table
+	// sizes (set by newRunRecorder; nil keeps the pass free of time
+	// syscalls on the unrecorded path).
 	ps *passStats
 
-	// pass carries one gibbsPass invocation's parameters to chunkFn, the
-	// chunk closure built once per run — re-binding fields is free, so a
-	// sweep allocates no closure either (TestNilRecorderSweepAllocFree).
+	// pass carries one chunk pass's parameters to chunkFn, the chunk
+	// closure built once per fit — re-binding fields is free, so a sweep
+	// allocates no closure either (TestNilRecorderSweepAllocFree).
 	pass    passArgs
 	chunkFn func(c, lo, hi int)
 }
 
-// passArgs are one gibbsPass call's parameters, held on the scratch so
-// the prebuilt chunk closure can read them.
+// docKernel samples document di of chunk c with its own counter-based
+// PRNG stream, records count changes in the chunk's delta dl, and may use
+// probs (len kTotal) as scratch.
+type docKernel func(c, di int, rng *stream, dl *delta, probs []float64)
+
+// passArgs are one chunk pass's parameters, held on the scratch so the
+// prebuilt chunk closure can read them.
 type passArgs struct {
 	seed  int64
 	sweep uint64
-	begin func(c int)
-	visit func(c, di int, rng *stream, dl *delta, probs []float64)
+	visit docKernel
 }
 
 func newSweepScratch(nc, kTotal, v int) *sweepScratch {
@@ -146,9 +148,6 @@ func newSweepScratch(nc, kTotal, v int) *sweepScratch {
 		sc.probs[c] = make([]float64, kTotal)
 	}
 	sc.chunkFn = func(c, lo, hi int) {
-		if sc.pass.begin != nil {
-			sc.pass.begin(c)
-		}
 		dl := sc.deltas[c]
 		probs := sc.probs[c]
 		rng := &sc.rngs[c]
@@ -160,33 +159,241 @@ func newSweepScratch(nc, kTotal, v int) *sweepScratch {
 	return sc
 }
 
-// gibbsPass runs one chunked pass (initialization or a Gibbs sweep) over d
-// documents, using the chunk count the scratch was sized for. begin, when
-// non-nil, runs once at the start of each chunk (the sparse sampler
-// refreshes its per-chunk bucket masses there). end, when non-nil, runs
-// once after every chunk finishes but *before* the deltas merge into the
+// corpus is the document form a fit samples, seen as assignment slots: a
+// token of a Run document, or a phrase of a RunPhrases document (all of
+// its words share one topic). The shared fit setup — validation, the init
+// pass, resume, the fingerprint and the convergence probe — reads the
+// documents only through it; the per-document kernels index the concrete
+// documents directly.
+type corpus interface {
+	numDocs() int
+	slots(di int) int
+	words(di, slot int) []int
+	// validate rejects word ids outside [0, v) up front: the count tables
+	// are sized by v, and an out-of-range id would panic mid-sweep.
+	validate(v int) error
+	// hash is the corpus digest bound into checkpoint fingerprints.
+	hash() uint64
+}
+
+// tokenDocs are Run's documents (one slot per token); phraseDocs are
+// RunPhrases' (one slot per phrase).
+type (
+	tokenDocs  [][]int
+	phraseDocs []PhraseDoc
+)
+
+func (c tokenDocs) numDocs() int              { return len(c) }
+func (c tokenDocs) slots(di int) int          { return len(c[di]) }
+func (c tokenDocs) words(di, slot int) []int  { return c[di][slot : slot+1] }
+func (c tokenDocs) hash() uint64              { return hashTokenDocs(c) }
+func (c phraseDocs) numDocs() int             { return len(c) }
+func (c phraseDocs) slots(di int) int         { return len(c[di]) }
+func (c phraseDocs) words(di, slot int) []int { return c[di][slot] }
+func (c phraseDocs) hash() uint64             { return hashPhraseDocs(c) }
+
+func (c tokenDocs) validate(v int) error {
+	for di, doc := range c {
+		for i, w := range doc {
+			if w < 0 || w >= v {
+				return fmt.Errorf("lda: doc %d token %d: word id %d outside vocabulary [0, %d)", di, i, w, v)
+			}
+		}
+	}
+	return nil
+}
+
+func (c phraseDocs) validate(v int) error {
+	for di, doc := range c {
+		for pi, phrase := range doc {
+			for _, w := range phrase {
+				if w < 0 || w >= v {
+					return fmt.Errorf("lda: doc %d phrase %d: word id %d outside vocabulary [0, %d)", di, pi, w, v)
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// countTokens is the per-sweep token-visit total of a corpus
+// (SweepStats.Tokens, Fingerprint.Tokens).
+func countTokens(c corpus) int64 {
+	var n int64
+	for di := 0; di < c.numDocs(); di++ {
+		for s := 0; s < c.slots(di); s++ {
+			n += int64(len(c.words(di, s)))
+		}
+	}
+	return n
+}
+
+// fit is the state one Gibbs run shares across its sweeps, whichever
+// corpus form and core it samples. newFit does the common setup; run
+// drives every sweep of every fit variant through one loop.
+type fit struct {
+	cfg  Config // defaulted
+	o    par.Opts
+	core Sampler // resolved
+	// kTotal counts content topics plus the background topic; d documents
+	// over a v-word vocabulary.
+	kTotal, v, d int
+	// start is the number of already-completed sweeps: 0 for a fresh fit,
+	// the checkpoint's sweep on resume.
+	start    int
+	alpha    []float64
+	nDK, nKV [][]int
+	nK       []int
+	// z[d][s] is the topic of assignment slot s of document d.
+	z  [][]int
+	sc *sweepScratch
+	rr *runRecorder
+	ck *ckptState
+	// mh is the MH core's alias rebuild schedule; nil for the dense core
+	// and for an empty corpus.
+	mh *mhRebuildSchedule
+}
+
+// newFit validates the run, allocates the count tables, restores them
+// from Config.Resume or draws the initialization pass, and attaches the
+// recorder, the checkpoint protocol and (for the MH core) the alias
+// proposal state. engine names the fit in records and fingerprints.
+func newFit(engine string, c corpus, v int, cfg Config) (*fit, error) {
+	if err := cfg.validate(v); err != nil {
+		return nil, err
+	}
+	if err := c.validate(v); err != nil {
+		return nil, err
+	}
+	cfg = cfg.withDefaults()
+	kTotal := cfg.K
+	if cfg.Background {
+		kTotal++
+	}
+	d := c.numDocs()
+	f := &fit{
+		cfg: cfg, o: cfg.parOpts(), core: cfg.Sampler.ResolveFor(kTotal, v),
+		kTotal: kTotal, v: v, d: d,
+		alpha: alphaVec(cfg, kTotal),
+		nDK:   make([][]int, d), nKV: make([][]int, kTotal), nK: make([]int, kTotal),
+		z:  make([][]int, d),
+		sc: newSweepScratch(samplerChunks(d, kTotal, v), kTotal, v),
+	}
+	for k := range f.nKV {
+		f.nKV[k] = make([]int, v)
+	}
+	tokens := countTokens(c)
+
+	// The fingerprint binds checkpoints to this exact fit; computing it
+	// (one corpus hash) is skipped entirely when the run neither
+	// checkpoints, stops, nor resumes.
+	var fp Fingerprint
+	if cfg.CheckpointFunc != nil || cfg.Stop != nil || cfg.Resume != nil {
+		fp = newFingerprint(engine, f.core, cfg, v, d, tokens, c.hash())
+	}
+	if cp := cfg.Resume; cp != nil {
+		if err := cp.check(fp, kTotal, c); err != nil {
+			return nil, err
+		}
+		restoreCounts(cp, c, kTotal, f.nDK, f.nKV, f.nK, f.z)
+		f.start = cp.Sweep
+	} else if err := f.initPass(c); err != nil {
+		return nil, err
+	}
+
+	// The recorder attaches after the init pass so sweep 1's timings
+	// cover sweep 1 only; nil (the common case) makes every endSweep a
+	// no-op and keeps the passes untimed.
+	f.rr = newRunRecorder(cfg, engine, d, tokens, f.sc, newProbe(c, f.alpha, cfg.Beta, v, f.nDK, f.nKV, f.nK))
+	f.ck = newCkptState(cfg, fp, f.z)
+	if f.core == SamplerMH && d > 0 {
+		_, phrases := c.(phraseDocs)
+		if err := f.startMH(phrases); err != nil {
+			return nil, err
+		}
+	}
+	return f, nil
+}
+
+// initPass draws every slot's topic uniformly from the sweep-0 streams,
+// shared by both cores so an A/B comparison starts from the same state.
+func (f *fit) initPass(c corpus) error {
+	kTotal, nDK, z := f.kTotal, f.nDK, f.z
+	return f.pass(0, nil, func(_, di int, rng *stream, dl *delta, _ []float64) {
+		n := c.slots(di)
+		nDK[di] = make([]int, kTotal)
+		z[di] = make([]int, n)
+		for s := 0; s < n; s++ {
+			k := rng.Intn(kTotal)
+			z[di][s] = k
+			ws := c.words(di, s)
+			nDK[di][k] += len(ws)
+			for _, w := range ws {
+				dl.add(k, w, 1)
+			}
+		}
+	})
+}
+
+// run is the sweep driver every fit goes through: it resumes after the
+// completed sweeps and runs kernel over all documents once per sweep.
+func (f *fit) run(kernel docKernel) error {
+	cfg, start := f.cfg, f.start
+	for it := start; it < cfg.Iters; it++ {
+		if err := f.sweep(it+1, kernel); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// sweep runs one Gibbs sweep: the MH core's pre-sweep hooks (refresh the
+// cached denominators, kick a due alias rebuild), the chunk pass, then the
+// sweep's record and checkpoint boundary. A failed pass joins any
+// in-flight rebuild before returning, so it cannot outlive the run.
+func (f *fit) sweep(sweep int, kernel docKernel) error {
+	var endPass func() error
+	if f.mh != nil {
+		for _, ch := range f.sc.mh {
+			ch.refreshDen()
+		}
+		f.mh.beginSweep(f.o, f.nKV)
+		endPass = f.mh.endPass
+	}
+	if err := f.pass(uint64(sweep), endPass, kernel); err != nil {
+		f.mh.drain()
+		return err
+	}
+	// Diffed against the previous sweep's totals inside the recorder, so
+	// the MH core's initial synchronous build lands on sweep 1's record.
+	rebuilds, took := f.mh.endSweep()
+	if err := f.rr.endSweep(f.o, sweep, rebuilds, took); err != nil {
+		return err
+	}
+	return f.ck.boundary(sweep)
+}
+
+// pass runs one chunked pass (initialization or a Gibbs sweep) over the
+// documents, using the chunk count the scratch was sized for. visit
+// samples one document (see docKernel). end, when non-nil, runs once
+// after every chunk finishes but *before* the deltas merge into the
 // global tables — the MH core joins its background alias rebuild there,
 // while the globals the rebuild reads are still frozen; an end error
-// aborts the pass without merging. visit samples document di of chunk c
-// with its own counter-based PRNG stream derived from (seed, di, sweep),
-// records count changes in the chunk's delta dl, and may use probs (len
-// kTotal) as scratch. On success the chunk deltas are merged into nKV/nK
-// in chunk order and reset; on cancellation the global tables are left
-// unchanged and the context error is returned. A pass over zero documents
-// is a no-op.
-func gibbsPass(o par.Opts, seed int64, sweep uint64, d int, sc *sweepScratch,
-	nKV [][]int, nK []int, begin func(c int), end func() error,
-	visit func(c, di int, rng *stream, dl *delta, probs []float64)) error {
-	if d <= 0 {
-		return o.Err()
+// aborts the pass without merging. On success the chunk deltas are merged
+// into nKV/nK in chunk order and reset; on cancellation the global tables
+// are left unchanged and the context error is returned. A pass over zero
+// documents is a no-op.
+func (f *fit) pass(sweep uint64, end func() error, visit docKernel) error {
+	if f.d <= 0 {
+		return f.o.Err()
 	}
+	sc := f.sc
 	var start time.Time
 	if sc.ps != nil {
 		start = time.Now()
 	}
-	nc := len(sc.deltas)
-	sc.pass = passArgs{seed: seed, sweep: sweep, begin: begin, visit: visit}
-	err := par.ForChunksN(o, d, nc, sc.chunkFn)
+	sc.pass = passArgs{seed: f.cfg.Seed, sweep: sweep, visit: visit}
+	err := par.ForChunksN(f.o, f.d, len(sc.deltas), sc.chunkFn)
 	sc.pass = passArgs{} // drop the closure references
 	if err != nil {
 		return err
@@ -196,20 +403,20 @@ func gibbsPass(o par.Opts, seed int64, sweep uint64, d int, sc *sweepScratch,
 			return err
 		}
 	}
-	// ForChunksN clamps nc to d, so trailing deltas may be untouched;
-	// applying an empty delta is O(topics), harmless.
+	// ForChunksN clamps the chunk count to d, so trailing deltas may be
+	// untouched; applying an empty delta is O(topics), harmless.
 	if sc.ps != nil {
 		mergeStart := time.Now()
 		for _, dl := range sc.deltas {
 			sc.ps.cells += int64(len(dl.dirty))
-			dl.applyTo(nKV, nK)
+			dl.applyTo(f.nKV, f.nK)
 		}
 		sc.ps.merge += time.Since(mergeStart)
 		sc.ps.wall += time.Since(start)
 		return nil
 	}
 	for _, dl := range sc.deltas {
-		dl.applyTo(nKV, nK)
+		dl.applyTo(f.nKV, f.nK)
 	}
 	return nil
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"time"
 
 	"lesm/internal/obs"
 	"lesm/internal/par"
@@ -19,29 +18,27 @@ type Sampler string
 
 const (
 	// SamplerAuto resolves per workload: SamplerDense below the topic/
-	// vocabulary threshold where the decomposed cores' bookkeeping costs
+	// vocabulary threshold where the MH core's proposal bookkeeping costs
 	// more than the O(K) scan it avoids, SamplerMH above it. See
 	// Sampler.ResolveFor.
 	SamplerAuto Sampler = ""
-	// SamplerSparse is the bucket-decomposed sparse core with per-sweep
-	// Walker alias tables (SparseLDA / AliasLDA hybrid): O(K_d) amortized
-	// per token instead of O(K). See sparse.go.
-	SamplerSparse Sampler = "sparse"
-	// SamplerDense is the classic O(K)-per-token collapsed sampler, kept
-	// for A/B validation of the decomposed cores.
+	// SamplerDense is the classic O(K)-per-token collapsed sampler.
 	SamplerDense Sampler = "dense"
 	// SamplerMH is the Metropolis–Hastings core: alias proposals from
 	// *stale* tables rebuilt every Config.AliasRefresh sweeps, with the
 	// accept/reject step restoring exactness — O(1) proposals per token
-	// and an amortized rebuild instead of the sparse core's per-sweep
-	// O(K·V). See mh.go.
+	// and an amortized O(K·V) rebuild. See mh.go.
 	SamplerMH Sampler = "mh"
+
+	// removedSparse names the bucket+alias core that SamplerMH replaced;
+	// Validate rejects it with a pointer to the replacement.
+	removedSparse Sampler = "sparse"
 )
 
 // SamplerAuto's workload thresholds: below either bound the dense core's
-// O(K) scan is cheap enough that the decomposed cores' bucket/proposal
-// bookkeeping is pure overhead (BENCH_pr4.json measured sparse at ~0.8x
-// dense on the K=6, V=10 workload, 8.4x at K=200, V=1000).
+// O(K) scan is cheap enough that the MH core's proposal bookkeeping is
+// pure overhead (BENCH_pr6.json measured MH at 0.52x dense tokens/s on the
+// K=5+background, V=10 workload, 9.6x dense at K=200, V=1000).
 const (
 	autoMinTopics = 32
 	autoMinVocab  = 64
@@ -63,20 +60,18 @@ func (s Sampler) ResolveFor(kTotal, v int) Sampler {
 	return SamplerMH
 }
 
-// Valid reports whether s names a known sampling core. Consumers that
-// accept a sampler name from a flag or an options struct (internal/serve,
-// the CLIs) share this check so a new core only has to be registered here.
-func (s Sampler) Valid() bool {
+// Validate rejects names that select no sampling core. It is the one
+// check every consumer that accepts a sampler name shares (Config,
+// FoldInConfig, internal/serve, the CLIs, the checkpoint decoder), so a
+// core only has to be registered here.
+func (s Sampler) Validate() error {
 	switch s {
-	case SamplerAuto, SamplerSparse, SamplerDense, SamplerMH:
-		return true
+	case SamplerAuto, SamplerDense, SamplerMH:
+		return nil
+	case removedSparse:
+		return fmt.Errorf("lda: the %q sampling core was removed; use %q (alias proposals, what auto picks for large workloads) or %q", s, SamplerMH, SamplerDense)
 	}
-	return false
-}
-
-// errUnknown is the shared rejection message for unknown sampler names.
-func (s Sampler) errUnknown() error {
-	return fmt.Errorf("lda: unknown sampler %q (want %q, %q or %q)", s, SamplerSparse, SamplerDense, SamplerMH)
+	return fmt.Errorf("lda: unknown sampler %q (want %q, %q, or empty for auto)", s, SamplerMH, SamplerDense)
 }
 
 // Config parameterizes a Gibbs run.
@@ -100,19 +95,19 @@ type Config struct {
 	// P bounds the worker count of the parallel sweeps (0 = GOMAXPROCS).
 	// Models are bit-identical at any P.
 	P int
-	// Sampler selects the sampling core: SamplerSparse (bucket+alias),
-	// SamplerMH (Metropolis–Hastings alias proposals with amortized
-	// rebuilds) or SamplerDense (classic O(K) per token). SamplerAuto
-	// picks per workload — see Sampler.ResolveFor. All cores are
-	// deterministic at any P; each follows its own trajectory.
+	// Sampler selects the sampling core: SamplerMH (Metropolis–Hastings
+	// alias proposals with amortized rebuilds) or SamplerDense (classic
+	// O(K) per token). SamplerAuto picks per workload — see
+	// Sampler.ResolveFor. Both cores are deterministic at any P; each
+	// follows its own trajectory.
 	Sampler Sampler
 	// AliasRefresh is the MH core's alias-table rebuild cadence in sweeps
 	// (0 = DefaultAliasRefresh; negative is a validation error): the
 	// word-proposal tables rebuild from the global counts every
 	// AliasRefresh sweeps, double-buffered so sweeps never block on the
 	// build. Larger values amortize the O(K·V) rebuild further at the
-	// price of staler proposals (lower acceptance, never bias). Other
-	// cores ignore it.
+	// price of staler proposals (lower acceptance, never bias). The dense
+	// core ignores it.
 	AliasRefresh int
 	// Ctx cancels sampling between work chunks (nil = background); a
 	// cancelled run returns the context error and no model.
@@ -190,8 +185,8 @@ func (c Config) validate(v int) error {
 	if c.BGWeight < 0 || math.IsNaN(c.BGWeight) {
 		return fmt.Errorf("lda: Config.BGWeight = %v, need >= 0 (0 = default 3)", c.BGWeight)
 	}
-	if !c.Sampler.Valid() {
-		return c.Sampler.errUnknown()
+	if err := c.Sampler.Validate(); err != nil {
+		return err
 	}
 	if c.AliasRefresh < 0 {
 		return fmt.Errorf("lda: Config.AliasRefresh = %d, need >= 0 (0 = default %d)", c.AliasRefresh, DefaultAliasRefresh)
@@ -204,19 +199,6 @@ func (c Config) validate(v int) error {
 	}
 	if c.CheckpointEvery > 0 && c.CheckpointFunc == nil {
 		return fmt.Errorf("lda: Config.CheckpointEvery = %d without Config.CheckpointFunc", c.CheckpointEvery)
-	}
-	return nil
-}
-
-// validateTokens rejects word ids outside [0, v) up front: the count
-// tables are sized by v, and an out-of-range id would panic mid-sweep.
-func validateTokens(docs [][]int, v int) error {
-	for di, doc := range docs {
-		for i, w := range doc {
-			if w < 0 || w >= v {
-				return fmt.Errorf("lda: doc %d token %d: word id %d outside vocabulary [0, %d)", di, i, w, v)
-			}
-		}
 	}
 	return nil
 }
@@ -272,8 +254,8 @@ type Model struct {
 	// Sampler.ResolveFor).
 	Sampler Sampler
 	// AliasRebuilds counts the word-proposal alias-table builds the fit
-	// performed: Iters for the sparse core (one per sweep), 1 +
-	// ⌊(Iters−1)/AliasRefresh⌋ for the MH core (amortized), 0 for dense.
+	// performed: 1 + ⌊(Iters−1)/AliasRefresh⌋ for the MH core (amortized),
+	// 0 for dense and for an empty corpus.
 	AliasRebuilds int
 }
 
@@ -282,224 +264,76 @@ type Model struct {
 // Sweeps execute as chunked passes over the documents on the shared
 // parallel runtime: every document samples from its own (Seed, doc, sweep)
 // PRNG stream against the sweep-start counts plus its chunk's running
-// delta, and chunk deltas merge in chunk order afterwards (see gibbsPass).
+// delta, and chunk deltas merge in chunk order afterwards (see gibbs.go).
 // The fitted model is therefore bit-identical at any Config.P. Run returns
 // an error when the config or a token id is invalid, or when Config.Ctx is
 // cancelled.
 func Run(docs [][]int, v int, cfg Config) (*Model, error) {
-	if err := cfg.validate(v); err != nil {
-		return nil, err
-	}
-	if err := validateTokens(docs, v); err != nil {
-		return nil, err
-	}
-	cfg = cfg.withDefaults()
-	o := cfg.parOpts()
-	kTotal := cfg.K
-	if cfg.Background {
-		kTotal++
-	}
-	d := len(docs)
-	nDK := make([][]int, d)
-	nKV := make([][]int, kTotal)
-	nK := make([]int, kTotal)
-	for k := range nKV {
-		nKV[k] = make([]int, v)
-	}
-	z := make([][]int, d)
-	alpha := alphaVec(cfg, kTotal)
-	sc := newSweepScratch(samplerChunks(d, kTotal, v), kTotal, v)
-	core := cfg.Sampler.ResolveFor(kTotal, v)
-
-	// The fingerprint binds checkpoints to this exact fit; computing it
-	// (one corpus hash) is skipped entirely when the run neither
-	// checkpoints, stops, nor resumes.
-	var fp Fingerprint
-	if cfg.CheckpointFunc != nil || cfg.Stop != nil || cfg.Resume != nil {
-		fp = newFingerprint("lda", core, cfg, v, d, countTokens(docs), hashTokenDocs(docs))
-	}
-
-	// start is the number of already-completed sweeps: 0 for a fresh fit
-	// (whose state comes from the init pass below), the checkpoint's
-	// sweep on resume (whose state is replayed from the stored Z).
-	start := 0
-	if cp := cfg.Resume; cp != nil {
-		docLens := make([]int, d)
-		for di, doc := range docs {
-			docLens[di] = len(doc)
-		}
-		if err := cp.check(fp, kTotal, docLens); err != nil {
-			return nil, err
-		}
-		restoreCounts(cp, kTotal, nDK, nKV, nK, z,
-			func(int, int) int { return 1 },
-			func(di, slot, _ int) int { return docs[di][slot] })
-		start = cp.Sweep
-	} else {
-		// Initialization pass (uniform assignments), shared by all cores
-		// so an A/B comparison starts from the same state.
-		err := gibbsPass(o, cfg.Seed, 0, d, sc, nKV, nK, nil, nil,
-			func(_, di int, rng *stream, dl *delta, _ []float64) {
-				doc := docs[di]
-				nDK[di] = make([]int, kTotal)
-				z[di] = make([]int, len(doc))
-				for i, w := range doc {
-					k := rng.Intn(kTotal)
-					z[di][i] = k
-					nDK[di][k]++
-					dl.add(k, w, 1)
-				}
-			})
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	// The recorder attaches after the init pass so sweep 1's timings
-	// cover sweep 1 only; nil (the common case) makes every endSweep a
-	// no-op and keeps gibbsPass untimed.
-	rr := newRunRecorder(cfg, "lda", d, countTokens(docs), sc,
-		tokenProbe(docs, alpha, cfg.Beta, v, nDK, nKV, nK))
-	ck := newCkptState(cfg, fp, z)
-
-	var err error
-	rebuilds := 0
-	switch core {
-	case SamplerSparse:
-		err = runSparse(o, cfg, docs, v, d, start, sc, alpha, nDK, nKV, nK, z, rr, ck)
-		if d > 0 {
-			// One rebuild per sweep over the whole trajectory — resumed
-			// runs report the uninterrupted fit's figure, not the sweeps
-			// they themselves executed, so the models stay bit-identical.
-			rebuilds = cfg.Iters
-		}
-	case SamplerMH:
-		rebuilds, err = runMH(o, cfg, docs, v, d, start, sc, alpha, nDK, nKV, nK, z, rr, ck)
-	default:
-		err = runDense(o, cfg, docs, v, d, kTotal, start, sc, alpha, nDK, nKV, nK, z, rr, ck)
-	}
+	f, err := newFit("lda", tokenDocs(docs), v, cfg)
 	if err != nil {
 		return nil, err
 	}
-	m := summarize(docs, v, kTotal, cfg, nDK, nKV, nK, z)
-	m.Sampler, m.AliasRebuilds = core, rebuilds
-	return m, nil
+	kernel := f.denseTokenKernel(docs)
+	if f.core == SamplerMH {
+		kernel = f.mhTokenKernel(docs)
+	}
+	if err := f.run(kernel); err != nil {
+		return nil, err
+	}
+	return f.summarize(docs, f.z), nil
 }
 
-// runDense is the classic collapsed sampler: every token scores all kTotal
-// topics (O(K) per token) against global + own-chunk delta counts.
-func runDense(o par.Opts, cfg Config, docs [][]int, v, d, kTotal, start int, sc *sweepScratch,
-	alpha []float64, nDK [][]int, nKV [][]int, nK []int, z [][]int, rr *runRecorder, ck *ckptState) error {
-	vb := float64(v) * cfg.Beta
-	for it := start; it < cfg.Iters; it++ {
-		err := gibbsPass(o, cfg.Seed, uint64(it+1), d, sc, nKV, nK, nil, nil,
-			func(_, di int, rng *stream, dl *delta, probs []float64) {
-				doc := docs[di]
-				for i, w := range doc {
-					kOld := z[di][i]
-					k := kOld
-					nDK[di][k]--
-					dl.add(k, w, -1)
-					total := 0.0
-					for kk := 0; kk < kTotal; kk++ {
-						p := (float64(nDK[di][kk]) + alpha[kk]) *
-							(float64(nKV[kk][w]+dl.kv[kk][w]) + cfg.Beta) /
-							(float64(nK[kk]+dl.k[kk]) + vb)
-						probs[kk] = p
-						total += p
-					}
-					r := rng.Float64() * total
-					k = kTotal - 1
-					for kk := 0; kk < kTotal; kk++ {
-						r -= probs[kk]
-						if r <= 0 {
-							k = kk
-							break
-						}
-					}
-					if k != kOld {
-						dl.ctr.changed++
-					}
-					z[di][i] = k
-					nDK[di][k]++
-					dl.add(k, w, 1)
+// denseTokenKernel is the classic collapsed sampler: every token scores
+// all kTotal topics (O(K) per token) against global + own-chunk delta
+// counts.
+func (f *fit) denseTokenKernel(docs [][]int) docKernel {
+	z, nDK, nKV, nK, alpha := f.z, f.nDK, f.nKV, f.nK, f.alpha
+	kTotal, beta := f.kTotal, f.cfg.Beta
+	vb := float64(f.v) * beta
+	return func(_, di int, rng *stream, dl *delta, probs []float64) {
+		doc := docs[di]
+		for i, w := range doc {
+			kOld := z[di][i]
+			k := kOld
+			nDK[di][k]--
+			dl.add(k, w, -1)
+			total := 0.0
+			for kk := 0; kk < kTotal; kk++ {
+				p := (float64(nDK[di][kk]) + alpha[kk]) *
+					(float64(nKV[kk][w]+dl.kv[kk][w]) + beta) /
+					(float64(nK[kk]+dl.k[kk]) + vb)
+				probs[kk] = p
+				total += p
+			}
+			r := rng.Float64() * total
+			k = kTotal - 1
+			for kk := 0; kk < kTotal; kk++ {
+				r -= probs[kk]
+				if r <= 0 {
+					k = kk
+					break
 				}
-			})
-		if err != nil {
-			return err
-		}
-		if err := rr.endSweep(o, it+1, 0, 0); err != nil {
-			return err
-		}
-		if err := ck.boundary(it + 1); err != nil {
-			return err
+			}
+			if k != kOld {
+				dl.ctr.changed++
+			}
+			z[di][i] = k
+			nDK[di][k]++
+			dl.add(k, w, 1)
 		}
 	}
-	return nil
 }
 
-// runSparse is the bucket+alias core (sparse.go): per sweep, the q-bucket
-// alias tables rebuild from the frozen globals, then every chunk samples
-// its documents through the incremental bucket state at O(K_d) amortized
-// per token.
-func runSparse(o par.Opts, cfg Config, docs [][]int, v, d, start int, sc *sweepScratch,
-	alpha []float64, nDK [][]int, nKV [][]int, nK []int, z [][]int, rr *runRecorder, ck *ckptState) error {
-	if d == 0 {
-		// Every pass is a no-op; skip the per-sweep O(K·V) alias rebuilds.
-		return o.Err()
-	}
-	qa := newQAlias(v)
-	sc.enableSparse(alpha, cfg.Beta, v, nKV, nK, qa)
-	// On resume the cumulative rebuild totals below count from the
-	// trajectory's start; prime the recorder so the first resumed sweep
-	// is not charged with the skipped sweeps' rebuilds.
-	rr.prime(start, 0)
-	var rebuildT time.Duration
-	for it := start; it < cfg.Iters; it++ {
-		var t0 time.Time
-		if rr != nil {
-			t0 = time.Now()
-		}
-		if err := qa.rebuild(o, alpha, cfg.Beta, nKV, nK); err != nil {
-			return err
-		}
-		if rr != nil {
-			rebuildT += time.Since(t0)
-		}
-		err := gibbsPass(o, cfg.Seed, uint64(it+1), d, sc, nKV, nK,
-			func(c int) { sc.sparse[c].beginPass() }, nil,
-			func(c, di int, rng *stream, _ *delta, _ []float64) {
-				ch := sc.sparse[c]
-				ch.beginDoc(nDK[di])
-				doc := docs[di]
-				zd := z[di]
-				for i, w := range doc {
-					kOld := zd[i]
-					ch.adjust(kOld, w, -1)
-					k := ch.sampleToken(w, rng)
-					if k != kOld {
-						ch.dl.ctr.changed++
-					}
-					zd[i] = k
-					ch.adjust(k, w, 1)
-				}
-			})
-		if err != nil {
-			return err
-		}
-		if err := rr.endSweep(o, it+1, it+1, rebuildT); err != nil {
-			return err
-		}
-		if err := ck.boundary(it + 1); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func summarize(docs [][]int, v, kTotal int, cfg Config, nDK [][]int, nKV [][]int, nK []int, z [][]int) *Model {
+// summarize builds the model from the fit's final counts; docs are the
+// token documents (phrase fits pass their flattening) and z their
+// per-token assignments.
+func (f *fit) summarize(docs [][]int, z [][]int) *Model {
+	cfg, v, kTotal, nKV, nK := f.cfg, f.v, f.kTotal, f.nKV, f.nK
 	m := &Model{K: cfg.K, V: v, Background: cfg.Background, Z: z,
-		NKV: nKV, NK: nK, Alpha: cfg.Alpha, Beta: cfg.Beta}
+		NKV: nKV, NK: nK, Alpha: cfg.Alpha, Beta: cfg.Beta, Sampler: f.core}
+	if f.mh != nil {
+		m.AliasRebuilds = f.mh.Rebuilds
+	}
 	vb := float64(v) * cfg.Beta
 	m.Phi = make([][]float64, kTotal)
 	for k := 0; k < kTotal; k++ {
@@ -508,24 +342,16 @@ func summarize(docs [][]int, v, kTotal int, cfg Config, nDK [][]int, nKV [][]int
 			m.Phi[k][w] = (float64(nKV[k][w]) + cfg.Beta) / (float64(nK[k]) + vb)
 		}
 	}
+	var asum float64
+	for _, a := range f.alpha {
+		asum += a
+	}
 	m.Theta = make([][]float64, len(docs))
 	for di, doc := range docs {
 		m.Theta[di] = make([]float64, kTotal)
 		denom := float64(len(doc))
-		var asum float64
-		for k := 0; k < kTotal; k++ {
-			if cfg.Background && k == cfg.K {
-				asum += cfg.Alpha * cfg.BGWeight
-			} else {
-				asum += cfg.Alpha
-			}
-		}
-		for k := 0; k < kTotal; k++ {
-			a := cfg.Alpha
-			if cfg.Background && k == cfg.K {
-				a = cfg.Alpha * cfg.BGWeight
-			}
-			m.Theta[di][k] = (float64(nDK[di][k]) + a) / (denom + asum)
+		for k, a := range f.alpha {
+			m.Theta[di][k] = (float64(f.nDK[di][k]) + a) / (denom + asum)
 		}
 	}
 	m.Rho = make([]float64, kTotal)

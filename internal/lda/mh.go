@@ -9,17 +9,17 @@ import (
 
 // The Metropolis–Hastings sampling core (Config.Sampler "mh"): LightLDA-
 // style alias proposals (Yuan et al., WWW 2015; AliasLDA, Li et al., KDD
-// 2014) over the same bucket-decomposed conditional the sparse core
-// samples exactly,
+// 2014) for the collapsed conditional
 //
 //	p(k) ∝ (n_dk + α_k)(n_kw + β) / (n_k + Vβ).
 //
-// Where the sparse core pays an O(K·V) alias rebuild every sweep to keep
-// its q bucket only one pass stale, the MH core draws each token's topic
-// from cheap proposal distributions and corrects with an accept/reject
-// step, so the per-word alias tables can go *several* sweeps stale without
-// biasing the stationary distribution. Per token it alternates two
-// proposals, each O(1):
+// Exact alias sampling of that conditional would need per-word tables
+// rebuilt every sweep (O(K·V) each time) to keep them only one pass stale.
+// The MH core instead draws each token's topic from cheap proposal
+// distributions and corrects with an accept/reject step, so the per-word
+// alias tables can go *several* sweeps stale without biasing the
+// stationary distribution. Per token it alternates two proposals, each
+// O(1):
 //
 //   - word proposal: q_w(k) ∝ n̂_kw + β over the *stale* global topic-word
 //     counts n̂ frozen at the last alias rebuild — an alias draw from the
@@ -32,7 +32,7 @@ import (
 //
 // Each proposal t is accepted over the incumbent k with the standard MH
 // probability min(1, [p(t)·q(k)] / [p(k)·q(t)]) where p uses the *current*
-// counts (global + own-chunk delta, exactly what the other cores sample
+// counts (global + own-chunk delta, exactly what the dense core samples
 // from) and q the proposal's own distribution — the stale tables appear
 // only inside q, so detailed balance holds against the current conditional
 // and the chain's stationary distribution is the exact collapsed Gibbs
@@ -45,18 +45,18 @@ import (
 // the duration of the pass) and fills the inactive buffer concurrently
 // with the sweep, swapping in at the pass boundary before the chunk deltas
 // merge. A fit therefore performs 1 + ⌊(Iters−1)/AliasRefresh⌋ builds
-// (Model.AliasRebuilds) instead of the sparse core's one per sweep.
+// (Model.AliasRebuilds) instead of one per sweep.
 //
 // Determinism: chunk boundaries, per-document (Seed, doc, sweep) streams
 // and the rebuild schedule are all P-independent, so MH models are
 // bit-identical at any Config.P — the extra proposal/acceptance draws are
-// consumed from the same per-document stream, making MH a third
-// deterministic trajectory next to dense and sparse.
+// consumed from the same per-document stream, making MH a second
+// deterministic trajectory next to dense.
 
 // DefaultAliasRefresh is the default MH alias-table rebuild cadence in
 // sweeps (Config.AliasRefresh = 0). Eight sweeps keeps the amortized
-// rebuild cost under an eighth of the sparse core's while the acceptance
-// step absorbs the added staleness.
+// rebuild cost under an eighth of a per-sweep rebuild's while the
+// acceptance step absorbs the added staleness.
 const DefaultAliasRefresh = 8
 
 // mhProposal is the double-buffered word-proposal state: two AliasSets
@@ -155,10 +155,9 @@ func (m *mhProposal) density(w, k int) float64 {
 	return m.cur().Weight(w, int32(k)) + m.beta
 }
 
-// mhChunk is one chunk's MH sampling state. Unlike sparseChunk it keeps no
-// incremental bucket masses — acceptance ratios read the handful of counts
-// they need directly — so adjust is two array updates plus the delta
-// bookkeeping.
+// mhChunk is one chunk's MH sampling state. It keeps no incremental
+// bucket masses — acceptance ratios read the handful of counts they need
+// directly — so adjust is two array updates plus the delta bookkeeping.
 type mhChunk struct {
 	alpha    []float64
 	alphaSum float64
@@ -203,8 +202,8 @@ func newMHChunk(alpha []float64, beta float64, v int, nKV [][]int, nK []int, dl 
 }
 
 // refreshDen recomputes the cached denominators from the chunk's current
-// view of the topic totals. The run loops call it at every sweep start,
-// after the previous sweep's deltas merged into nK.
+// view of the topic totals. The sweep driver calls it at every sweep
+// start, after the previous sweep's deltas merged into nK.
 func (s *mhChunk) refreshDen() {
 	for k := range s.den {
 		s.den[k] = float64(s.nK[k]+s.dl.k[k]) + s.vb
@@ -335,10 +334,12 @@ func (s *mhChunk) sampleToken(w int, zDoc []int, posCnt []int, i int, rng *strea
 	return k
 }
 
-// mhRebuildSchedule owns the amortized, double-buffered rebuild loop both
-// MH run paths share: kick an async rebuild when the active tables are
+// mhRebuildSchedule owns the amortized, double-buffered rebuild loop of
+// the MH core: kick an async rebuild when the active tables are
 // AliasRefresh sweeps stale, join it at the pass boundary (before the
-// sweep's deltas merge into the globals the rebuild is reading), swap.
+// sweep's deltas merge into the globals the rebuild is reading), swap. A
+// nil schedule (the dense core) makes the sweep driver's drain, endSweep
+// and accounting calls no-ops.
 type mhRebuildSchedule struct {
 	prop    *mhProposal
 	refresh int
@@ -368,37 +369,22 @@ type mhRebuildSchedule struct {
 	liveKV [][]int
 }
 
-// start performs the initial synchronous build from the post-init counts.
-func (r *mhRebuildSchedule) start(o par.Opts, nKV [][]int) error {
+// start performs the synchronous build of the first active tables from
+// src: the post-init counts of a fresh fit (rebuilds 1, stale 0), or a
+// checkpoint's source counts with its stored rebuild counter and
+// staleness clock. The build is deterministic in its input, so a resumed
+// fit holds bitwise the tables the uninterrupted run held, and every later
+// rebuild fires on the same sweep it would have.
+func (r *mhRebuildSchedule) start(o par.Opts, src [][]int, rebuilds, stale int) error {
 	t0 := time.Now()
-	if err := r.prop.buildInactive(o, nKV); err != nil {
+	if err := r.prop.buildInactive(o, src); err != nil {
 		return err
 	}
 	r.BuildTime += time.Since(t0)
 	r.prop.swap()
-	r.Rebuilds = 1
+	r.Rebuilds, r.stale = rebuilds, stale
 	if r.keepSrc {
-		r.srcKV = copyTable(nKV)
-	}
-	return nil
-}
-
-// restore rebuilds the schedule's state from a checkpoint: the active
-// tables from the checkpoint's source counts (bitwise identical to the
-// tables the uninterrupted run held, since the build is deterministic),
-// the staleness clock and the rebuild counter from the stored values —
-// so every subsequent rebuild fires on the same sweep it would have.
-func (r *mhRebuildSchedule) restore(o par.Opts, cp *Checkpoint) error {
-	t0 := time.Now()
-	if err := r.prop.buildInactive(o, cp.MHSourceKV); err != nil {
-		return err
-	}
-	r.BuildTime += time.Since(t0)
-	r.prop.swap()
-	r.Rebuilds = cp.AliasRebuilds
-	r.stale = cp.MHStale
-	if r.keepSrc {
-		r.srcKV = copyTable(cp.MHSourceKV)
+		r.srcKV = copyTable(src)
 	}
 	return nil
 }
@@ -411,8 +397,8 @@ func (r *mhRebuildSchedule) beginSweep(o par.Opts, nKV [][]int) {
 	}
 }
 
-// endPass joins a pending rebuild and swaps the fresh tables in; gibbsPass
-// calls it after the chunks finish and before the deltas merge.
+// endPass joins a pending rebuild and swaps the fresh tables in; the
+// chunk pass calls it after the chunks finish and before the deltas merge.
 func (r *mhRebuildSchedule) endPass() error {
 	if r.pending == nil {
 		return nil
@@ -434,161 +420,119 @@ func (r *mhRebuildSchedule) endPass() error {
 	return nil
 }
 
-// endSweep ages the active tables by one sweep.
-func (r *mhRebuildSchedule) endSweep() { r.stale++ }
+// endSweep ages the active tables by one sweep and returns the
+// cumulative rebuild accounting (zeros for a nil schedule).
+func (r *mhRebuildSchedule) endSweep() (rebuilds int, buildTime time.Duration) {
+	if r == nil {
+		return 0, 0
+	}
+	r.stale++
+	return r.Rebuilds, r.BuildTime
+}
 
 // drain joins a pending rebuild on an error exit so the goroutine (which
 // reads the count tables) cannot outlive the run.
 func (r *mhRebuildSchedule) drain() {
-	if r.pending != nil {
+	if r != nil && r.pending != nil {
 		<-r.pending
 		r.pending = nil
 	}
 }
 
-// runMH is the MH fitting loop behind Run. Returns the number of alias
-// rebuilds performed, for Model.AliasRebuilds.
-func runMH(o par.Opts, cfg Config, docs [][]int, v, d, start int, sc *sweepScratch,
-	alpha []float64, nDK [][]int, nKV [][]int, nK []int, z [][]int, rr *runRecorder, ck *ckptState) (int, error) {
-	if d == 0 {
-		return 0, o.Err()
+// startMH attaches the MH core to a fit: the word-proposal tables built
+// from the post-init counts (or restored from the checkpoint's source
+// table), the static α table of the doc proposal, and per-chunk state.
+// phrases selects the phrase-slot doc proposal of RunPhrases.
+func (f *fit) startMH(phrases bool) error {
+	prop := newMHProposal(f.v, f.kTotal, f.cfg.Beta)
+	sched := &mhRebuildSchedule{prop: prop, refresh: f.cfg.AliasRefresh, keepSrc: f.ck.wantsSnapshots()}
+	if f.ck != nil {
+		f.ck.mh = sched
 	}
-	prop := newMHProposal(v, len(alpha), cfg.Beta)
-	sched := &mhRebuildSchedule{prop: prop, refresh: cfg.AliasRefresh, keepSrc: ck.wantsSnapshots()}
-	if ck != nil {
-		ck.mh = sched
+	src, rebuilds, stale := f.nKV, 1, 0
+	if cp := f.cfg.Resume; cp != nil {
+		src, rebuilds, stale = cp.MHSourceKV, cp.AliasRebuilds, cp.MHStale
 	}
-	if cp := cfg.Resume; cp != nil {
-		if err := sched.restore(o, cp); err != nil {
-			return sched.Rebuilds, err
-		}
-		rr.prime(sched.Rebuilds, sched.BuildTime)
-	} else if err := sched.start(o, nKV); err != nil {
-		return sched.Rebuilds, err
+	if err := sched.start(f.o, src, rebuilds, stale); err != nil {
+		return err
 	}
-	alphaTab := linalg.NewAlias(alpha)
-	sc.enableMH(alpha, cfg.Beta, v, nKV, nK, prop, alphaTab, false)
-	for it := start; it < cfg.Iters; it++ {
-		for _, ch := range sc.mh {
-			ch.refreshDen()
-		}
-		sched.beginSweep(o, nKV)
-		err := gibbsPass(o, cfg.Seed, uint64(it+1), d, sc, nKV, nK, nil, sched.endPass,
-			func(c, di int, rng *stream, _ *delta, _ []float64) {
-				ch := sc.mh[c]
-				zd := z[di]
-				ch.beginDoc(nDK[di], zd)
-				doc := docs[di]
-				for i, w := range doc {
-					kOld := zd[i]
-					// sampleToken removes the token virtually and writes
-					// zd[i]; counts move only on an actual topic change.
-					if k := ch.sampleToken(w, zd, ch.nDK, i, rng); k != kOld {
-						ch.dl.ctr.changed++
-						ch.adjust(kOld, w, -1)
-						ch.adjust(k, w, 1)
-					}
-				}
-			})
-		if err != nil {
-			sched.drain()
-			return sched.Rebuilds, err
-		}
-		sched.endSweep()
-		// Diffed against the previous sweep's totals inside endSweep,
-		// so the initial synchronous build lands on sweep 1's record.
-		if err := rr.endSweep(o, it+1, sched.Rebuilds, sched.BuildTime); err != nil {
-			return sched.Rebuilds, err
-		}
-		if err := ck.boundary(it + 1); err != nil {
-			return sched.Rebuilds, err
-		}
+	if f.cfg.Resume != nil {
+		// The cumulative rebuild totals count from the trajectory's start;
+		// prime the recorder so the first resumed sweep is not charged
+		// with the skipped sweeps' rebuilds (or the restoring build).
+		f.rr.prime(sched.Rebuilds, sched.BuildTime)
 	}
-	return sched.Rebuilds, nil
+	f.sc.enableMH(f.alpha, f.cfg.Beta, f.v, f.nKV, f.nK, prop, linalg.NewAlias(f.alpha), phrases)
+	f.mh = sched
+	return nil
 }
 
-// runPhrasesMH is the MH loop behind RunPhrases. Unigram phrases — the
+// mhTokenKernel samples every token of a document through the MH kernel.
+func (f *fit) mhTokenKernel(docs [][]int) docKernel {
+	sc, z, nDK := f.sc, f.z, f.nDK
+	return func(c, di int, rng *stream, _ *delta, _ []float64) {
+		ch := sc.mh[c]
+		zd := z[di]
+		ch.beginDoc(nDK[di], zd)
+		doc := docs[di]
+		for i, w := range doc {
+			kOld := zd[i]
+			// sampleToken removes the token virtually and writes zd[i];
+			// counts move only on an actual topic change.
+			if k := ch.sampleToken(w, zd, ch.nDK, i, rng); k != kOld {
+				ch.dl.ctr.changed++
+				ch.adjust(kOld, w, -1)
+				ch.adjust(k, w, 1)
+			}
+		}
+	}
+}
+
+// mhPhraseKernel is the MH kernel for RunPhrases. Unigram phrases — the
 // dominant case in segmented corpora — go through the MH kernel with the
 // doc proposal drawing over phrase slots (density pDK + α); multi-word
-// phrases keep the dense product conditional, exactly as in the sparse
-// core, reading counts through the same chunk state.
-func runPhrasesMH(o par.Opts, cfg Config, docs []PhraseDoc, v, d, start int, sc *sweepScratch,
-	alpha []float64, nDK [][]int, nKV [][]int, nK []int, zP [][]int, rr *runRecorder, ck *ckptState) (int, error) {
-	if d == 0 {
-		return 0, o.Err()
-	}
-	prop := newMHProposal(v, len(alpha), cfg.Beta)
-	sched := &mhRebuildSchedule{prop: prop, refresh: cfg.AliasRefresh, keepSrc: ck.wantsSnapshots()}
-	if ck != nil {
-		ck.mh = sched
-	}
-	if cp := cfg.Resume; cp != nil {
-		if err := sched.restore(o, cp); err != nil {
-			return sched.Rebuilds, err
-		}
-		rr.prime(sched.Rebuilds, sched.BuildTime)
-	} else if err := sched.start(o, nKV); err != nil {
-		return sched.Rebuilds, err
-	}
-	alphaTab := linalg.NewAlias(alpha)
-	sc.enableMH(alpha, cfg.Beta, v, nKV, nK, prop, alphaTab, true)
-	for it := start; it < cfg.Iters; it++ {
-		for _, ch := range sc.mh {
-			ch.refreshDen()
-		}
-		sched.beginSweep(o, nKV)
-		err := gibbsPass(o, cfg.Seed, uint64(it+1), d, sc, nKV, nK, nil, sched.endPass,
-			func(c, di int, rng *stream, _ *delta, probs []float64) {
-				ch := sc.mh[c]
-				zPd := zP[di]
-				ch.beginDoc(nDK[di], zPd)
-				doc := docs[di]
-				for pi, phrase := range doc {
-					k := zPd[pi]
-					if len(phrase) == 1 {
-						// Unigram fast path: virtual removal, counts move
-						// only on an actual topic change.
-						w := phrase[0]
-						if kNew := ch.sampleToken(w, zPd, ch.pDK, pi, rng); kNew != k {
-							ch.dl.ctr.changed++
-							ch.adjust(k, w, -1)
-							ch.adjust(kNew, w, 1)
-							ch.pDK[k]--
-							ch.pDK[kNew]++
-						}
-						continue
-					}
-					// Multi-word phrases keep the dense product over
-					// really-removed counts, exactly as in the sparse core.
-					kOld := k
-					for _, w := range phrase {
-						ch.adjust(k, w, -1)
-					}
+// phrases keep the dense product conditional, reading counts through the
+// same chunk state.
+func (f *fit) mhPhraseKernel(docs []PhraseDoc) docKernel {
+	sc, zP, nDK, nKV, nK, alpha := f.sc, f.z, f.nDK, f.nKV, f.nK, f.alpha
+	return func(c, di int, rng *stream, _ *delta, probs []float64) {
+		ch := sc.mh[c]
+		zPd := zP[di]
+		ch.beginDoc(nDK[di], zPd)
+		doc := docs[di]
+		for pi, phrase := range doc {
+			k := zPd[pi]
+			if len(phrase) == 1 {
+				// Unigram fast path: virtual removal, counts move only on
+				// an actual topic change.
+				w := phrase[0]
+				if kNew := ch.sampleToken(w, zPd, ch.pDK, pi, rng); kNew != k {
+					ch.dl.ctr.changed++
+					ch.adjust(k, w, -1)
+					ch.adjust(kNew, w, 1)
 					ch.pDK[k]--
-					k = samplePhrase(phrase, ch.nDK, nK, nKV, ch.dl, alpha, ch.beta, ch.vb, probs, rng)
-					if k != kOld {
-						// A moved phrase moves all of its tokens, keeping
-						// Changed in token units next to Tokens.
-						ch.dl.ctr.changed += int64(len(phrase))
-					}
-					zPd[pi] = k
-					ch.pDK[k]++
-					for _, w := range phrase {
-						ch.adjust(k, w, 1)
-					}
+					ch.pDK[kNew]++
 				}
-			})
-		if err != nil {
-			sched.drain()
-			return sched.Rebuilds, err
-		}
-		sched.endSweep()
-		if err := rr.endSweep(o, it+1, sched.Rebuilds, sched.BuildTime); err != nil {
-			return sched.Rebuilds, err
-		}
-		if err := ck.boundary(it + 1); err != nil {
-			return sched.Rebuilds, err
+				continue
+			}
+			// Multi-word phrases keep the dense product over
+			// really-removed counts.
+			kOld := k
+			for _, w := range phrase {
+				ch.adjust(k, w, -1)
+			}
+			ch.pDK[k]--
+			k = samplePhrase(phrase, ch.nDK, nK, nKV, ch.dl, alpha, ch.beta, ch.vb, probs, rng)
+			if k != kOld {
+				// A moved phrase moves all of its tokens, keeping Changed
+				// in token units next to Tokens.
+				ch.dl.ctr.changed += int64(len(phrase))
+			}
+			zPd[pi] = k
+			ch.pDK[k]++
+			for _, w := range phrase {
+				ch.adjust(k, w, 1)
+			}
 		}
 	}
-	return sched.Rebuilds, nil
 }

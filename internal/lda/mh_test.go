@@ -2,13 +2,15 @@
 // collapsed conditional even when its word-proposal tables are stale
 // (chi-square check), honor the bit-identical-at-any-P determinism
 // contract for Run / RunPhrases / FoldIn, amortize alias rebuilds to
-// < 1 per sweep, resolve SamplerAuto per workload, and the new config
-// knobs must validate instead of panicking.
+// < 1 per sweep, resolve SamplerAuto per workload, match the dense core's
+// held-out quality, and the config knobs must validate instead of
+// panicking.
 package lda
 
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -280,7 +282,6 @@ func TestSamplerResolveFor(t *testing.T) {
 		{SamplerAuto, 32, 64, SamplerMH},       // at both thresholds: MH
 		{SamplerAuto, 200, 1000, SamplerMH},
 		{SamplerDense, 200, 1000, SamplerDense}, // explicit choice wins
-		{SamplerSparse, 2, 10, SamplerSparse},
 		{SamplerMH, 2, 10, SamplerMH},
 	}
 	for _, tc := range cases {
@@ -339,14 +340,47 @@ func TestConfigValidatesAliasRefresh(t *testing.T) {
 	if _, err := FoldIn(fm, [][]int{{0}}, FoldInConfig{Sampler: SamplerMH}); err != nil {
 		t.Fatalf("fold-in Sampler mh rejected: %v", err)
 	}
-	// Unknown names still fail, and the error names all three cores.
+	// Unknown names still fail, and the error names both cores.
 	_, err := Run(docs, 2, Config{K: 2, Iters: 1, Sampler: "turbo"})
 	if err == nil {
 		t.Fatal("unknown sampler accepted")
 	}
-	for _, want := range []string{"dense", "sparse", "mh"} {
+	for _, want := range []string{"dense", "mh"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Fatalf("unknown-sampler error %q does not mention %q", err, want)
+		}
+	}
+}
+
+// TestRemovedSparseSamplerRejected: the retired "sparse" core is a
+// validation error on every entry point that takes a sampler name, and
+// the one message says it was removed and points at mh.
+func TestRemovedSparseSamplerRejected(t *testing.T) {
+	const sparse = Sampler("sparse")
+	check := func(where string, err error) {
+		t.Helper()
+		if err == nil {
+			t.Fatalf("%s: sparse sampler accepted", where)
+		}
+		for _, want := range []string{"removed", `"mh"`} {
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("%s: error %q does not mention %s", where, err, want)
+			}
+		}
+	}
+	check("Validate", sparse.Validate())
+	_, err := Run([][]int{{0, 1}}, 2, Config{K: 2, Iters: 1, Sampler: sparse})
+	check("Run", err)
+	_, err = RunPhrases([]PhraseDoc{{{0}, {1}}}, 2, Config{K: 2, Iters: 1, Sampler: sparse})
+	check("RunPhrases", err)
+	fm := &FoldInModel{PhiLike: [][]float64{{0.5, 0.5}}, Alpha: []float64{1}}
+	_, err = FoldIn(fm, [][]int{{0}}, FoldInConfig{Sampler: sparse})
+	check("FoldIn", err)
+	_, err = FoldInBatch(fm, nil, FoldInConfig{Sampler: sparse})
+	check("FoldInBatch", err)
+	for _, ok := range []Sampler{SamplerAuto, SamplerDense, SamplerMH} {
+		if err := ok.Validate(); err != nil {
+			t.Fatalf("Validate(%q) = %v, want nil", ok, err)
 		}
 	}
 }
@@ -381,5 +415,87 @@ func TestSamplerResolveForBoundary(t *testing.T) {
 	if autoMinTopics != 32 || autoMinVocab != 64 {
 		t.Fatalf("auto thresholds moved (topics=%d vocab=%d): retune TestSamplerResolveForBoundary",
 			autoMinTopics, autoMinVocab)
+	}
+}
+
+// --- dense vs MH quality ---
+
+// heldOutPerplexity evaluates a fitted model on unseen documents: theta
+// comes from (dense, to keep the evaluator fixed) fold-in, the likelihood
+// from the model's smoothed topic-word distributions.
+func heldOutPerplexity(t *testing.T, m *Model, held [][]int) float64 {
+	t.Helper()
+	fm := FoldInModelFromCounts(m.NKV, m.NK, DefaultFoldInAlpha, m.Beta)
+	theta, err := FoldIn(fm, held, FoldInConfig{Seed: 9, Sampler: SamplerDense})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ll, n := 0.0, 0
+	for di, doc := range held {
+		for _, w := range doc {
+			p := 0.0
+			for k := range fm.PhiLike {
+				p += theta[di][k] * fm.PhiLike[k][w]
+			}
+			ll += math.Log(p)
+			n++
+		}
+	}
+	return math.Exp(-ll / float64(n))
+}
+
+// TestMHDensePerplexityParity is the acceptance gate for the MH core: on a
+// fixed-seed synthetic corpus with topic structure plus shared noise, its
+// held-out perplexity must land within 2% of the dense-fit model's. (The
+// trajectories differ; their stationary quality must not — this also
+// exercises the stale-table acceptance correction over a full fit at the
+// default AliasRefresh.)
+func TestMHDensePerplexityParity(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	mk := func(n int) [][]int {
+		docs := make([][]int, n)
+		for d := range docs {
+			top := rng.Intn(4)
+			doc := make([]int, 48)
+			for i := range doc {
+				if rng.Float64() < 0.2 {
+					doc[i] = 40 + rng.Intn(20) // shared noise block
+				} else {
+					doc[i] = top*10 + rng.Intn(10)
+				}
+			}
+			docs[d] = doc
+		}
+		return docs
+	}
+	train, held := mk(400), mk(64)
+	dense := Must(Run(train, 60, Config{K: 8, Iters: 100, Seed: 7, Sampler: SamplerDense}))
+	pd := heldOutPerplexity(t, dense, held)
+	m := Must(Run(train, 60, Config{K: 8, Iters: 100, Seed: 7, Sampler: SamplerMH}))
+	pm := heldOutPerplexity(t, m, held)
+	if rel := math.Abs(pm-pd) / pd; rel > 0.02 {
+		t.Fatalf("mh ppl %.4f vs dense ppl %.4f: relative gap %.4f > 0.02", pm, pd, rel)
+	}
+}
+
+// TestDenseSamplerStillAvailable pins the A/B pair: the explicitly
+// requested dense core is deterministic across P, and it follows a
+// trajectory distinct from the MH core's on the same workload.
+func TestDenseSamplerStillAvailable(t *testing.T) {
+	docs := bigSynthCorpus(96, 65)
+	a := Must(Run(docs, 10, Config{K: 2, Iters: 10, Seed: 66, Sampler: SamplerDense, P: 1}))
+	b := Must(Run(docs, 10, Config{K: 2, Iters: 10, Seed: 66, Sampler: SamplerDense, P: 8}))
+	if !reflect.DeepEqual(a, b) {
+		t.Fatal("dense sampler no longer deterministic across P")
+	}
+	if a.Sampler != SamplerDense || a.AliasRebuilds != 0 {
+		t.Fatalf("dense fit recorded Sampler=%q AliasRebuilds=%d", a.Sampler, a.AliasRebuilds)
+	}
+	m := Must(Run(docs, 10, Config{K: 2, Iters: 10, Seed: 66, Sampler: SamplerMH}))
+	if m.Sampler != SamplerMH || m.AliasRebuilds == 0 {
+		t.Fatalf("mh fit recorded Sampler=%q AliasRebuilds=%d", m.Sampler, m.AliasRebuilds)
+	}
+	if reflect.DeepEqual(a.Z, m.Z) {
+		t.Fatal("dense and MH trajectories are identical; expected distinct deterministic trajectories")
 	}
 }

@@ -1,12 +1,5 @@
 package lda
 
-import (
-	"fmt"
-	"time"
-
-	"lesm/internal/par"
-)
-
 // PhraseDoc is a document partitioned into a bag of phrases (each phrase a
 // word-id sequence), the output form of ToPMine's segmentation step.
 type PhraseDoc [][]int
@@ -23,126 +16,47 @@ type PhraseDoc [][]int
 // Like Run, sweeps execute as chunked document passes on the shared
 // parallel runtime with per-document (Seed, doc, sweep) PRNG streams and
 // chunk-ordered delta merging, so the model is bit-identical at any
-// Config.P. The sparse core applies to single-word phrases — for those the
-// conditional is exactly token LDA's, so they go through the bucket+alias
-// decomposition at O(K_d) amortized; multi-word phrases keep the dense
-// O(K·len) product (the bucket split does not factor across a product of
-// word likelihoods) while reading counts through the same incremental
-// state. Since segmented corpora are dominated by unigram phrases, the
-// sparse win carries over. RunPhrases returns an error when the config or
-// a token id is invalid, or when Config.Ctx is cancelled.
+// Config.P. The MH core applies to single-word phrases — for those the
+// conditional is exactly token LDA's, so they go through the alias
+// proposals at O(1) per phrase; multi-word phrases keep the dense
+// O(K·len) product (the proposal split does not factor across a product
+// of word likelihoods) while reading counts through the same chunk state.
+// Since segmented corpora are dominated by unigram phrases, the MH win
+// carries over. RunPhrases returns an error when the config or a token id
+// is invalid, or when Config.Ctx is cancelled.
 func RunPhrases(docs []PhraseDoc, v int, cfg Config) (*Model, error) {
-	if err := cfg.validate(v); err != nil {
+	f, err := newFit("phraselda", phraseDocs(docs), v, cfg)
+	if err != nil {
 		return nil, err
 	}
-	for di, doc := range docs {
-		for pi, phrase := range doc {
-			for _, w := range phrase {
-				if w < 0 || w >= v {
-					return nil, fmt.Errorf("lda: doc %d phrase %d: word id %d outside vocabulary [0, %d)", di, pi, w, v)
-				}
-			}
-		}
+	kernel := f.densePhraseKernel(docs)
+	if f.core == SamplerMH {
+		kernel = f.mhPhraseKernel(docs)
 	}
-	cfg = cfg.withDefaults()
-	o := cfg.parOpts()
-	kTotal := cfg.K
-	if cfg.Background {
-		kTotal++
-	}
-	d := len(docs)
-	nDK := make([][]int, d)
-	nKV := make([][]int, kTotal)
-	nK := make([]int, kTotal)
-	for k := range nKV {
-		nKV[k] = make([]int, v)
-	}
-	// zP[d][p] is the topic of phrase p in doc d.
-	zP := make([][]int, d)
-	alpha := alphaVec(cfg, kTotal)
-	sc := newSweepScratch(samplerChunks(d, kTotal, v), kTotal, v)
-	core := cfg.Sampler.ResolveFor(kTotal, v)
-
-	var fp Fingerprint
-	if cfg.CheckpointFunc != nil || cfg.Stop != nil || cfg.Resume != nil {
-		fp = newFingerprint("phraselda", core, cfg, v, d, countPhraseTokens(docs), hashPhraseDocs(docs))
-	}
-
-	start := 0
-	if cp := cfg.Resume; cp != nil {
-		docLens := make([]int, d)
-		for di, doc := range docs {
-			docLens[di] = len(doc)
-		}
-		if err := cp.check(fp, kTotal, docLens); err != nil {
-			return nil, err
-		}
-		restoreCounts(cp, kTotal, nDK, nKV, nK, zP,
-			func(di, slot int) int { return len(docs[di][slot]) },
-			func(di, slot, j int) int { return docs[di][slot][j] })
-		start = cp.Sweep
-	} else {
-		err := gibbsPass(o, cfg.Seed, 0, d, sc, nKV, nK, nil, nil,
-			func(_, di int, rng *stream, dl *delta, _ []float64) {
-				doc := docs[di]
-				nDK[di] = make([]int, kTotal)
-				zP[di] = make([]int, len(doc))
-				for pi, phrase := range doc {
-					k := rng.Intn(kTotal)
-					zP[di][pi] = k
-					nDK[di][k] += len(phrase)
-					for _, w := range phrase {
-						dl.add(k, w, 1)
-					}
-				}
-			})
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	rr := newRunRecorder(cfg, "phraselda", d, countPhraseTokens(docs), sc,
-		phraseProbe(docs, alpha, cfg.Beta, v, nDK, nKV, nK))
-	ck := newCkptState(cfg, fp, zP)
-
-	var err error
-	rebuilds := 0
-	switch core {
-	case SamplerSparse:
-		err = runPhrasesSparse(o, cfg, docs, v, d, start, sc, alpha, nDK, nKV, nK, zP, rr, ck)
-		if d > 0 {
-			rebuilds = cfg.Iters
-		}
-	case SamplerMH:
-		rebuilds, err = runPhrasesMH(o, cfg, docs, v, d, start, sc, alpha, nDK, nKV, nK, zP, rr, ck)
-	default:
-		err = runPhrasesDense(o, cfg, docs, v, d, kTotal, start, sc, alpha, nDK, nKV, nK, zP, rr, ck)
-	}
-	if err != nil {
+	if err := f.run(kernel); err != nil {
 		return nil, err
 	}
 
 	// Expand phrase assignments to token assignments for the summary.
-	flat := make([][]int, d)
-	zTok := make([][]int, d)
+	flat := make([][]int, f.d)
+	zTok := make([][]int, f.d)
 	for di, doc := range docs {
 		for pi, phrase := range doc {
 			for _, w := range phrase {
 				flat[di] = append(flat[di], w)
-				zTok[di] = append(zTok[di], zP[di][pi])
+				zTok[di] = append(zTok[di], f.z[di][pi])
 			}
 		}
 	}
-	m := summarize(flat, v, kTotal, cfg, nDK, nKV, nK, zTok)
-	m.Sampler, m.AliasRebuilds = core, rebuilds
-	m.PhraseZ = zP
+	m := f.summarize(flat, zTok)
+	m.PhraseZ = f.z
 	return m, nil
 }
 
 // samplePhrase draws a topic for one (already-removed) phrase from the
 // dense product conditional, reading effective counts (global + own-chunk
 // delta) by direct indexing — this is the innermost loop of both phrase
-// cores, shared so the dense/sparse A/B can never desynchronize on the
+// cores, shared so the dense/MH A/B can never desynchronize on the
 // phrase math (the in-phrase duplicate-word correction c and the
 // position-shifted denominator). Consumes exactly one PRNG step.
 func samplePhrase(phrase []int, nDK, nK []int, nKV [][]int, dl *delta,
@@ -175,103 +89,29 @@ func samplePhrase(phrase []int, nDK, nK []int, nKV [][]int, dl *delta,
 	return kTotal - 1
 }
 
-func runPhrasesDense(o par.Opts, cfg Config, docs []PhraseDoc, v, d, kTotal, start int, sc *sweepScratch,
-	alpha []float64, nDK [][]int, nKV [][]int, nK []int, zP [][]int, rr *runRecorder, ck *ckptState) error {
-	vb := float64(v) * cfg.Beta
-	for it := start; it < cfg.Iters; it++ {
-		err := gibbsPass(o, cfg.Seed, uint64(it+1), d, sc, nKV, nK, nil, nil,
-			func(_, di int, rng *stream, dl *delta, probs []float64) {
-				doc := docs[di]
-				for pi, phrase := range doc {
-					kOld := zP[di][pi]
-					k := kOld
-					nDK[di][k] -= len(phrase)
-					for _, w := range phrase {
-						dl.add(k, w, -1)
-					}
-					k = samplePhrase(phrase, nDK[di], nK, nKV, dl, alpha, cfg.Beta, vb, probs, rng)
-					if k != kOld {
-						dl.ctr.changed += int64(len(phrase))
-					}
-					zP[di][pi] = k
-					nDK[di][k] += len(phrase)
-					for _, w := range phrase {
-						dl.add(k, w, 1)
-					}
-				}
-			})
-		if err != nil {
-			return err
-		}
-		if err := rr.endSweep(o, it+1, 0, 0); err != nil {
-			return err
-		}
-		if err := ck.boundary(it + 1); err != nil {
-			return err
+// densePhraseKernel samples every phrase of a document from the dense
+// product conditional over really-removed counts.
+func (f *fit) densePhraseKernel(docs []PhraseDoc) docKernel {
+	zP, nDK, nKV, nK, alpha, beta := f.z, f.nDK, f.nKV, f.nK, f.alpha, f.cfg.Beta
+	vb := float64(f.v) * beta
+	return func(_, di int, rng *stream, dl *delta, probs []float64) {
+		doc := docs[di]
+		for pi, phrase := range doc {
+			kOld := zP[di][pi]
+			k := kOld
+			nDK[di][k] -= len(phrase)
+			for _, w := range phrase {
+				dl.add(k, w, -1)
+			}
+			k = samplePhrase(phrase, nDK[di], nK, nKV, dl, alpha, beta, vb, probs, rng)
+			if k != kOld {
+				dl.ctr.changed += int64(len(phrase))
+			}
+			zP[di][pi] = k
+			nDK[di][k] += len(phrase)
+			for _, w := range phrase {
+				dl.add(k, w, 1)
+			}
 		}
 	}
-	return nil
-}
-
-func runPhrasesSparse(o par.Opts, cfg Config, docs []PhraseDoc, v, d, start int, sc *sweepScratch,
-	alpha []float64, nDK [][]int, nKV [][]int, nK []int, zP [][]int, rr *runRecorder, ck *ckptState) error {
-	if d == 0 {
-		// Every pass is a no-op; skip the per-sweep O(K·V) alias rebuilds.
-		return o.Err()
-	}
-	qa := newQAlias(v)
-	sc.enableSparse(alpha, cfg.Beta, v, nKV, nK, qa)
-	rr.prime(start, 0)
-	var rebuildT time.Duration
-	for it := start; it < cfg.Iters; it++ {
-		var t0 time.Time
-		if rr != nil {
-			t0 = time.Now()
-		}
-		if err := qa.rebuild(o, alpha, cfg.Beta, nKV, nK); err != nil {
-			return err
-		}
-		if rr != nil {
-			rebuildT += time.Since(t0)
-		}
-		err := gibbsPass(o, cfg.Seed, uint64(it+1), d, sc, nKV, nK,
-			func(c int) { sc.sparse[c].beginPass() }, nil,
-			func(c, di int, rng *stream, _ *delta, probs []float64) {
-				ch := sc.sparse[c]
-				ch.beginDoc(nDK[di])
-				doc := docs[di]
-				for pi, phrase := range doc {
-					kOld := zP[di][pi]
-					k := kOld
-					for _, w := range phrase {
-						ch.adjust(k, w, -1)
-					}
-					if len(phrase) == 1 {
-						k = ch.sampleToken(phrase[0], rng)
-					} else {
-						// Multi-word phrases keep the dense product — the
-						// bucket split does not factor across a product
-						// of word likelihoods.
-						k = samplePhrase(phrase, ch.nDK, nK, nKV, ch.dl, alpha, ch.beta, ch.vb, probs, rng)
-					}
-					if k != kOld {
-						ch.dl.ctr.changed += int64(len(phrase))
-					}
-					zP[di][pi] = k
-					for _, w := range phrase {
-						ch.adjust(k, w, 1)
-					}
-				}
-			})
-		if err != nil {
-			return err
-		}
-		if err := rr.endSweep(o, it+1, it+1, rebuildT); err != nil {
-			return err
-		}
-		if err := ck.boundary(it + 1); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -17,8 +17,8 @@ import (
 //   - The nil path is free: the cores bump chunk-local int counters
 //     unconditionally (cheaper than a branch per token), but timing,
 //     aggregation, probes and emission only run when a Recorder is
-//     attached. runRecorder is nil-receiver-safe so the sweep loops
-//     call it unconditionally; the nil path is allocation-free
+//     attached. runRecorder is nil-receiver-safe so the sweep driver
+//     calls it unconditionally; the nil path is allocation-free
 //     (TestNilRecorderSweepAllocFree).
 
 // sweepCounters are one chunk's sampling-event tallies, embedded in its
@@ -44,7 +44,7 @@ func (c *sweepCounters) addFrom(o *sweepCounters) {
 	c.docAcc += o.docAcc
 }
 
-// passStats accumulates gibbsPass timings between runRecorder harvests.
+// passStats accumulates chunk-pass timings between runRecorder harvests.
 // It hangs off sweepScratch and is nil on the unrecorded path, keeping
 // time syscalls out of unrecorded passes entirely.
 type passStats struct {
@@ -55,7 +55,7 @@ type passStats struct {
 
 // runRecorder aggregates one fit's chunk counters and pass timings into
 // per-sweep obs.SweepStats. A nil *runRecorder is the disabled state:
-// every method no-ops, so the sweep loops call it unconditionally.
+// every method no-ops, so the sweep driver calls it unconditionally.
 type runRecorder struct {
 	rec        obs.Recorder
 	engine     string
@@ -74,7 +74,7 @@ type runRecorder struct {
 
 // newRunRecorder returns nil (the zero-cost disabled state) unless
 // cfg.Rec is set. When enabled it arms the scratch's passStats so
-// subsequent gibbsPass calls time themselves.
+// subsequent chunk passes time themselves.
 func newRunRecorder(cfg Config, engine string, docs int, tokens int64, sc *sweepScratch,
 	probe func(par.Opts) (float64, error)) *runRecorder {
 	if cfg.Rec == nil {
@@ -143,16 +143,18 @@ func (r *runRecorder) endSweep(o par.Opts, sweep, rebuildsTotal int, rebuildTime
 	return nil
 }
 
-// tokenProbe builds the read-only convergence probe for token-document
-// fits: the corpus log-likelihood under the current point estimates,
+// newProbe builds the read-only convergence probe: the corpus
+// log-likelihood under the current point estimates,
 //
 //	LL = Σ_d Σ_i log Σ_k θ̂_dk · φ̂_kw,  θ̂ and φ̂ the smoothed count
 //	normalizations summarize would produce right now.
 //
-// It only reads the count tables after a sweep's deltas have merged, so
-// it can never perturb the trajectory; the chunk-ordered MapReduce
-// float merge keeps the reported value itself deterministic at any P.
-func tokenProbe(docs [][]int, alpha []float64, beta float64, v int,
+// Phrase documents score their tokens independently (the same quantity
+// held-out perplexity reports). The probe only reads the count tables
+// after a sweep's deltas have merged, so it can never perturb the
+// trajectory; the chunk-ordered MapReduce float merge keeps the reported
+// value itself deterministic at any P.
+func newProbe(c corpus, alpha []float64, beta float64, v int,
 	nDK, nKV [][]int, nK []int) func(par.Opts) (float64, error) {
 	var alphaSum float64
 	for _, a := range alpha {
@@ -161,67 +163,28 @@ func tokenProbe(docs [][]int, alpha []float64, beta float64, v int,
 	vb := float64(v) * beta
 	kTotal := len(alpha)
 	return func(o par.Opts) (float64, error) {
-		acc, err := par.MapReduce(o, len(docs),
+		acc, err := par.MapReduce(o, c.numDocs(),
 			func() *float64 { return new(float64) },
 			func(acc *float64, _, lo, hi int) {
 				for di := lo; di < hi; di++ {
-					doc := docs[di]
-					denom := float64(len(doc)) + alphaSum
-					s := 0.0
-					for _, w := range doc {
-						p := 0.0
-						for k := 0; k < kTotal; k++ {
-							p += (float64(nDK[di][k]) + alpha[k]) *
-								(float64(nKV[k][w]) + beta) / (float64(nK[k]) + vb)
-						}
-						s += math.Log(p / denom)
-					}
-					*acc += s
-				}
-			},
-			func(dst, src *float64) { *dst += *src },
-		)
-		if err != nil {
-			return 0, err
-		}
-		return *acc, nil
-	}
-}
-
-// phraseProbe is tokenProbe over phrase documents: phrases share a
-// topic, but the probe scores tokens independently under the current
-// point estimates (the same quantity held-out perplexity reports).
-func phraseProbe(docs []PhraseDoc, alpha []float64, beta float64, v int,
-	nDK, nKV [][]int, nK []int) func(par.Opts) (float64, error) {
-	var alphaSum float64
-	for _, a := range alpha {
-		alphaSum += a
-	}
-	vb := float64(v) * beta
-	kTotal := len(alpha)
-	return func(o par.Opts) (float64, error) {
-		acc, err := par.MapReduce(o, len(docs),
-			func() *float64 { return new(float64) },
-			func(acc *float64, _, lo, hi int) {
-				for di := lo; di < hi; di++ {
-					doc := docs[di]
+					slots := c.slots(di)
 					n := 0
-					for _, phrase := range doc {
-						n += len(phrase)
+					for s := 0; s < slots; s++ {
+						n += len(c.words(di, s))
 					}
 					denom := float64(n) + alphaSum
-					s := 0.0
-					for _, phrase := range doc {
-						for _, w := range phrase {
+					ll := 0.0
+					for s := 0; s < slots; s++ {
+						for _, w := range c.words(di, s) {
 							p := 0.0
 							for k := 0; k < kTotal; k++ {
 								p += (float64(nDK[di][k]) + alpha[k]) *
 									(float64(nKV[k][w]) + beta) / (float64(nK[k]) + vb)
 							}
-							s += math.Log(p / denom)
+							ll += math.Log(p / denom)
 						}
 					}
-					*acc += s
+					*acc += ll
 				}
 			},
 			func(dst, src *float64) { *dst += *src },
@@ -231,25 +194,4 @@ func phraseProbe(docs []PhraseDoc, alpha []float64, beta float64, v int,
 		}
 		return *acc, nil
 	}
-}
-
-// countTokens is the per-sweep token-visit total of a token-document
-// corpus (SweepStats.Tokens).
-func countTokens(docs [][]int) int64 {
-	var n int64
-	for _, doc := range docs {
-		n += int64(len(doc))
-	}
-	return n
-}
-
-// countPhraseTokens is countTokens for phrase documents.
-func countPhraseTokens(docs []PhraseDoc) int64 {
-	var n int64
-	for _, doc := range docs {
-		for _, phrase := range doc {
-			n += int64(len(phrase))
-		}
-	}
-	return n
 }

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"lesm/internal/obs"
-	"lesm/internal/par"
 )
 
 // collectRecorder gathers every event for assertions.
@@ -32,10 +31,10 @@ func (c *collectRecorder) RecordPool(p obs.PoolStats) {
 
 // TestRecorderBitIdentity is the tentpole contract: attaching a Recorder
 // (with the convergence probe on) must not perturb the fitted model in
-// any way, for every sampler core, at serial and high parallelism.
+// any way, for both sampler cores, at serial and high parallelism.
 func TestRecorderBitIdentity(t *testing.T) {
 	docs, _ := synthCorpus(60, 24, 11)
-	for _, sampler := range []Sampler{SamplerDense, SamplerSparse, SamplerMH} {
+	for _, sampler := range []Sampler{SamplerDense, SamplerMH} {
 		for _, p := range []int{1, 8} {
 			cfg := Config{K: 3, Iters: 12, Seed: 7, Sampler: sampler, P: p}
 			base := Must(Run(docs, 10, cfg))
@@ -57,7 +56,7 @@ func TestRecorderBitIdentity(t *testing.T) {
 }
 
 // TestRecorderBitIdentityPhrases is the same contract for the phrase
-// cores (RunPhrases shares gibbsPass but has its own three sweep loops).
+// kernels of RunPhrases.
 func TestRecorderBitIdentityPhrases(t *testing.T) {
 	raw, _ := synthCorpus(40, 18, 13)
 	docs := make([]PhraseDoc, len(raw))
@@ -75,7 +74,7 @@ func TestRecorderBitIdentityPhrases(t *testing.T) {
 		}
 		docs[i] = pd
 	}
-	for _, sampler := range []Sampler{SamplerDense, SamplerSparse, SamplerMH} {
+	for _, sampler := range []Sampler{SamplerDense, SamplerMH} {
 		for _, p := range []int{1, 8} {
 			cfg := Config{K: 3, Iters: 8, Seed: 17, Sampler: sampler, P: p}
 			base := Must(RunPhrases(docs, 10, cfg))
@@ -159,7 +158,6 @@ func TestAliasRebuildAccounting(t *testing.T) {
 		want    int
 	}{
 		{SamplerDense, 0, 0},
-		{SamplerSparse, 0, 10}, // one per sweep
 		{SamplerMH, 4, 1 + (10-1)/4},
 		{SamplerMH, 1, 10}, // rebuild every sweep: initial + 9
 	}
@@ -240,7 +238,7 @@ func TestFoldInRecorder(t *testing.T) {
 	m := Must(Run(docs, 10, Config{K: 3, Iters: 30, Seed: 47}))
 	fm := FoldInModelFromCounts(m.NKV, m.NK, DefaultFoldInAlpha, m.Beta)
 	queries := [][]int{{0, 1, 2, 3}, {5, 6, 7}, {2, 7, 9, 1, 4}}
-	for _, sampler := range []Sampler{SamplerDense, SamplerSparse, SamplerMH} {
+	for _, sampler := range []Sampler{SamplerDense, SamplerMH} {
 		cfg := FoldInConfig{Seed: 3, Sweeps: 5, Sampler: sampler}
 		base, err := FoldIn(fm, queries, cfg)
 		if err != nil {
@@ -273,80 +271,34 @@ func TestFoldInRecorder(t *testing.T) {
 }
 
 // TestNilRecorderSweepAllocFree is the grep-gated zero-cost contract:
-// with no Recorder attached, a serial Gibbs sweep performs zero heap
-// allocations — the counters are plain int bumps on pre-allocated
-// chunk state and no timing or aggregation code runs.
+// with no Recorder attached, a serial Gibbs sweep through the real sweep
+// driver performs zero heap allocations — the counters are plain int
+// bumps on pre-allocated chunk state, the kernel closure is built once per
+// fit, and no timing or aggregation code runs. The MH row holds its alias
+// tables for the whole measurement (an async rebuild legitimately
+// allocates its completion channel).
 func TestNilRecorderSweepAllocFree(t *testing.T) {
 	docs, _ := synthCorpus(32, 16, 53)
-	const k, v = 3, 10
-	d := len(docs)
-	nDK := make([][]int, d)
-	nKV := make([][]int, k)
-	nK := make([]int, k)
-	for i := range nKV {
-		nKV[i] = make([]int, v)
-	}
-	z := make([][]int, d)
-	alpha := alphaVec(Config{K: k, Alpha: 0.5}, k)
-	sc := newSweepScratch(samplerChunks(d, k, v), k, v)
-	o := par.Opts{P: 1}
-
-	// Initialization pass, outside the measured region.
-	initVisit := func(_, di int, rng *stream, dl *delta, _ []float64) {
-		doc := docs[di]
-		nDK[di] = make([]int, k)
-		z[di] = make([]int, len(doc))
-		for i, w := range doc {
-			kk := rng.Intn(k)
-			z[di][i] = kk
-			nDK[di][kk]++
-			dl.add(kk, w, 1)
-		}
-	}
-	if err := gibbsPass(o, 1, 0, d, sc, nKV, nK, nil, nil, initVisit); err != nil {
-		t.Fatal(err)
-	}
-
-	// The measured sweep: the dense core's visit, closures prebuilt.
-	const beta, vb = 0.1, 0.1 * v
-	sweep := uint64(0)
-	visit := func(_, di int, rng *stream, dl *delta, probs []float64) {
-		doc := docs[di]
-		for i, w := range doc {
-			kOld := z[di][i]
-			nDK[di][kOld]--
-			dl.add(kOld, w, -1)
-			total := 0.0
-			for kk := 0; kk < k; kk++ {
-				p := (float64(nDK[di][kk]) + alpha[kk]) *
-					(float64(nKV[kk][w]+dl.kv[kk][w]) + beta) /
-					(float64(nK[kk]+dl.k[kk]) + vb)
-				probs[kk] = p
-				total += p
-			}
-			r := rng.Float64() * total
-			kNew := k - 1
-			for kk := 0; kk < k; kk++ {
-				if r -= probs[kk]; r <= 0 {
-					kNew = kk
-					break
-				}
-			}
-			if kNew != kOld {
-				dl.ctr.changed++
-			}
-			z[di][i] = kNew
-			nDK[di][kNew]++
-			dl.add(kNew, w, 1)
-		}
-	}
-	allocs := testing.AllocsPerRun(10, func() {
-		sweep++
-		if err := gibbsPass(o, 1, sweep, d, sc, nKV, nK, nil, nil, visit); err != nil {
+	for _, sampler := range []Sampler{SamplerDense, SamplerMH} {
+		f, err := newFit("lda", tokenDocs(docs), 10, Config{
+			K: 3, Alpha: 0.5, Iters: 1, Seed: 1, P: 1, Sampler: sampler, AliasRefresh: 1000,
+		})
+		if err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("nil-recorder serial sweep allocates %.1f times, want 0", allocs)
+		kernel := f.denseTokenKernel(docs)
+		if sampler == SamplerMH {
+			kernel = f.mhTokenKernel(docs)
+		}
+		sweep := 0
+		allocs := testing.AllocsPerRun(10, func() {
+			sweep++
+			if err := f.sweep(sweep, kernel); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("%s: nil-recorder serial sweep allocates %.1f times, want 0", sampler, allocs)
+		}
 	}
 }

@@ -138,39 +138,3 @@ func TestAliasEmpty(t *testing.T) {
 		t.Fatal("singleton table reported empty")
 	}
 }
-
-func TestIndexSet(t *testing.T) {
-	s := NewIndexSet(8)
-	if s.Len() != 0 {
-		t.Fatal("fresh set not empty")
-	}
-	s.Add(3)
-	s.Add(5)
-	s.Add(3) // duplicate: no-op
-	if s.Len() != 2 || !s.Has(3) || !s.Has(5) || s.Has(0) {
-		t.Fatalf("after adds: len=%d", s.Len())
-	}
-	s.Remove(3)
-	s.Remove(3) // absent: no-op
-	if s.Len() != 1 || s.Has(3) || !s.Has(5) {
-		t.Fatalf("after remove: len=%d", s.Len())
-	}
-	s.Add(0)
-	s.Add(7)
-	got := map[int32]bool{}
-	for _, i := range s.Indices() {
-		got[i] = true
-	}
-	if len(got) != 3 || !got[0] || !got[5] || !got[7] {
-		t.Fatalf("indices = %v", s.Indices())
-	}
-	s.Clear()
-	if s.Len() != 0 || s.Has(5) {
-		t.Fatal("clear left members behind")
-	}
-	// Reusable after Clear.
-	s.Add(2)
-	if s.Len() != 1 || !s.Has(2) {
-		t.Fatal("set unusable after Clear")
-	}
-}

@@ -8,11 +8,10 @@ import (
 
 // AliasSet is a family of Walker alias tables over the columns of a sparse
 // nonnegative matrix held in CSC form — one table per column, all backed by
-// four shared arrays sized to the matrix's nonzeros. The Gibbs samplers use
-// one instance per vocabulary (column = word, entry id = topic): the sparse
-// core rebuilds its q-bucket tables through it every sweep, and the MH core
-// keeps two instances double-buffered so a background rebuild never blocks
-// a sweep (see internal/lda/mh.go).
+// four shared arrays sized to the matrix's nonzeros. The MH Gibbs core
+// uses it over the vocabulary (column = word, entry id = topic) and keeps
+// two instances double-buffered so a background rebuild never blocks a
+// sweep (see internal/lda/mh.go).
 //
 // A build is three passes over the owner's nonzeros:
 //
@@ -25,9 +24,8 @@ import (
 // Each column's table build is independent, so Build parallelizes without
 // affecting the result; the whole set is a pure function of the Put calls.
 type AliasSet struct {
-	// Mass[c] is column c's total weight — the mass bucket-decomposed
-	// samplers weigh the table against their other buckets, and the MH
-	// core's proposal normalizer.
+	// Mass[c] is column c's total weight — the MH core's proposal
+	// normalizer, weighed against the uniform smoothing arm.
 	Mass []float64
 	// Tab[c] is column c's alias table; its Draw returns entry ids.
 	Tab []Alias

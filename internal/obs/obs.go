@@ -7,9 +7,8 @@ import (
 
 // SweepStats is one completed sweep of one engine's sampler. Producers
 // fill only the fields that apply to their core: the MH proposal
-// counters stay zero for dense/sparse, AliasRebuilds stays zero for
-// dense, the merge/delta fields stay zero for engines without chunked
-// delta tables.
+// counters and AliasRebuilds stay zero for the dense core, the
+// merge/delta fields stay zero for engines without chunked delta tables.
 type SweepStats struct {
 	// Engine names the producer: "lda" (token Gibbs fit), "phraselda",
 	// "foldin" (one record per fold-in batch), "tng", "cathy".

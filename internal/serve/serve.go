@@ -40,12 +40,12 @@ type Options struct {
 	// to near-uniform; pass it explicitly to get posterior-mean behavior.
 	Alpha float64
 	// Sampler selects the fold-in sampling core ("" = auto, resolved per
-	// workload as in lda.Sampler.ResolveFor; "mh" = Metropolis–Hastings
-	// alias proposals; "sparse" = the bucket+alias core; "dense" = the
-	// O(K)-per-token core for A/B validation). All cores sample the same
-	// conditional through different deterministic trajectories; the
-	// non-dense ones precompute per-word alias tables at startup (~2
-	// extra words of memory per topic-word cell).
+	// model as in lda.Sampler.ResolveFor; "mh" = Metropolis–Hastings
+	// alias proposals; "dense" = the O(K)-per-token core). Both cores
+	// sample the same conditional through different deterministic
+	// trajectories; MH precomputes per-word alias tables at load (~2
+	// extra words of memory per topic-word cell). Any other name,
+	// including the removed "sparse", fails New.
 	Sampler lda.Sampler
 
 	// SnapshotPath is the on-disk snapshot backing hot reload: POST
@@ -223,7 +223,7 @@ func buildArtifact(snap *store.Snapshot, opt Options, gen uint64, closer io.Clos
 		} else if t.Phi != nil {
 			a.foldIn = lda.NewFoldInModel(t.Phi, opt.Alpha)
 		}
-		if a.foldIn != nil && opt.Sampler.ResolveFor(a.foldIn.K(), a.foldIn.V()) != lda.SamplerDense {
+		if a.foldIn != nil && opt.Sampler.ResolveFor(a.foldIn.K(), a.foldIn.V()) == lda.SamplerMH {
 			// Pay the alias-table O(K·V) build at load, not on the first
 			// /infer request against this artifact.
 			a.foldIn.PrecomputeSparse()
@@ -350,9 +350,8 @@ type Server struct {
 // done serving; cancelling Options.Ctx stops the background goroutines
 // early but releases no mappings.
 func New(snap *store.Snapshot, opt Options) (*Server, error) {
-	if !opt.Sampler.Valid() {
-		return nil, fmt.Errorf("serve: unknown fold-in sampler %q (want %q, %q or %q)",
-			opt.Sampler, lda.SamplerMH, lda.SamplerSparse, lda.SamplerDense)
+	if err := opt.Sampler.Validate(); err != nil {
+		return nil, fmt.Errorf("serve: fold-in sampler: %w", err)
 	}
 	opt = opt.withDefaults()
 	a, err := buildArtifact(snap, opt, 1, nil)

@@ -584,14 +584,42 @@ func TestMissingSections(t *testing.T) {
 	}
 }
 
-// TestInferSamplerOptions pins the fold-in sampler plumbing: both cores
-// serve /infer, each is deterministic per (seed, docs), they follow
-// distinct trajectories over the same conditional, and an unknown sampler
-// name is rejected at startup rather than per request.
+// TestInferSamplerOptions pins the fold-in sampler plumbing so that every
+// assertion can fail: the two cores give different theta on this body
+// (checked first), which makes "auto serves the core ResolveFor picks" a
+// real identification; each explicit core is deterministic across two
+// independent servers; and the removed sparse core, like any unknown
+// name, is rejected at New rather than per request.
 func TestInferSamplerOptions(t *testing.T) {
-	body := map[string]any{"seed": 4, "ids": [][]int{{0, 1, 2, 0, 3}, {5, 6, 7, 8}}}
+	// Words 3 and 8 get equal counts in both topics, so documents of them
+	// are genuinely ambiguous and each core's trajectory shows in theta.
+	snapshot := func() *store.Snapshot {
+		snap := testSnapshot(t)
+		tp := snap.Topics
+		for _, w := range []int{3, 8} {
+			n := tp.NKV[0][w] + tp.NKV[1][w]
+			tp.NKV[0][w], tp.NKV[1][w] = n/2, n-n/2
+		}
+		for k, row := range tp.NKV {
+			tp.NK[k] = 0
+			for _, c := range row {
+				tp.NK[k] += c
+			}
+		}
+		return snap
+	}
+	body := map[string]any{"seed": 4, "sweeps": 3,
+		"ids": [][]int{{3, 8, 3, 8, 3, 8, 0, 5}, {8, 3, 8, 3}}}
 	thetaOf := func(opt Options) [][]any {
-		ts := newTestServer(t, opt)
+		s, err := New(snapshot(), opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(s.Handler())
+		defer func() {
+			ts.Close()
+			s.Close()
+		}()
 		out := postJSON(t, ts.URL+"/infer", body, http.StatusOK)
 		rows := out["theta"].([]any)
 		got := make([][]any, len(rows))
@@ -600,28 +628,30 @@ func TestInferSamplerOptions(t *testing.T) {
 		}
 		return got
 	}
-	sparse := thetaOf(Options{Sampler: lda.SamplerSparse})
-	auto := thetaOf(Options{})
-	dense := thetaOf(Options{Sampler: lda.SamplerDense})
-	if !reflect.DeepEqual(sparse, auto) {
-		t.Fatal("default sampler is not the sparse core")
-	}
-	// Same conditional, different trajectories: both must put doc 0 on the
-	// database topic and doc 1 on the learning topic.
-	argmax := func(row []any) int {
-		best := 0
-		for i := range row {
-			if row[i].(float64) > row[best].(float64) {
-				best = i
-			}
+	byCore := map[lda.Sampler][][]any{}
+	for _, core := range []lda.Sampler{lda.SamplerMH, lda.SamplerDense} {
+		first, second := thetaOf(Options{Sampler: core}), thetaOf(Options{Sampler: core})
+		if !reflect.DeepEqual(first, second) {
+			t.Fatalf("%s: two servers disagree on theta: %v vs %v", core, first, second)
 		}
-		return best
+		byCore[core] = first
 	}
-	if argmax(sparse[0]) != argmax(dense[0]) || argmax(sparse[1]) != argmax(dense[1]) {
-		t.Fatalf("cores disagree on topic assignment: sparse %v dense %v", sparse, dense)
+	if reflect.DeepEqual(byCore[lda.SamplerMH], byCore[lda.SamplerDense]) {
+		t.Fatalf("mh and dense give identical theta %v; the body no longer tells the cores apart", byCore[lda.SamplerMH])
 	}
 
-	if _, err := New(testSnapshot(t), Options{Sampler: "metropolis"}); err == nil {
-		t.Fatal("unknown sampler accepted at startup")
+	tp := snapshot().Topics
+	resolved := lda.SamplerAuto.ResolveFor(tp.K, tp.V)
+	if auto := thetaOf(Options{}); !reflect.DeepEqual(auto, byCore[resolved]) {
+		t.Fatalf("auto theta %v is not the resolved %s core's %v", auto, resolved, byCore[resolved])
+	}
+
+	for _, bad := range []lda.Sampler{"sparse", "metropolis"} {
+		if _, err := New(testSnapshot(t), Options{Sampler: bad}); err == nil {
+			t.Fatalf("sampler %q accepted at startup", bad)
+		}
+	}
+	if _, err := New(testSnapshot(t), Options{Sampler: "sparse"}); !strings.Contains(err.Error(), "removed") {
+		t.Fatalf("sparse rejection %q does not say the core was removed", err)
 	}
 }

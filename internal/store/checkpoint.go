@@ -180,6 +180,15 @@ func validateCheckpoint(cp *lda.Checkpoint) error {
 			}
 		}
 	}
+	// A fit records the core it resolved to, so anything but dense or mh
+	// — auto (""), the removed "sparse" core, an unknown name — cannot
+	// come from a resumable fit.
+	if err := fp.Sampler.Validate(); err != nil {
+		return fmt.Errorf("store: checkpoint: %w", err)
+	}
+	if fp.Sampler == lda.SamplerAuto {
+		return errors.New("store: checkpoint names no resolved sampling core (want dense or mh)")
+	}
 	if cp.AliasRebuilds < 0 || cp.MHStale < 0 {
 		return fmt.Errorf("store: checkpoint negative MH counters (rebuilds %d, stale %d)", cp.AliasRebuilds, cp.MHStale)
 	}

@@ -11,12 +11,13 @@ import (
 	"lesm/internal/lda"
 )
 
-// sampleCheckpoint builds a fully-populated mid-fit checkpoint (MH core,
-// alias source counts, an empty document).
+// sampleCheckpoint builds a fully-populated mid-fit checkpoint with an
+// empty document: the dense core's, or the MH core's with alias source
+// counts.
 func sampleCheckpoint(withMH bool) *lda.Checkpoint {
 	cp := &lda.Checkpoint{
 		Fingerprint: lda.Fingerprint{
-			Engine: "lda", Sampler: lda.SamplerSparse, K: 2, V: 3,
+			Engine: "lda", Sampler: lda.SamplerDense, K: 2, V: 3,
 			Alpha: 0.5, Beta: 0.01, Iters: 20, Seed: 42,
 			AliasRefresh: 3, Docs: 3, Tokens: 5, CorpusHash: 0xfeedbeefcafe,
 		},
@@ -210,6 +211,39 @@ func TestCheckpointSemanticCorruptionRejected(t *testing.T) {
 				t.Fatal("semantically corrupt checkpoint accepted")
 			}
 		})
+	}
+}
+
+// TestCheckpointUnresolvedSamplerRejected: a fit records the core it
+// resolved to, so a checkpoint naming anything but dense or mh is
+// rejected at decode — including checkpoints of the removed sparse core
+// (with the removal message) and an empty, unresolved name.
+func TestCheckpointUnresolvedSamplerRejected(t *testing.T) {
+	cases := []struct {
+		sampler lda.Sampler
+		want    string
+	}{
+		{"sparse", "removed"},
+		{"", "no resolved sampling core"},
+		{"turbo", "unknown sampler"},
+	}
+	for _, tc := range cases {
+		cp := sampleCheckpoint(false)
+		cp.Fingerprint.Sampler = tc.sampler
+		b, err := EncodeCheckpoint(cp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := DecodeCheckpoint(b); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("sampler %q: err = %v, want it to mention %q", tc.sampler, err, tc.want)
+		}
+		path := filepath.Join(t.TempDir(), "old.ckpt")
+		if err := WriteCheckpoint(path, cp); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadCheckpoint(path); err == nil {
+			t.Fatalf("sampler %q: ReadCheckpoint accepted the file", tc.sampler)
+		}
 	}
 }
 

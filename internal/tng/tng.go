@@ -89,7 +89,7 @@ type trigramKey struct {
 // of the merge cannot change the result). The delta also holds read-only
 // references to the frozen globals so the eff* accessors can answer
 // "global + own-chunk delta" without per-document closures in the hot
-// loop (the pattern internal/lda's sparseChunk uses).
+// loop (the pattern internal/lda's mhChunk uses).
 type tngDelta struct {
 	v       int
 	kv      [][]int // [k][v]

@@ -106,7 +106,7 @@ const (
 )
 
 // Sampler selects the collapsed-Gibbs sampling core for Gibbs-backed
-// entry points (InferTopicsGibbs, Artifact.Infer/InferText). All cores
+// entry points (InferTopicsGibbs, Artifact.Infer/InferText). Both cores
 // are deterministic at any parallelism level; they follow different
 // trajectories.
 type Sampler = lda.Sampler
@@ -116,16 +116,12 @@ const (
 	// topic/vocabulary thresholds where the constant factors dominate, MH
 	// above them. The resolved core is recorded on the fitted model.
 	SamplerAuto = lda.SamplerAuto
-	// SamplerSparse is the bucket-decomposed sparse core with Walker alias
-	// tables: O(K_d) amortized per token instead of O(K), at an O(K·V)
-	// table rebuild every sweep.
-	SamplerSparse = lda.SamplerSparse
 	// SamplerMH is the Metropolis–Hastings core: LightLDA-style alias
 	// proposals from stale tables with an exact acceptance correction,
 	// amortizing the O(K·V) rebuild over RunOptions.AliasRefresh sweeps.
 	SamplerMH = lda.SamplerMH
-	// SamplerDense is the classic O(K)-per-token core, kept for A/B
-	// validation of the others.
+	// SamplerDense is the classic O(K)-per-token core, cheapest on small
+	// topic/vocabulary workloads.
 	SamplerDense = lda.SamplerDense
 )
 
@@ -178,7 +174,7 @@ type RunOptions struct {
 	// a validation error.
 	Sampler Sampler
 	// AliasRefresh is the MH core's alias-table rebuild cadence in sweeps
-	// (0 = default; ignored by the other cores).
+	// (0 = default; ignored by the dense core).
 	AliasRefresh int
 	// Recorder, when non-nil, receives per-sweep sampler statistics and
 	// pool telemetry from instrumented entry points (see NewTraceRecorder,
