@@ -75,6 +75,51 @@ func benchLDAK200(b *testing.B, sampler Sampler) {
 	b.ReportMetric(float64(rebuilds)/float64(cfg.Iters), "rebuilds/sweep")
 }
 
+// zipfV is the vocabulary of the K200Zipf workload, about the size of a
+// 12k-paper corpus's: a 200x12k int table is ~19 MB, far past the private
+// caches, so the count-table layout shows in the sweep time.
+const zipfV = 12000
+
+// zipfCorpus draws words by Zipf rank (s = 1.07, the skew of the
+// benchmark harness's synthetic vocabulary) over 40 topic blocks: a token
+// takes its block's rank-r word with probability 0.8 and the corpus-wide
+// rank-r word otherwise, so every block has its own head while the tail
+// spans the whole vocabulary.
+func zipfCorpus(nDocs, docLen int, seed int64) [][]int {
+	rng := rand.New(rand.NewSource(seed))
+	zipf := rand.NewZipf(rng, 1.07, 1, zipfV-1)
+	docs := make([][]int, nDocs)
+	for d := range docs {
+		offset := (d % 40) * (zipfV / 40)
+		doc := make([]int, docLen)
+		for i := range doc {
+			r := int(zipf.Uint64())
+			if rng.Float64() < 0.8 {
+				r = (r + offset) % zipfV
+			}
+			doc[i] = r
+		}
+		docs[d] = doc
+	}
+	return docs
+}
+
+// benchLDAK200Zipf fits the MH core at K=200 over zipfCorpus. The
+// document count keeps the sampler at 8 chunks, so the per-chunk delta
+// tables stay bounded (~170 MB in all) while each is as wide as the
+// global table.
+func benchLDAK200Zipf(b *testing.B, p int) {
+	docs := zipfCorpus(256, 128, 81)
+	cfg := Config{K: 200, Alpha: 0.25, Iters: 30, Seed: 82, P: p, Sampler: SamplerMH}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Run(docs, zipfV, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+	reportTokensPerSec(b, 256*128*cfg.Iters)
+}
+
 func benchPhraseLDA(b *testing.B, p int, sampler Sampler) {
 	rng := rand.New(rand.NewSource(73))
 	docs := make([]PhraseDoc, 2048)
@@ -128,6 +173,9 @@ func BenchmarkLDA_MH_PN(b *testing.B)    { benchLDA(b, runtime.NumCPU(), Sampler
 
 func BenchmarkLDA_K200_Dense(b *testing.B) { benchLDAK200(b, SamplerDense) }
 func BenchmarkLDA_K200_MH(b *testing.B)    { benchLDAK200(b, SamplerMH) }
+
+func BenchmarkLDA_K200Zipf_P1(b *testing.B) { benchLDAK200Zipf(b, 1) }
+func BenchmarkLDA_K200Zipf_PN(b *testing.B) { benchLDAK200Zipf(b, runtime.NumCPU()) }
 
 func BenchmarkPhraseLDA_Dense_P1(b *testing.B) { benchPhraseLDA(b, 1, SamplerDense) }
 func BenchmarkPhraseLDA_Dense_PN(b *testing.B) { benchPhraseLDA(b, runtime.NumCPU(), SamplerDense) }

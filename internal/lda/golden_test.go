@@ -237,3 +237,76 @@ func TestGoldenDigests(t *testing.T) {
 		}
 	}
 }
+
+// goldenCkptSHA pins the checkpoints a fit hands to CheckpointFunc: the
+// sweep, the assignments, the rebuild counter, the staleness clock and the
+// MH source table, in that order, for every captured boundary. A source
+// table written transposed or from the wrong buffer still resumes
+// bit-identically inside one binary, so only these digests catch a change
+// to what a checkpoint carries.
+var goldenCkptSHA = map[string]string{
+	"ckpt/run/dense/bg":  "f4335fe8c9778ca12df56670a8106f12ce75b4d28e53a80c291fa1b147d0ea73",
+	"ckpt/run/mh":        "d43eabf3529d3f44c8eda66d11de852227615119e6b9e9a38100399b5f537596",
+	"ckpt/phrases/mh/bg": "7e0caf0577440956fec014d59fb0ccf6bc9f549c760c2e42c0c627a6b99d867b",
+}
+
+// ckptDigest hashes captured checkpoints in sweep order.
+func ckptDigest(cps []*Checkpoint) string {
+	d := newDigest()
+	d.u64(uint64(len(cps)))
+	for _, cp := range cps {
+		d.u64(uint64(cp.Sweep))
+		d.intTable(cp.Z)
+		d.u64(uint64(cp.AliasRebuilds))
+		d.u64(uint64(cp.MHStale))
+		d.intTable(cp.MHSourceKV)
+	}
+	return d.hex()
+}
+
+// TestGoldenCheckpointDigests pins the checkpoint contents of MH token and
+// phrase fits and one dense fit at P=1 and P=2. AliasRefresh 3 against
+// CheckpointEvery 4 puts the boundaries at every staleness from 1 to 3,
+// so every captured source table is older than the captured Z.
+func TestGoldenCheckpointDigests(t *testing.T) {
+	type row struct {
+		name    string
+		phrases bool
+		s       Sampler
+		bg      bool
+	}
+	rows := []row{
+		{"ckpt/run/dense/bg", false, SamplerDense, true},
+		{"ckpt/run/mh", false, SamplerMH, false},
+		{"ckpt/phrases/mh/bg", true, SamplerMH, true},
+	}
+	for _, r := range rows {
+		for _, p := range []int{1, 2} {
+			r, p := r, p
+			t.Run(fmt.Sprintf("%s/P=%d", r.name, p), func(t *testing.T) {
+				var cps []*Checkpoint
+				cfg := goldenConfig(r.s, r.bg, p)
+				cfg.CheckpointEvery = 4
+				cfg.CheckpointFunc = func(cp *Checkpoint) error {
+					cps = append(cps, cp)
+					return nil
+				}
+				var err error
+				if r.phrases {
+					_, err = RunPhrases(goldenPhrases(), goldenV, cfg)
+				} else {
+					_, err = Run(goldenCorpus(), goldenV, cfg)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(cps) != cfg.Iters/cfg.CheckpointEvery {
+					t.Fatalf("captured %d checkpoints, want %d", len(cps), cfg.Iters/cfg.CheckpointEvery)
+				}
+				if got, want := ckptDigest(cps), goldenCkptSHA[r.name]; got != want {
+					t.Fatalf("digest %s, want %s", got, want)
+				}
+			})
+		}
+	}
+}
