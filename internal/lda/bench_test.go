@@ -110,7 +110,7 @@ func zipfCorpus(nDocs, docLen int, seed int64) [][]int {
 // global table.
 func benchLDAK200Zipf(b *testing.B, p int) {
 	docs := zipfCorpus(256, 128, 81)
-	cfg := Config{K: 200, Alpha: 0.25, Iters: 30, Seed: 82, P: p, Sampler: SamplerMH}
+	cfg := Config{K: 200, Alpha: 0.25, Iters: 60, Seed: 82, P: p, Sampler: SamplerMH}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Run(docs, zipfV, cfg); err != nil {

@@ -189,7 +189,7 @@ func (cp *Checkpoint) check(fp Fingerprint, kTotal int, c corpus) error {
 // restoreCounts replays the checkpoint's assignments into freshly zeroed
 // count tables, exactly reproducing the tables the uninterrupted fit held
 // at the end of sweep cp.Sweep: each slot adds its words to its topic.
-func restoreCounts(cp *Checkpoint, c corpus, kTotal int, nDK [][]int, nKV [][]int, nK []int, z [][]int) {
+func restoreCounts(cp *Checkpoint, c corpus, kTotal int, nDK [][]int, nKV []int, nK []int, z [][]int) {
 	for di, zd := range cp.Z {
 		row := make([]int, len(zd))
 		copy(row, zd)
@@ -200,13 +200,13 @@ func restoreCounts(cp *Checkpoint, c corpus, kTotal int, nDK [][]int, nKV [][]in
 			nDK[di][k] += len(ws)
 			nK[k] += len(ws)
 			for _, w := range ws {
-				nKV[k][w]++
+				nKV[w*kTotal+k]++
 			}
 		}
 	}
 }
 
-// copyTable deep-copies a count table.
+// copyTable deep-copies an assignment table.
 func copyTable(t [][]int) [][]int {
 	out := make([][]int, len(t))
 	for i, row := range t {
@@ -215,6 +215,31 @@ func copyTable(t [][]int) [][]int {
 		out[i] = r
 	}
 	return out
+}
+
+// topicMajor transposes a word-major count table (cell w*kTotal+k) into
+// the [kTotal][v] form of Model.NKV and Checkpoint.MHSourceKV.
+func topicMajor(kv []int, kTotal, v int) [][]int {
+	out := make([][]int, kTotal)
+	for k := range out {
+		row := make([]int, v)
+		for w := range row {
+			row[w] = kv[w*kTotal+k]
+		}
+		out[k] = row
+	}
+	return out
+}
+
+// wordMajor is topicMajor's inverse.
+func wordMajor(t [][]int, kTotal, v int) []int {
+	kv := make([]int, v*kTotal)
+	for k, row := range t {
+		for w, c := range row {
+			kv[w*kTotal+k] = c
+		}
+	}
+	return kv
 }
 
 // ckptState drives the checkpoint/stop protocol at sweep boundaries. A
@@ -252,10 +277,6 @@ func newCkptState(cfg Config, fp Fingerprint, z [][]int) *ckptState {
 	return c
 }
 
-// wantsSnapshots reports whether checkpoints will actually be built — the
-// MH schedule only pays for source-table copies when they will be read.
-func (c *ckptState) wantsSnapshots() bool { return c != nil && c.fn != nil }
-
 // boundary runs the protocol at the end of sweep s: deliver a checkpoint
 // on the CheckpointEvery cadence or when a stop was requested, then honor
 // the stop with ErrStopped. A CheckpointFunc error aborts the fit.
@@ -287,7 +308,7 @@ func (c *ckptState) snapshot(sweep int) *Checkpoint {
 	if c.mh != nil {
 		cp.AliasRebuilds = c.mh.Rebuilds
 		cp.MHStale = c.mh.stale
-		cp.MHSourceKV = copyTable(c.mh.srcKV)
+		cp.MHSourceKV = c.mh.prop.activeSource()
 	}
 	return cp
 }

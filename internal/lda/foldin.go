@@ -441,9 +441,10 @@ func foldInDoc(fm *FoldInModel, toks []int, seed int64, di uint64, sweeps int, n
 //
 //	π = [(n_dt + α_t)·α_k] / [(n_dk + α_k)·α_t]
 //
-// leaving pure O(1) arithmetic per step (fitting-side MH pays an O(log K_w)
-// stale-density lookup here). Same stationary conditional as the dense
-// core, different trajectory. Arguments as for foldInDoc.
+// leaving pure O(1) arithmetic per step (fitting-side MH loads a stale
+// density from its retained build counts here instead). Same stationary
+// conditional as the dense core, different trajectory. Arguments as for
+// foldInDoc.
 func foldInDocMH(fm *FoldInModel, toks []int, seed int64, di uint64, sweeps int, nDK []int, alphaSum float64, ctr *sweepCounters) {
 	k := len(nDK)
 	z := make([]int, len(toks))

@@ -32,17 +32,20 @@ func samplerChunks(d, kTotal, v int) int {
 }
 
 // delta is one chunk's private count-table diff against the sweep-start
-// global tables. Reads during sampling go through the dense kv table;
-// writes go through add, which also tracks the touched cells, so folding a
-// delta back into the globals costs O(cells touched) rather than a full
-// O(topics x vocabulary) scan per chunk per sweep — on realistic
-// vocabularies a chunk's documents touch a tiny fraction of the table.
+// global tables, word-major like them (cell w*kTotal+k): a token reads
+// several topics of one word, and in this layout they share one row
+// instead of sitting a vocabulary apart. Reads during sampling index kv
+// directly; writes go through add, which also tracks the touched cells,
+// so folding a delta back into the globals costs O(cells touched) rather
+// than a full O(topics x vocabulary) scan per chunk per sweep — on
+// realistic vocabularies a chunk's documents touch a tiny fraction of the
+// table.
 type delta struct {
-	v       int
-	kv      [][]int // [kTotal][v] topic-word count changes
-	k       []int   // [kTotal] topic total changes
-	touched []bool  // [kTotal*v] whether the flat cell is on the dirty list
-	dirty   []int   // flat k*v+w indices with touched == true
+	kTotal  int
+	kv      []int  // [v*kTotal] word-major topic-word count changes
+	k       []int  // [kTotal] topic total changes
+	touched []bool // [v*kTotal] whether the cell is on the dirty list
+	dirty   []int  // cells w*kTotal+k with touched == true
 	// ctr tallies sampling events for observability. The cores bump
 	// these unconditionally (plain int adds on chunk-private state, far
 	// cheaper than a branch per token); they are harvested and reset by
@@ -52,27 +55,23 @@ type delta struct {
 }
 
 func newDelta(kTotal, v int) *delta {
-	kv := make([][]int, kTotal)
-	for k := range kv {
-		kv[k] = make([]int, v)
-	}
 	return &delta{
-		v:       v,
-		kv:      kv,
+		kTotal:  kTotal,
+		kv:      make([]int, v*kTotal),
 		k:       make([]int, kTotal),
-		touched: make([]bool, kTotal*v),
+		touched: make([]bool, v*kTotal),
 	}
 }
 
 // add applies a count change for (topic k, word w), recording the cell on
 // the dirty list on first touch.
 func (dl *delta) add(k, w, c int) {
-	idx := k*dl.v + w
+	idx := w*dl.kTotal + k
 	if !dl.touched[idx] {
 		dl.touched[idx] = true
 		dl.dirty = append(dl.dirty, idx)
 	}
-	dl.kv[k][w] += c
+	dl.kv[idx] += c
 	dl.k[k] += c
 }
 
@@ -80,12 +79,11 @@ func (dl *delta) add(k, w, c int) {
 // next pass, visiting only the touched cells. Counts are integers, so
 // merge order cannot change the result; we still merge in chunk order to
 // honor the runtime's ordered-reduction contract.
-func (dl *delta) applyTo(nKV [][]int, nK []int) {
+func (dl *delta) applyTo(nKV []int, nK []int) {
 	for _, idx := range dl.dirty {
-		k, w := idx/dl.v, idx%dl.v
-		if c := dl.kv[k][w]; c != 0 {
-			nKV[k][w] += c
-			dl.kv[k][w] = 0
+		if c := dl.kv[idx]; c != 0 {
+			nKV[idx] += c
+			dl.kv[idx] = 0
 		}
 		dl.touched[idx] = false
 	}
@@ -240,10 +238,13 @@ type fit struct {
 	kTotal, v, d int
 	// start is the number of already-completed sweeps: 0 for a fresh fit,
 	// the checkpoint's sweep on resume.
-	start    int
-	alpha    []float64
-	nDK, nKV [][]int
-	nK       []int
+	start int
+	alpha []float64
+	nDK   [][]int
+	// nKV is the word-major topic-word count table, cell w*kTotal+k (see
+	// delta); summarize transposes it into Model.NKV.
+	nKV []int
+	nK  []int
 	// z[d][s] is the topic of assignment slot s of document d.
 	z  [][]int
 	sc *sweepScratch
@@ -275,12 +276,9 @@ func newFit(engine string, c corpus, v int, cfg Config) (*fit, error) {
 		cfg: cfg, o: cfg.parOpts(), core: cfg.Sampler.ResolveFor(kTotal, v),
 		kTotal: kTotal, v: v, d: d,
 		alpha: alphaVec(cfg, kTotal),
-		nDK:   make([][]int, d), nKV: make([][]int, kTotal), nK: make([]int, kTotal),
+		nDK:   make([][]int, d), nKV: make([]int, v*kTotal), nK: make([]int, kTotal),
 		z:  make([][]int, d),
 		sc: newSweepScratch(samplerChunks(d, kTotal, v), kTotal, v),
-	}
-	for k := range f.nKV {
-		f.nKV[k] = make([]int, v)
 	}
 	tokens := countTokens(c)
 

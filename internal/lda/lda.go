@@ -297,10 +297,13 @@ func (f *fit) denseTokenKernel(docs [][]int) docKernel {
 			k := kOld
 			nDK[di][k]--
 			dl.add(k, w, -1)
+			// Word-major tables: the word's counts over all topics are
+			// one contiguous row in each.
+			row, drow := nKV[w*kTotal:(w+1)*kTotal], dl.kv[w*kTotal:(w+1)*kTotal]
 			total := 0.0
 			for kk := 0; kk < kTotal; kk++ {
 				p := (float64(nDK[di][kk]) + alpha[kk]) *
-					(float64(nKV[kk][w]+dl.kv[kk][w]) + beta) /
+					(float64(row[kk]+drow[kk]) + beta) /
 					(float64(nK[kk]+dl.k[kk]) + vb)
 				probs[kk] = p
 				total += p
@@ -324,11 +327,12 @@ func (f *fit) denseTokenKernel(docs [][]int) docKernel {
 	}
 }
 
-// summarize builds the model from the fit's final counts; docs are the
-// token documents (phrase fits pass their flattening) and z their
-// per-token assignments.
+// summarize builds the model from the fit's final counts, transposing the
+// word-major table into Model.NKV; docs are the token documents (phrase
+// fits pass their flattening) and z their per-token assignments.
 func (f *fit) summarize(docs [][]int, z [][]int) *Model {
-	cfg, v, kTotal, nKV, nK := f.cfg, f.v, f.kTotal, f.nKV, f.nK
+	cfg, v, kTotal, nK := f.cfg, f.v, f.kTotal, f.nK
+	nKV := topicMajor(f.nKV, kTotal, v)
 	m := &Model{K: cfg.K, V: v, Background: cfg.Background, Z: z,
 		NKV: nKV, NK: nK, Alpha: cfg.Alpha, Beta: cfg.Beta, Sampler: f.core}
 	if f.mh != nil {

@@ -47,6 +47,12 @@ import (
 // merge. A fit therefore performs 1 + ⌊(Iters−1)/AliasRefresh⌋ builds
 // (Model.AliasRebuilds) instead of one per sweep.
 //
+// Each buffer also keeps a word-major copy of the counts it was built
+// from, filled in the same row scan as the build. The acceptance ratio's
+// proposal density n̂_kw + β is then one load from the active copy, and
+// the same copy is the source table a checkpoint carries. The price is
+// 2·V·K retained ints.
+//
 // Determinism: chunk boundaries, per-document (Seed, doc, sweep) streams
 // and the rebuild schedule are all P-independent, so MH models are
 // bit-identical at any Config.P — the extra proposal/acceptance draws are
@@ -61,8 +67,9 @@ const DefaultAliasRefresh = 8
 
 // mhProposal is the double-buffered word-proposal state: two AliasSets
 // over the global topic-word counts, one active for sampling while the
-// other absorbs a background rebuild. Only the pass boundary calls swap,
-// so sampling always reads a complete, immutable buffer.
+// other absorbs a background rebuild, each with the word-major counts it
+// was built from (src). Only the pass boundary calls swap, so sampling
+// always reads a complete, immutable buffer and its matching src.
 type mhProposal struct {
 	v, kTotal int
 	beta      float64
@@ -70,41 +77,45 @@ type mhProposal struct {
 	// carries next to its alias mass.
 	betaMass float64
 	bufs     [2]linalg.AliasSet
+	src      [2][]int // [v*kTotal] word-major n̂, one per buffer
 	active   int
 }
 
 func newMHProposal(v, kTotal int, beta float64) *mhProposal {
 	m := &mhProposal{v: v, kTotal: kTotal, beta: beta, betaMass: float64(kTotal) * beta}
-	m.bufs[0].Reset(v)
-	m.bufs[1].Reset(v)
+	for i := range m.bufs {
+		m.bufs[i].Reset(v)
+		m.src[i] = make([]int, v*kTotal)
+	}
 	return m
 }
 
 func (m *mhProposal) cur() *linalg.AliasSet { return &m.bufs[m.active] }
 
+// activeSource returns the counts the active tables were built from in
+// the [kTotal][v] form of Checkpoint.MHSourceKV.
+func (m *mhProposal) activeSource() [][]int {
+	return topicMajor(m.src[m.active], m.kTotal, m.v)
+}
+
 // swap activates the most recently built buffer. Must not run while a
 // pass is sampling.
 func (m *mhProposal) swap() { m.active = 1 - m.active }
 
-// buildInactive rebuilds the inactive buffer from the current global
-// topic-word counts: CSC gather over the nonzeros (weights are the raw
-// counts n̂_kw; the β smoothing mass is handled by the uniform arm of the
-// draw) and per-word table builds on the pool. The caller must guarantee
-// nKV is not mutated until the build completes — during a sweep the
-// globals are frozen, which is exactly that guarantee.
-func (m *mhProposal) buildInactive(o par.Opts, nKV [][]int) error {
-	s := &m.bufs[1-m.active]
+// buildInactive rebuilds the inactive buffer from the word-major counts
+// nKV: one row scan per word copies the row into the buffer's src and
+// appends its nonzeros, topics ascending, as the word's column (weights
+// are the raw counts n̂_kw; the β smoothing mass is handled by the
+// uniform arm of the draw); then per-word table builds on the pool. The
+// caller must guarantee nKV is not mutated until the build completes —
+// during a sweep the globals are frozen, which is exactly that guarantee.
+func (m *mhProposal) buildInactive(o par.Opts, nKV []int) error {
+	s, src, kt := &m.bufs[1-m.active], m.src[1-m.active], m.kTotal
 	s.Reset(m.v)
-	for _, row := range nKV {
-		for w, c := range row {
-			if c > 0 {
-				s.Count(w)
-			}
-		}
-	}
-	s.Layout()
-	for k, row := range nKV {
-		for w, c := range row {
+	for w := 0; w < m.v; w++ {
+		row := nKV[w*kt : (w+1)*kt]
+		copy(src[w*kt:], row)
+		for k, c := range row {
 			if c > 0 {
 				s.Put(w, int32(k), float64(c))
 			}
@@ -119,7 +130,7 @@ func (m *mhProposal) buildInactive(o par.Opts, nKV [][]int) error {
 // nKV (the build reads it) and before calling swap. The build's wall
 // time is written to took before the channel send, so the receive
 // orders the write for the joining goroutine.
-func (m *mhProposal) buildAsync(o par.Opts, nKV [][]int, took *time.Duration) chan error {
+func (m *mhProposal) buildAsync(o par.Opts, nKV []int, took *time.Duration) chan error {
 	done := make(chan error, 1)
 	go func() {
 		t0 := time.Now()
@@ -150,9 +161,9 @@ func (m *mhProposal) propose(w int, u float64) int {
 
 // density returns the word proposal's unnormalized density n̂_kw + β at
 // topic k — the factor the acceptance ratio needs at the incumbent and
-// proposed topics. O(log K_w) via the stale CSC column.
+// proposed topics. One load from the active buffer's retained counts.
 func (m *mhProposal) density(w, k int) float64 {
-	return m.cur().Weight(w, int32(k)) + m.beta
+	return float64(m.src[m.active][w*m.kTotal+k]) + m.beta
 }
 
 // mhChunk is one chunk's MH sampling state. It keeps no incremental
@@ -162,7 +173,7 @@ type mhChunk struct {
 	alpha    []float64
 	alphaSum float64
 	beta, vb float64
-	nKV      [][]int
+	nKV      []int // word-major, shared with the fit
 	nK       []int
 	dl       *delta
 	prop     *mhProposal
@@ -184,7 +195,7 @@ type mhChunk struct {
 	pDK []int
 }
 
-func newMHChunk(alpha []float64, beta float64, v int, nKV [][]int, nK []int, dl *delta,
+func newMHChunk(alpha []float64, beta float64, v int, nKV []int, nK []int, dl *delta,
 	prop *mhProposal, alphaTab *linalg.Alias, phrases bool) *mhChunk {
 	c := &mhChunk{
 		alpha: alpha, beta: beta, vb: float64(v) * beta,
@@ -211,7 +222,7 @@ func (s *mhChunk) refreshDen() {
 }
 
 // enableMH attaches MH sampling state to every chunk of the scratch.
-func (sc *sweepScratch) enableMH(alpha []float64, beta float64, v int, nKV [][]int, nK []int,
+func (sc *sweepScratch) enableMH(alpha []float64, beta float64, v int, nKV []int, nK []int,
 	prop *mhProposal, alphaTab *linalg.Alias, phrases bool) {
 	sc.mh = make([]*mhChunk, len(sc.deltas))
 	for c := range sc.mh {
@@ -219,7 +230,10 @@ func (sc *sweepScratch) enableMH(alpha []float64, beta float64, v int, nKV [][]i
 	}
 }
 
-func (s *mhChunk) effKV(k, w int) int { return s.nKV[k][w] + s.dl.kv[k][w] }
+func (s *mhChunk) effKV(k, w int) int {
+	i := w*s.dl.kTotal + k
+	return s.nKV[i] + s.dl.kv[i]
+}
 
 // beginDoc points the chunk at document state nDK; for phrase documents it
 // also tallies the per-topic phrase counts from zDoc.
@@ -353,29 +367,15 @@ type mhRebuildSchedule struct {
 	// pending-channel receive.
 	BuildTime time.Duration
 	lastBuild time.Duration
-	// keepSrc makes the schedule retain srcKV, a deep copy of the exact
-	// counts the *active* tables were built from. Checkpoints need it —
-	// at a sweep boundary the active tables are up to refresh sweeps
-	// stale, so their source is not recoverable from the boundary counts
-	// — and restore rebuilds bit-identical tables from it (the alias
-	// build is deterministic in its input). Off unless the run
-	// checkpoints; the copy costs O(K·V) per completed build.
-	keepSrc bool
-	srcKV   [][]int
-	// liveKV remembers the table the in-flight (or initial) build reads,
-	// so endPass can snapshot it after the swap. The globals are frozen
-	// from the build's kick to endPass, so its contents there are
-	// exactly what the build saw.
-	liveKV [][]int
 }
 
 // start performs the synchronous build of the first active tables from
-// src: the post-init counts of a fresh fit (rebuilds 1, stale 0), or a
-// checkpoint's source counts with its stored rebuild counter and
-// staleness clock. The build is deterministic in its input, so a resumed
-// fit holds bitwise the tables the uninterrupted run held, and every later
-// rebuild fires on the same sweep it would have.
-func (r *mhRebuildSchedule) start(o par.Opts, src [][]int, rebuilds, stale int) error {
+// the word-major src: the post-init counts of a fresh fit (rebuilds 1,
+// stale 0), or a checkpoint's source counts with its stored rebuild
+// counter and staleness clock. The build is deterministic in its input,
+// so a resumed fit holds bitwise the tables the uninterrupted run held,
+// and every later rebuild fires on the same sweep it would have.
+func (r *mhRebuildSchedule) start(o par.Opts, src []int, rebuilds, stale int) error {
 	t0 := time.Now()
 	if err := r.prop.buildInactive(o, src); err != nil {
 		return err
@@ -383,16 +383,12 @@ func (r *mhRebuildSchedule) start(o par.Opts, src [][]int, rebuilds, stale int) 
 	r.BuildTime += time.Since(t0)
 	r.prop.swap()
 	r.Rebuilds, r.stale = rebuilds, stale
-	if r.keepSrc {
-		r.srcKV = copyTable(src)
-	}
 	return nil
 }
 
 // beginSweep kicks a background rebuild when the tables are stale enough.
-func (r *mhRebuildSchedule) beginSweep(o par.Opts, nKV [][]int) {
+func (r *mhRebuildSchedule) beginSweep(o par.Opts, nKV []int) {
 	if r.stale >= r.refresh && r.pending == nil {
-		r.liveKV = nKV
 		r.pending = r.prop.buildAsync(o, nKV, &r.lastBuild)
 	}
 }
@@ -412,11 +408,6 @@ func (r *mhRebuildSchedule) endPass() error {
 	r.prop.swap()
 	r.Rebuilds++
 	r.stale = 0
-	if r.keepSrc {
-		// Still pre-merge: liveKV holds exactly the counts the joined
-		// build read.
-		r.srcKV = copyTable(r.liveKV)
-	}
 	return nil
 }
 
@@ -445,13 +436,13 @@ func (r *mhRebuildSchedule) drain() {
 // phrases selects the phrase-slot doc proposal of RunPhrases.
 func (f *fit) startMH(phrases bool) error {
 	prop := newMHProposal(f.v, f.kTotal, f.cfg.Beta)
-	sched := &mhRebuildSchedule{prop: prop, refresh: f.cfg.AliasRefresh, keepSrc: f.ck.wantsSnapshots()}
+	sched := &mhRebuildSchedule{prop: prop, refresh: f.cfg.AliasRefresh}
 	if f.ck != nil {
 		f.ck.mh = sched
 	}
 	src, rebuilds, stale := f.nKV, 1, 0
 	if cp := f.cfg.Resume; cp != nil {
-		src, rebuilds, stale = cp.MHSourceKV, cp.AliasRebuilds, cp.MHStale
+		src, rebuilds, stale = wordMajor(cp.MHSourceKV, f.kTotal, f.v), cp.AliasRebuilds, cp.MHStale
 	}
 	if err := sched.start(f.o, src, rebuilds, stale); err != nil {
 		return err

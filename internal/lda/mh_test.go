@@ -61,7 +61,7 @@ func TestMHKernelMatchesExactConditional(t *testing.T) {
 	}
 
 	prop := newMHProposal(v, kTotal, beta)
-	if err := prop.buildInactive(par.Opts{}, stale); err != nil {
+	if err := prop.buildInactive(par.Opts{}, wordMajor(stale, kTotal, v)); err != nil {
 		t.Fatal(err)
 	}
 	prop.swap()
@@ -93,7 +93,7 @@ func TestMHKernelMatchesExactConditional(t *testing.T) {
 	nK[0]++
 	nDK[0]++
 
-	ch := newMHChunk(alpha, beta, v, nKV, nK, newDelta(kTotal, v), prop, linalg.NewAlias(alpha), false)
+	ch := newMHChunk(alpha, beta, v, wordMajor(nKV, kTotal, v), nK, newDelta(kTotal, v), prop, linalg.NewAlias(alpha), false)
 	ch.beginDoc(nDK, nil)
 
 	// Exact conditional from the base (token-removed) counts.
@@ -265,6 +265,55 @@ func TestMHAliasStalenessStress(t *testing.T) {
 	// refresh=1 rebuilds every sweep: initial + one per later sweep.
 	if a.AliasRebuilds != 60 {
 		t.Fatalf("AliasRebuilds = %d, want 60", a.AliasRebuilds)
+	}
+}
+
+// TestMHRetainedCountsMatchTables steps an MH fit sweep by sweep at P=2
+// with a rebuild every third sweep (so most sweeps overlap a background
+// build of the inactive buffer) and checks, after every sweep, that the
+// active buffer's retained counts are the ones its tables were built from:
+// every word's Mass is the float sum of its retained row, density is the
+// row plus β at every topic, and the row equals the global counts at the
+// start of the sweep that kicked the build. A buffer index that swaps
+// separately from its tables, or a copy taken from the wrong counts,
+// fails here; TestMHKernelMatchesExactConditional builds only once.
+func TestMHRetainedCountsMatchTables(t *testing.T) {
+	docs := goldenCorpus()
+	cfg := Config{K: 12, Iters: 14, Seed: 906, Sampler: SamplerMH, AliasRefresh: 3, Background: true, P: 2}
+	f, err := newFit("lda", tokenDocs(docs), goldenV, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kernel := f.mhTokenKernel(docs)
+	prop, kt := f.mh.prop, f.kTotal
+	source := append([]int(nil), f.nKV...) // the initial build's input
+	for sweep := 1; sweep <= cfg.Iters; sweep++ {
+		if f.mh.stale >= f.mh.refresh {
+			source = append(source[:0], f.nKV...)
+		}
+		if err := f.sweep(sweep, kernel); err != nil {
+			t.Fatal(err)
+		}
+		tabs, src := prop.cur(), prop.src[prop.active]
+		for w := 0; w < goldenV; w++ {
+			row := src[w*kt : (w+1)*kt]
+			mass := 0.0
+			for k, c := range row {
+				if c != source[w*kt+k] {
+					t.Fatalf("sweep %d word %d topic %d: retained count %d, build input %d", sweep, w, k, c, source[w*kt+k])
+				}
+				if got, want := prop.density(w, k), float64(c)+f.cfg.Beta; got != want {
+					t.Fatalf("sweep %d word %d topic %d: density %v, want %v", sweep, w, k, got, want)
+				}
+				mass += float64(c)
+			}
+			if tabs.Mass[w] != mass {
+				t.Fatalf("sweep %d word %d: table mass %v, retained row sums to %v", sweep, w, tabs.Mass[w], mass)
+			}
+		}
+	}
+	if f.mh.Rebuilds != 1+(cfg.Iters-1)/cfg.AliasRefresh {
+		t.Fatalf("Rebuilds = %d, want %d", f.mh.Rebuilds, 1+(cfg.Iters-1)/cfg.AliasRefresh)
 	}
 }
 

@@ -59,7 +59,7 @@ func RunPhrases(docs []PhraseDoc, v int, cfg Config) (*Model, error) {
 // cores, shared so the dense/MH A/B can never desynchronize on the
 // phrase math (the in-phrase duplicate-word correction c and the
 // position-shifted denominator). Consumes exactly one PRNG step.
-func samplePhrase(phrase []int, nDK, nK []int, nKV [][]int, dl *delta,
+func samplePhrase(phrase []int, nDK, nK []int, nKV []int, dl *delta,
 	alpha []float64, beta, vb float64, probs []float64, rng *stream) int {
 	kTotal := len(alpha)
 	total := 0.0
@@ -73,7 +73,8 @@ func samplePhrase(phrase []int, nDK, nK []int, nKV [][]int, dl *delta,
 					c++
 				}
 			}
-			p *= (float64(nKV[kk][w]+dl.kv[kk][w]) + beta + float64(c)) /
+			cell := w*kTotal + kk
+			p *= (float64(nKV[cell]+dl.kv[cell]) + beta + float64(c)) /
 				(float64(nK[kk]+dl.k[kk]) + vb + float64(i))
 		}
 		probs[kk] = p

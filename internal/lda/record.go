@@ -155,7 +155,7 @@ func (r *runRecorder) endSweep(o par.Opts, sweep, rebuildsTotal int, rebuildTime
 // trajectory; the chunk-ordered MapReduce float merge keeps the reported
 // value itself deterministic at any P.
 func newProbe(c corpus, alpha []float64, beta float64, v int,
-	nDK, nKV [][]int, nK []int) func(par.Opts) (float64, error) {
+	nDK [][]int, nKV []int, nK []int) func(par.Opts) (float64, error) {
 	var alphaSum float64
 	for _, a := range alpha {
 		alphaSum += a
@@ -176,10 +176,11 @@ func newProbe(c corpus, alpha []float64, beta float64, v int,
 					ll := 0.0
 					for s := 0; s < slots; s++ {
 						for _, w := range c.words(di, s) {
+							row := nKV[w*kTotal : (w+1)*kTotal]
 							p := 0.0
 							for k := 0; k < kTotal; k++ {
 								p += (float64(nDK[di][k]) + alpha[k]) *
-									(float64(nKV[k][w]) + beta) / (float64(nK[k]) + vb)
+									(float64(row[k]) + beta) / (float64(nK[k]) + vb)
 							}
 							ll += math.Log(p / denom)
 						}

@@ -7,19 +7,11 @@ import (
 	"lesm/internal/par"
 )
 
-// buildSet runs the Count/Layout/Put/Build protocol over a dense column-
-// major matrix m[col][id], skipping zeros.
+// buildSet runs the Reset/Put/Build protocol over a dense column-major
+// matrix m[col][id], skipping zeros.
 func buildSet(t *testing.T, s *AliasSet, m [][]float64) {
 	t.Helper()
 	s.Reset(len(m))
-	for c, col := range m {
-		for _, w := range col {
-			if w > 0 {
-				s.Count(c)
-			}
-		}
-	}
-	s.Layout()
 	for c, col := range m {
 		for id, w := range col {
 			if w > 0 {
@@ -32,18 +24,19 @@ func buildSet(t *testing.T, s *AliasSet, m [][]float64) {
 	}
 }
 
-func TestAliasSetBuildAndWeight(t *testing.T) {
+func TestAliasSetBuild(t *testing.T) {
 	m := [][]float64{
 		{0, 3, 0, 1.5, 0.25}, // mixed zeros and weights
 		{},                   // no entries at all
 		{0, 0, 0, 0, 0},      // all-zero column
 		{7},                  // single entry
+		{0, 0},               // trailing empty column, closed by Build
 	}
 	var s AliasSet
 	buildSet(t, &s, m)
 
-	if s.Cols() != 4 {
-		t.Fatalf("Cols() = %d, want 4", s.Cols())
+	if s.Cols() != 5 {
+		t.Fatalf("Cols() = %d, want 5", s.Cols())
 	}
 	for c, col := range m {
 		wantMass := 0.0
@@ -53,20 +46,11 @@ func TestAliasSetBuildAndWeight(t *testing.T) {
 		if math.Abs(s.Mass[c]-wantMass) > 1e-12 {
 			t.Fatalf("Mass[%d] = %v, want %v", c, s.Mass[c], wantMass)
 		}
-		for id := 0; id < 6; id++ {
-			want := 0.0
-			if id < len(col) {
-				want = col[id]
-			}
-			if got := s.Weight(c, int32(id)); got != want {
-				t.Fatalf("Weight(%d, %d) = %v, want %v", c, id, got, want)
-			}
-		}
 	}
 	// Empty columns draw nothing; non-empty columns draw only stored ids
 	// with the right long-run frequencies (exact via the grid trick: the
 	// alias draw partitions [0,1) into n equal columns).
-	if !s.Tab[1].Empty() || !s.Tab[2].Empty() {
+	if !s.Tab[1].Empty() || !s.Tab[2].Empty() || !s.Tab[4].Empty() {
 		t.Fatal("empty columns must yield empty tables")
 	}
 	const grid = 1 << 16
@@ -96,12 +80,6 @@ func TestAliasSetReuseAcrossBuilds(t *testing.T) {
 	}
 	if s.Mass[0] != 9 {
 		t.Fatalf("Mass[0] = %v after rebuild, want 9", s.Mass[0])
-	}
-	if got := s.Weight(0, 0); got != 0 {
-		t.Fatalf("Weight(0, 0) = %v after rebuild, want 0 (entry gone)", got)
-	}
-	if got := s.Weight(0, 1); got != 9 {
-		t.Fatalf("Weight(0, 1) = %v after rebuild, want 9", got)
 	}
 	if s.Tab[0].Draw(0.37) != 1 {
 		t.Fatal("rebuilt single-entry column must always draw id 1")
