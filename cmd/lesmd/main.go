@@ -13,10 +13,6 @@
 //	                     from the page cache instead of heap copies
 //	-reload-poll 10s     hot reload: poll the snapshot file and swap a
 //	                     refit in atomically, zero downtime
-//	-batch-window 2ms    coalesce /infer requests arriving within the
-//	                     window into one fold-in batch (bit-identical
-//	                     per-request results)
-//	-batch-docs 64       max documents per coalesced batch
 //
 // Serving v3 traffic hardening (docs/ARCHITECTURE.md "Serving v3"):
 //
@@ -27,12 +23,9 @@
 //	-route-timeout 2s    per-request timeout on every route; cancels the
 //	                     request context (queued work drops out, running
 //	                     fold-in aborts)
-//	-adaptive-window     derive the effective coalescing window from an
-//	                     EWMA of observed inter-arrival times, bounded
-//	                     above by -batch-window
 //
 // Observability: GET /metrics serves Prometheus text format (per-route
-// request/error counters and latency histograms, coalescer batch-size
+// request/error counters and latency histograms, documents-per-request
 // histogram, queue/in-flight gauges, reload generation, fold-in sampler
 // telemetry, Go runtime basics) with no external dependencies; structure
 // routes carry ETag = snapshot generation and honor If-None-Match with
@@ -46,7 +39,7 @@
 //
 // Endpoints:
 //
-//	GET  /healthz                     liveness, sections, generation, batch counters
+//	GET  /healthz                     liveness, sections, generation, request counter
 //	GET  /metrics                     Prometheus text-format metrics
 //	GET  /topics                      topic list with weights
 //	GET  /topics/{k}/top-words?n=10   topic k's top words
@@ -85,16 +78,13 @@ import (
 func main() {
 	snapshot := flag.String("snapshot", "", "path to the model snapshot (required)")
 	addr := flag.String("addr", ":8471", "listen address")
-	p := flag.Int("p", 0, "fold-in workers per /infer batch (0 = GOMAXPROCS)")
-	inflight := flag.Int("max-inflight", 4, "max concurrent /infer batches")
+	p := flag.Int("p", 0, "fold-in workers per /infer request (0 = GOMAXPROCS)")
+	inflight := flag.Int("max-inflight", 4, "max concurrent /infer fold-ins")
 	sweeps := flag.Int("sweeps", 30, "default fold-in Gibbs sweeps")
 	alpha := flag.Float64("alpha", 0, "fold-in document prior (0 = 0.1; the fitted 50/K prior swamps short documents — pass it explicitly for posterior-mean behavior)")
 	sampler := flag.String("sampler", "", "fold-in sampling core: empty for auto (resolved per model), 'mh' for Metropolis-Hastings alias proposals, 'dense' for the O(K)-per-token core")
 	mmap := flag.Bool("mmap", false, "decode snapshots zero-copy over a read-only memory map (large models: page tables instead of heap)")
 	reloadPoll := flag.Duration("reload-poll", 0, "poll the snapshot file at this interval and hot-reload on change (0 = admin-reload only)")
-	batchWindow := flag.Duration("batch-window", 0, "coalesce /infer requests arriving within this window into one fold-in batch (0 = off)")
-	batchDocs := flag.Int("batch-docs", 64, "max documents per coalesced /infer batch")
-	adaptiveWindow := flag.Bool("adaptive-window", false, "derive the effective coalescing window from an EWMA of observed /infer inter-arrival times, bounded above by -batch-window")
 	maxQueue := flag.Int("max-queue", 64, "max /infer requests waiting behind the in-flight slots before load shedding (503 + Retry-After)")
 	routeTimeout := flag.Duration("route-timeout", 0, "per-request timeout on every route; cancels the request context (0 = none)")
 	pprofOn := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ and expvar at /debug/vars (admin-scoped: exposes stacks, heap contents, and the command line)")
@@ -112,23 +102,20 @@ func main() {
 	}
 	srv, err := serve.New(snap, serve.Options{
 		P: *p, MaxInFlight: *inflight, Sweeps: *sweeps, Alpha: *alpha,
-		Sampler:        lda.Sampler(*sampler),
-		SnapshotPath:   *snapshot,
-		ReloadPoll:     *reloadPoll,
-		MMap:           *mmap,
-		BatchWindow:    *batchWindow,
-		MaxBatchDocs:   *batchDocs,
-		AdaptiveWindow: *adaptiveWindow,
-		MaxQueue:       *maxQueue,
-		RouteTimeout:   *routeTimeout,
-		Pprof:          *pprofOn,
+		Sampler:      lda.Sampler(*sampler),
+		SnapshotPath: *snapshot,
+		ReloadPoll:   *reloadPoll,
+		MMap:         *mmap,
+		MaxQueue:     *maxQueue,
+		RouteTimeout: *routeTimeout,
+		Pprof:        *pprofOn,
 	})
 	if err != nil {
 		log.Fatalf("lesmd: %v", err)
 	}
 	srv.AdoptCloser(closer)
-	log.Printf("lesmd: loaded %s (sections: %s; mmap=%v reload-poll=%s batch-window=%s adaptive=%v max-queue=%d route-timeout=%s), listening on %s",
-		*snapshot, strings.Join(snap.Sections(), ", "), *mmap, *reloadPoll, *batchWindow, *adaptiveWindow, *maxQueue, *routeTimeout, *addr)
+	log.Printf("lesmd: loaded %s (sections: %s; mmap=%v reload-poll=%s max-queue=%d route-timeout=%s), listening on %s",
+		*snapshot, strings.Join(snap.Sections(), ", "), *mmap, *reloadPoll, *maxQueue, *routeTimeout, *addr)
 	if t := snap.Topics; t != nil {
 		k, v := 0, 0
 		switch {
@@ -165,8 +152,8 @@ func main() {
 		log.Fatalf("lesmd: %v", err)
 	}
 	<-drained
-	// With the HTTP side drained, stop the coalescer and reload poller and
-	// release the snapshot mappings.
+	// With the HTTP side drained, stop the reload poller and release the
+	// snapshot mappings.
 	if err := srv.Close(); err != nil {
 		log.Printf("lesmd: close: %v", err)
 	}

@@ -206,48 +206,7 @@ func FoldIn(fm *FoldInModel, docs [][]int, cfg FoldInConfig) ([][]float64, error
 	if err != nil {
 		return nil, err
 	}
-	return w.run(len(docs), func(i int) ([]int, int64, uint64, int) {
-		return docs[i], w.cfg.Seed, uint64(i), w.cfg.Sweeps
-	})
-}
-
-// BatchDoc is one document of a heterogeneous fold-in batch. Its sampling
-// trajectory is keyed by its own (Seed, Index) pair — not by its position
-// in the batch — so a coalescing server can merge documents from
-// independent requests into one sweep batch without changing any
-// request's result.
-type BatchDoc struct {
-	// Tokens are the document's vocabulary ids; ids outside [0, V) are
-	// skipped exactly as in FoldIn.
-	Tokens []int
-	// Seed and Index key the document's PRNG streams: the document draws
-	// from the (Seed, Index, sweep) streams, making its theta identical to
-	// document Index of a FoldIn batch run with FoldInConfig.Seed = Seed.
-	Seed  int64
-	Index uint64
-	// Sweeps overrides cfg.Sweeps for this document when > 0, so requests
-	// with different sweep counts can share a batch.
-	Sweeps int
-}
-
-// FoldInBatch is FoldIn over documents that do not share one (seed,
-// position) keying — the request-coalescing entry point the serving layer
-// uses to merge concurrent /infer requests into a single batch on the
-// shared pool. theta[i] is bit-identical to what FoldIn would return for
-// docs[i].Tokens at index docs[i].Index under seed docs[i].Seed, at any
-// cfg.P and regardless of batch composition.
-func FoldInBatch(fm *FoldInModel, docs []BatchDoc, cfg FoldInConfig) ([][]float64, error) {
-	w, err := newFoldInWorkload(fm, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return w.run(len(docs), func(i int) ([]int, int64, uint64, int) {
-		d := docs[i]
-		if d.Sweeps > 0 {
-			return d.Tokens, d.Seed, d.Index, d.Sweeps
-		}
-		return d.Tokens, d.Seed, d.Index, w.cfg.Sweeps
-	})
+	return w.run(docs)
 }
 
 // foldInWorkload is the validated, core-resolved state one fold-in batch
@@ -279,24 +238,22 @@ func (w *foldInWorkload) parOpts() par.Opts {
 	return o
 }
 
-// run folds in n documents on the shared pool — the one batch driver
-// behind FoldIn and FoldInBatch. doc(i) names document i's tokens, its
-// (seed, index) stream key and its sweep count.
-func (w *foldInWorkload) run(n int, doc func(i int) (tokens []int, seed int64, index uint64, sweeps int)) ([][]float64, error) {
+// run folds in the documents on the shared pool, document i keyed by
+// (cfg.Seed, i, cfg.Sweeps).
+func (w *foldInWorkload) run(docs [][]int) ([][]float64, error) {
 	agg := newFoldInAgg(w.cfg.Rec)
-	theta := make([][]float64, n)
-	err := par.For(w.parOpts(), n, func(lo, hi int) {
+	theta := make([][]float64, len(docs))
+	err := par.For(w.parOpts(), len(docs), func(lo, hi int) {
 		sc := w.newScratch()
 		for di := lo; di < hi; di++ {
-			toks, seed, index, sweeps := doc(di)
-			theta[di] = w.doc(sc, toks, seed, index, sweeps)
+			theta[di] = w.doc(sc, docs[di], uint64(di))
 		}
 		agg.absorb(&sc.ctr)
 	})
 	if err != nil {
 		return nil, err
 	}
-	agg.emit(n, w.cfg.Sweeps)
+	agg.emit(len(docs), w.cfg.Sweeps)
 	return theta, nil
 }
 
@@ -371,10 +328,12 @@ func (w *foldInWorkload) newScratch() *foldInScratch {
 	return &foldInScratch{nDK: make([]int, w.k), vals: make([]float64, w.k)}
 }
 
-// doc samples one document through the workload's core. The (seed, index,
-// sweeps) triple fully determines the trajectory. Unknown token ids are
-// dropped; a document without usable tokens gets the normalized prior.
-func (w *foldInWorkload) doc(sc *foldInScratch, doc []int, seed int64, index uint64, sweeps int) []float64 {
+// doc samples document index through the workload's core. Its tokens and
+// the (cfg.Seed, index, cfg.Sweeps) triple fully determine the trajectory.
+// Unknown token ids are dropped; a document without usable tokens gets the
+// normalized prior.
+func (w *foldInWorkload) doc(sc *foldInScratch, doc []int, index uint64) []float64 {
+	seed, sweeps := w.cfg.Seed, w.cfg.Sweeps
 	for t := range sc.nDK {
 		sc.nDK[t] = 0
 	}

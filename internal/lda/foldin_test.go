@@ -201,97 +201,3 @@ func TestNewFoldInModelFromPhi(t *testing.T) {
 		t.Fatalf("phi-only fold-in ignored the evidence: %v", theta[0])
 	}
 }
-
-// TestFoldInBatchMatchesFoldIn is the coalescing correctness contract:
-// merging documents from independent (seed, sweeps) requests into one
-// FoldInBatch must reproduce each request's plain FoldIn output bit for
-// bit, for both cores and at any parallelism level.
-func TestFoldInBatchMatchesFoldIn(t *testing.T) {
-	m := foldInFixture(t)
-	fm := FoldInModelFromCounts(m.NKV, m.NK, DefaultFoldInAlpha, m.Beta)
-
-	// Three "requests" with different seeds, sweep counts and doc counts,
-	// including an empty doc and an unknown-token doc.
-	reqs := []struct {
-		seed   int64
-		sweeps int
-		docs   [][]int
-	}{
-		{seed: 7, sweeps: 30, docs: [][]int{{0, 1, 2, 3}, {5, 7, 8}}},
-		{seed: 99, sweeps: 5, docs: [][]int{{9, 9, 9}, {}, {42, 0}}},
-		{seed: 7, sweeps: 12, docs: [][]int{{4, 4, 1, 6}}},
-	}
-	for _, sampler := range []Sampler{SamplerMH, SamplerDense} {
-		for _, p := range []int{1, 8} {
-			var want [][][]float64
-			for _, r := range reqs {
-				theta, err := FoldIn(fm, r.docs, FoldInConfig{Seed: r.seed, Sweeps: r.sweeps, P: p, Sampler: sampler})
-				if err != nil {
-					t.Fatal(err)
-				}
-				want = append(want, theta)
-			}
-			var batch []BatchDoc
-			for _, r := range reqs {
-				for i, d := range r.docs {
-					batch = append(batch, BatchDoc{Tokens: d, Seed: r.seed, Index: uint64(i), Sweeps: r.sweeps})
-				}
-			}
-			got, err := FoldInBatch(fm, batch, FoldInConfig{P: p, Sampler: sampler})
-			if err != nil {
-				t.Fatal(err)
-			}
-			at := 0
-			for ri, r := range reqs {
-				for i := range r.docs {
-					if !reflect.DeepEqual(got[at], want[ri][i]) {
-						t.Fatalf("sampler %q P=%d: request %d doc %d differs: coalesced %v, plain %v",
-							sampler, p, ri, i, got[at], want[ri][i])
-					}
-					at++
-				}
-			}
-		}
-	}
-}
-
-// TestFoldInBatchDefaults pins BatchDoc.Sweeps <= 0 falling back to
-// cfg.Sweeps, and batch-level validation matching FoldIn's.
-func TestFoldInBatchDefaults(t *testing.T) {
-	m := foldInFixture(t)
-	fm := FoldInModelFromCounts(m.NKV, m.NK, DefaultFoldInAlpha, m.Beta)
-	doc := []int{0, 1, 2}
-	got, err := FoldInBatch(fm, []BatchDoc{{Tokens: doc, Seed: 5, Index: 0}}, FoldInConfig{Sweeps: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := FoldIn(fm, [][]int{doc}, FoldInConfig{Seed: 5, Sweeps: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got[0], want[0]) {
-		t.Fatalf("sweep fallback differs: %v vs %v", got[0], want[0])
-	}
-	if _, err := FoldInBatch(fm, nil, FoldInConfig{Sampler: "bogus"}); err == nil {
-		t.Fatal("unknown sampler accepted")
-	}
-	if _, err := FoldInBatch(nil, nil, FoldInConfig{}); err == nil {
-		t.Fatal("nil model accepted")
-	}
-}
-
-// TestFoldInBatchCancellation mirrors TestFoldInCancellation for the
-// batched entry point.
-func TestFoldInBatchCancellation(t *testing.T) {
-	m := foldInFixture(t)
-	fm := FoldInModelFromCounts(m.NKV, m.NK, DefaultFoldInAlpha, m.Beta)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	batch := make([]BatchDoc, 64)
-	for i := range batch {
-		batch[i] = BatchDoc{Tokens: []int{0, 1, 2}, Seed: 1, Index: uint64(i)}
-	}
-	if _, err := FoldInBatch(fm, batch, FoldInConfig{Ctx: ctx}); err != context.Canceled {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-}

@@ -16,14 +16,12 @@ import (
 // Any change to a core's arithmetic, PRNG consumption or merge order moves
 // these digests; refactors of the machinery around the cores must not.
 var goldenSHA = map[string]string{
-	"run/dense/bg":       "fd41425c3a07d7ce205e4ed18554579e04a5bec6780f62620b1863c295fc0e61",
-	"run/mh":             "02b40c40fb0ec092a9f9a4d450e2c997d21337e0484d4c9a054c70e6609b7d1d",
-	"phrases/dense":      "081b0efdecc4eee634800b14626ad1dc9e5dcb9d5151c4a4272f82599888902b",
-	"phrases/mh/bg":      "3ac62687ea1074ca0032fd5eb7d41da42a62b9d9ecfb460e346b80517bebada5",
-	"foldin/dense":       "57712bf2c21ff3ba286f2913032b96c9c1bdd2f9c757675a6799dc3c2ba4476a",
-	"foldin/mh":          "0d6429cce150f6f637a62a5a09ebe1f7fa1c0879b24f658ea1b84469cf86caa7",
-	"foldin-batch/dense": "7ad2db9f924b2b4f30036bb2ee457277eb87daaece155f564aea661bd792a34d",
-	"foldin-batch/mh":    "e7184ac5aa228bf49a4aab97f6d3827a97fe4288b43db651e893ef43a9eb6289",
+	"run/dense/bg":  "fd41425c3a07d7ce205e4ed18554579e04a5bec6780f62620b1863c295fc0e61",
+	"run/mh":        "02b40c40fb0ec092a9f9a4d450e2c997d21337e0484d4c9a054c70e6609b7d1d",
+	"phrases/dense": "081b0efdecc4eee634800b14626ad1dc9e5dcb9d5151c4a4272f82599888902b",
+	"phrases/mh/bg": "3ac62687ea1074ca0032fd5eb7d41da42a62b9d9ecfb460e346b80517bebada5",
+	"foldin/dense":  "57712bf2c21ff3ba286f2913032b96c9c1bdd2f9c757675a6799dc3c2ba4476a",
+	"foldin/mh":     "0d6429cce150f6f637a62a5a09ebe1f7fa1c0879b24f658ea1b84469cf86caa7",
 }
 
 // digest is a SHA-256 over little-endian u64 words.
@@ -160,8 +158,8 @@ func goldenFoldInModel(t *testing.T) *FoldInModel {
 }
 
 // TestGoldenDigests pins the dense and MH cores bit for bit: token and
-// phrase fits (the background topic on for one row each), FoldIn and
-// FoldInBatch theta, each at P=1 and P=2.
+// phrase fits (the background topic on for one row each) and FoldIn
+// theta, each at P=1 and P=2.
 func TestGoldenDigests(t *testing.T) {
 	fm := goldenFoldInModel(t)
 	type row struct {
@@ -197,21 +195,6 @@ func TestGoldenDigests(t *testing.T) {
 			return d.hex(), nil
 		}
 	}
-	foldInBatch := func(s Sampler) func(int) (string, error) {
-		return func(p int) (string, error) {
-			var batch []BatchDoc
-			for i, q := range goldenQueries() {
-				batch = append(batch, BatchDoc{Tokens: q, Seed: int64(905 + i%3), Index: uint64(i), Sweeps: 5 + i%4})
-			}
-			theta, err := FoldInBatch(fm, batch, FoldInConfig{P: p, Sampler: s})
-			if err != nil {
-				return "", err
-			}
-			d := newDigest()
-			d.floatTable(theta)
-			return d.hex(), nil
-		}
-	}
 	rows := []row{
 		{"run/dense/bg", fit(SamplerDense, true)},
 		{"run/mh", fit(SamplerMH, false)},
@@ -219,8 +202,6 @@ func TestGoldenDigests(t *testing.T) {
 		{"phrases/mh/bg", fitPhrases(SamplerMH, true)},
 		{"foldin/dense", foldIn(SamplerDense)},
 		{"foldin/mh", foldIn(SamplerMH)},
-		{"foldin-batch/dense", foldInBatch(SamplerDense)},
-		{"foldin-batch/mh", foldInBatch(SamplerMH)},
 	}
 	for _, r := range rows {
 		for _, p := range []int{1, 2} {

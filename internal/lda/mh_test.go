@@ -425,8 +425,6 @@ func TestRemovedSparseSamplerRejected(t *testing.T) {
 	fm := &FoldInModel{PhiLike: [][]float64{{0.5, 0.5}}, Alpha: []float64{1}}
 	_, err = FoldIn(fm, [][]int{{0}}, FoldInConfig{Sampler: sparse})
 	check("FoldIn", err)
-	_, err = FoldInBatch(fm, nil, FoldInConfig{Sampler: sparse})
-	check("FoldInBatch", err)
 	for _, ok := range []Sampler{SamplerAuto, SamplerDense, SamplerMH} {
 		if err := ok.Validate(); err != nil {
 			t.Fatalf("Validate(%q) = %v, want nil", ok, err)

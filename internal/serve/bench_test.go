@@ -44,8 +44,8 @@ func BenchmarkInferP1(b *testing.B)      { benchInfer(b, 1) }
 func BenchmarkInferPNumCPU(b *testing.B) { benchInfer(b, runtime.GOMAXPROCS(0)) }
 
 // benchInferConcurrent measures /infer under concurrent single-document
-// clients — the workload request coalescing exists for — and reports p50
-// and p99 request latency alongside the standard throughput numbers.
+// clients and reports p50 and p99 request latency alongside the standard
+// throughput numbers.
 func benchInferConcurrent(b *testing.B, opt Options) {
 	s, err := New(testSnapshot(b), opt)
 	if err != nil {
@@ -57,8 +57,8 @@ func benchInferConcurrent(b *testing.B, opt Options) {
 	body, _ := json.Marshal(map[string]any{"seed": 7, "ids": [][]int{{0, 1, 2, 3, 5, 6, 7, 8}}, "sweeps": 20})
 	var mu sync.Mutex
 	var lats []time.Duration
-	// 8 client goroutines per GOMAXPROCS: the coalescer only has work to
-	// merge when requests actually overlap, including on 1-CPU runners.
+	// 8 client goroutines per GOMAXPROCS, so requests overlap even on
+	// 1-CPU runners.
 	b.SetParallelism(8)
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
@@ -87,25 +87,13 @@ func benchInferConcurrent(b *testing.B, opt Options) {
 	}
 }
 
-// BenchmarkInferConcurrentDirect is the un-coalesced baseline: every
-// request is its own fold-in batch.
-func BenchmarkInferConcurrentDirect(b *testing.B) {
+// BenchmarkInferConcurrent: 8 in-flight slots with head room.
+func BenchmarkInferConcurrent(b *testing.B) {
 	benchInferConcurrent(b, Options{MaxInFlight: 8})
 }
 
-// BenchmarkInferConcurrentCoalesced merges the same request stream into
-// windowed batches.
-func BenchmarkInferConcurrentCoalesced(b *testing.B) {
-	benchInferConcurrent(b, Options{MaxInFlight: 8, BatchWindow: time.Millisecond, MaxBatchDocs: 256})
-}
-
-// The saturated pair: a single in-flight slot models a pool with no head
-// room. Direct serialization pays one batch per request through the one
-// slot; the coalescer folds the same concurrent stream into a few batches.
-func BenchmarkInferSaturatedDirect(b *testing.B) {
+// BenchmarkInferSaturated: a single in-flight slot models a pool with no
+// head room, so requests queue for it.
+func BenchmarkInferSaturated(b *testing.B) {
 	benchInferConcurrent(b, Options{MaxInFlight: 1})
-}
-
-func BenchmarkInferSaturatedCoalesced(b *testing.B) {
-	benchInferConcurrent(b, Options{MaxInFlight: 1, BatchWindow: time.Millisecond, MaxBatchDocs: 256})
 }

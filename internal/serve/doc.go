@@ -15,28 +15,25 @@
 // answered from; identical requests against one generation are
 // bit-identical.
 //
-// /infer runs behind a bounded in-flight semaphore, optionally through the
-// request coalescer: with Options.BatchWindow set, requests merge into one
-// fold-in batch with group-commit timing (dispatch on slot-free,
-// batch-full or window-expiry, whichever is first — see coalesce.go).
-// Because every document samples from its own request's (seed, index,
-// sweep) PRNG streams, coalescing never changes a response. Snapshots can
-// be served straight from a read-only memory mapping (Options.MMap /
-// store.OpenMapped); replaced generations' mappings are retired until
-// Close so a request racing a reload never touches unmapped memory.
+// /infer runs behind a bounded in-flight semaphore: each request resolves
+// its documents against the current artifact and runs one lda.FoldIn call
+// on the shared pool. Every document samples from its request's (seed,
+// index, sweep) PRNG streams, so a response depends only on the request
+// and the generation. Snapshots can be served straight from a read-only
+// memory mapping (Options.MMap / store.OpenMapped); replaced generations'
+// mappings are retired until Close so a request racing a reload never
+// touches unmapped memory.
 //
 // Traffic envelope and observability (serving v3): admission control
 // bounds /infer at MaxInFlight running plus MaxQueue waiting — excess
 // requests are shed before body decode with 503 + Retry-After.
-// Options.RouteTimeout deadlines every route, reaching queued, coalesced
-// and mid-sampling work (fold-in aborts between par chunks).
-// Options.AdaptiveWindow lets an EWMA of inter-arrival gaps shrink the
-// coalescing window under fast traffic (BatchWindow becomes a ceiling;
-// see adaptive.go). GET /metrics renders Prometheus text format 0.0.4
-// with no client library (metrics.go); structure routes carry a strong
-// "gen-N" ETag and honor If-None-Match, revalidating across hot-reload
-// generation bumps. All of it is locked in under -race by the saturation,
-// ETag, timeout and scrape-lint suites in this package's tests.
+// Options.RouteTimeout deadlines every route, reaching queued and
+// mid-sampling work (fold-in aborts between par chunks). GET /metrics
+// renders Prometheus text format 0.0.4 with no client library
+// (metrics.go); structure routes carry a strong "gen-N" ETag and honor
+// If-None-Match, revalidating across hot-reload generation bumps. All of
+// it is locked in under -race by the saturation, ETag, timeout and
+// scrape-lint suites in this package's tests.
 //
 // cmd/lesmd wraps this package as a standalone daemon.
 package serve

@@ -100,7 +100,7 @@ func mustPost(t *testing.T, url string, body []byte) map[string]any {
 }
 
 // TestServingEndToEnd is the full production-shaped loop: fit → Save →
-// mmap-load → serve (coalescing on) → exercise every route → hammer
+// mmap-load → serve → exercise every route → hammer
 // /infer from concurrent clients while hot-reload swaps land, asserting
 // zero 5xx and per-generation deterministic outputs.
 func TestServingEndToEnd(t *testing.T) {
@@ -118,8 +118,6 @@ func TestServingEndToEnd(t *testing.T) {
 	s, err := serve.New(snap, serve.Options{
 		SnapshotPath: path,
 		MMap:         true,
-		BatchWindow:  2 * time.Millisecond,
-		MaxBatchDocs: 16,
 		MaxInFlight:  4,
 	})
 	if err != nil {

@@ -8,23 +8,21 @@ package serve
 // served except the per-code error map, which is touched only on error
 // responses. The scrape handler renders the whole registry into one
 // buffer and writes it; gauges that mirror live server state (generation,
-// semaphore occupancy, admission queue depth, effective coalescing
-// window) are sampled at scrape time rather than maintained, so they can
-// never drift from the structures they describe.
+// semaphore occupancy, admission queue depth) are sampled at scrape time
+// rather than maintained, so they can never drift from the structures they
+// describe.
 //
 // The exported families:
 //
 //	lesmd_http_requests_total{route}            counter, every handled request
 //	lesmd_http_errors_total{route,code}         counter, responses with status >= 400
 //	lesmd_http_request_duration_seconds{route}  histogram, wall time per request
-//	lesmd_infer_batches_total                   counter, fold-in batches dispatched
-//	lesmd_infer_requests_total                  counter, /infer requests accepted into a batch
+//	lesmd_infer_requests_total                  counter, /infer requests that reached fold-in
 //	lesmd_infer_shed_total                      counter, /infer requests shed by admission control
-//	lesmd_infer_batch_docs                      histogram, documents per dispatched batch
+//	lesmd_infer_batch_docs                      histogram, documents per /infer request
 //	lesmd_infer_admitted                        gauge, /infer requests in the system (waiting + running)
 //	lesmd_infer_in_flight                       gauge, busy in-flight slots
 //	lesmd_infer_queue_depth                     gauge, admitted minus in-flight (the wait queue)
-//	lesmd_infer_batch_window_seconds            gauge, effective coalescing window (EWMA-adapted when on)
 //	lesmd_search_index_entries                  gauge, named entries in the current search index
 //	lesmd_search_index_terms                    gauge, distinct tokens in the search index dictionary
 //	lesmd_search_index_postings                 gauge, total postings in the search index
@@ -35,7 +33,7 @@ package serve
 //	lesmd_goroutines                            gauge, runtime.NumGoroutine (collector-refreshed)
 //
 // The registry is also an obs.Recorder: the server attaches itself to
-// every fold-in dispatch, so the sampler's own telemetry (tokens sampled,
+// every fold-in call, so the sampler's own telemetry (tokens sampled,
 // MH proposal accounting, parallel-pool latencies) lands next to the
 // HTTP-side view:
 //
@@ -89,9 +87,9 @@ const metricsCollectEvery = 2 * time.Second
 // fold-in batches.
 var latencyBuckets = []float64{0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5}
 
-// batchDocBuckets are the coalescer batch-size histogram bounds
-// (documents per dispatched fold-in batch).
-var batchDocBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256}
+// inferDocBuckets are the histogram bounds of documents per /infer
+// request.
+var inferDocBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256}
 
 // routeNames is the fixed route-label universe, in render order. Every
 // mux registration instruments itself under exactly one of these.
@@ -150,7 +148,7 @@ type routeStat struct {
 // newMetrics and never replaced; hot-path updates are atomic.
 type metrics struct {
 	routes    map[string]*routeStat
-	batchDocs *histogram
+	inferDocs *histogram
 
 	shed           atomic.Uint64
 	reloads        atomic.Uint64
@@ -200,7 +198,7 @@ func (m *metrics) RecordPool(p obs.PoolStats) {
 }
 
 func newMetrics() *metrics {
-	m := &metrics{routes: make(map[string]*routeStat, len(routeNames)), batchDocs: newHistogram(batchDocBuckets)}
+	m := &metrics{routes: make(map[string]*routeStat, len(routeNames)), inferDocs: newHistogram(inferDocBuckets)}
 	for _, r := range routeNames {
 		m.routes[r] = &routeStat{latency: newHistogram(latencyBuckets), errors: map[int]uint64{}}
 	}
@@ -374,15 +372,13 @@ func (s *Server) renderMetrics() []byte {
 		p.hist("lesmd_http_request_duration_seconds", `route="`+r+`"`, m.routes[r].latency)
 	}
 
-	p.family("lesmd_infer_batches_total", "Fold-in batches dispatched (direct or coalesced).", "counter")
-	p.sample("lesmd_infer_batches_total", "", float64(s.inferBatches.Load()))
-	p.family("lesmd_infer_requests_total", "/infer requests accepted into a batch.", "counter")
+	p.family("lesmd_infer_requests_total", "/infer requests that reached fold-in.", "counter")
 	p.sample("lesmd_infer_requests_total", "", float64(s.inferRequests.Load()))
 	p.family("lesmd_infer_shed_total", "/infer requests shed by admission control (503 + Retry-After).", "counter")
 	p.sample("lesmd_infer_shed_total", "", float64(m.shed.Load()))
 
-	p.family("lesmd_infer_batch_docs", "Documents per dispatched fold-in batch.", "histogram")
-	p.hist("lesmd_infer_batch_docs", "", m.batchDocs)
+	p.family("lesmd_infer_batch_docs", "Documents per /infer request.", "histogram")
+	p.hist("lesmd_infer_batch_docs", "", m.inferDocs)
 
 	admitted := s.admitted.Load()
 	inflight := int64(len(s.inferSem))
@@ -396,13 +392,6 @@ func (s *Server) renderMetrics() []byte {
 	p.sample("lesmd_infer_in_flight", "", float64(inflight))
 	p.family("lesmd_infer_queue_depth", "/infer requests waiting for an in-flight slot.", "gauge")
 	p.sample("lesmd_infer_queue_depth", "", float64(queue))
-
-	window := s.opt.BatchWindow
-	if s.window != nil {
-		window = s.window.current()
-	}
-	p.family("lesmd_infer_batch_window_seconds", "Effective /infer coalescing window (EWMA-adapted when adaptive).", "gauge")
-	p.sample("lesmd_infer_batch_window_seconds", "", window.Seconds())
 
 	// Index-size gauges are sampled from the current artifact at scrape
 	// time, so after a hot reload they describe exactly the generation

@@ -10,7 +10,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"lesm/internal/store"
 )
@@ -262,18 +261,6 @@ func scrape(t testing.TB, url string) map[string]float64 {
 	return promLint(t, string(body))
 }
 
-// waitFor polls cond until true, failing the test after 10s.
-func waitFor(t testing.TB, cond func() bool, what string) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for %s", what)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-}
-
 // TestMetricsScrapeMatchesRequests is the scrape-correctness lock-in: the
 // counters on /metrics must exactly equal the traffic this test generated,
 // route by route and error by error, and the whole payload must survive
@@ -314,7 +301,6 @@ func TestMetricsScrapeMatchesRequests(t *testing.T) {
 		`lesmd_http_errors_total{route="hierarchy_node",code="404"}`: 1,
 		`lesmd_http_errors_total{route="infer",code="400"}`:          1,
 		`lesmd_infer_requests_total`:                                 2,
-		`lesmd_infer_batches_total`:                                  2,
 		`lesmd_infer_shed_total`:                                     0,
 		`lesmd_infer_admitted`:                                       0,
 		`lesmd_infer_in_flight`:                                      0,
@@ -325,7 +311,7 @@ func TestMetricsScrapeMatchesRequests(t *testing.T) {
 		`lesmd_http_request_duration_seconds_count{route="infer"}`:   3,
 		`lesmd_http_request_duration_seconds_count{route="topics"}`:  3,
 		`lesmd_infer_batch_docs_count`:                               2,
-		`lesmd_infer_batch_docs_sum`:                                 3, // 1-doc + 2-doc direct batches
+		`lesmd_infer_batch_docs_sum`:                                 3, // a 1-doc and a 2-doc request
 	}
 	for k, v := range want {
 		if got[k] != v {
@@ -346,47 +332,37 @@ func TestMetricsScrapeMatchesRequests(t *testing.T) {
 	}
 }
 
-// TestMetricsCoalescerBatchHistogram pins the coalescer occupancy
-// telemetry: a merged batch shows up as ONE batch_docs observation whose
-// sum is the total documents merged. MaxBatchDocs equal to the joint doc
-// count makes the merge deterministic — the batch closes exactly when the
-// third member arrives, with no timing dependence.
-func TestMetricsCoalescerBatchHistogram(t *testing.T) {
-	ts, s := newTestServerPair(t, Options{
-		BatchWindow: 30 * time.Second, MaxBatchDocs: 6, MaxInFlight: 1,
-	})
-	s.inferSem <- struct{}{} // hold the slot: no group commit until we release
-	done := make(chan int, 3)
-	for i := 0; i < 3; i++ {
-		go func(i int) {
-			status, _ := postInfer(t, ts.URL, inferBody(t, int64(i), [][]int{{0, 1}, {2, 3}}, 3))
-			done <- status
-		}(i)
-	}
-	// 3 × 2 docs hits the cap: the batch dispatches with all three members
-	// and parks on the held slot.
-	waitFor(t, func() bool { return s.inferBatches.Load() == 1 }, "cap-closed batch")
-	<-s.inferSem // release: the parked batch runs
-	for i := 0; i < 3; i++ {
-		if status := <-done; status != http.StatusOK {
-			t.Fatalf("coalesced request: status %d", status)
+// TestMetricsInferBatchDocsHistogram pins the documents-per-request
+// histogram: each /infer request that reaches fold-in is one observation
+// of its document count, in cumulative buckets, and a rejected request is
+// not observed at all.
+func TestMetricsInferBatchDocsHistogram(t *testing.T) {
+	ts := newTestServer(t, Options{})
+	for _, n := range []int{1, 3, 6} {
+		ids := make([][]int, n)
+		for i := range ids {
+			ids[i] = []int{i % 10, (i + 1) % 10}
+		}
+		if status, out := postInfer(t, ts.URL, inferBody(t, int64(n), ids, 3)); status != http.StatusOK {
+			t.Fatalf("%d-doc request: status %d (%v)", n, status, out)
 		}
 	}
+	postJSON(t, ts.URL+"/infer", map[string]any{"seed": 1}, http.StatusBadRequest)
+
 	got := scrape(t, ts.URL)
-	if got[`lesmd_infer_batch_docs_count`] != 1 {
-		t.Fatalf("batch_docs count = %g, want 1 merged batch", got[`lesmd_infer_batch_docs_count`])
+	want := map[string]float64{
+		`lesmd_infer_batch_docs_count`:          3,
+		`lesmd_infer_batch_docs_sum`:            10,
+		`lesmd_infer_batch_docs_bucket{le="1"}`: 1,
+		`lesmd_infer_batch_docs_bucket{le="2"}`: 1,
+		`lesmd_infer_batch_docs_bucket{le="4"}`: 2,
+		`lesmd_infer_batch_docs_bucket{le="8"}`: 3,
+		`lesmd_infer_requests_total`:            3,
 	}
-	if got[`lesmd_infer_batch_docs_sum`] != 6 {
-		t.Fatalf("batch_docs sum = %g, want 6 docs", got[`lesmd_infer_batch_docs_sum`])
-	}
-	if got[`lesmd_infer_batch_docs_bucket{le="8"}`] != 1 {
-		t.Fatalf("batch of 6 not in le=8 bucket: %g", got[`lesmd_infer_batch_docs_bucket{le="8"}`])
-	}
-	if got[`lesmd_infer_batch_docs_bucket{le="4"}`] != 0 {
-		t.Fatalf("batch of 6 leaked into le=4 bucket: %g", got[`lesmd_infer_batch_docs_bucket{le="4"}`])
-	}
-	if got[`lesmd_infer_requests_total`] != 3 {
-		t.Fatalf("infer_requests_total = %g, want 3", got[`lesmd_infer_requests_total`])
+	for k, v := range want {
+		if got[k] != v {
+			t.Errorf("%s = %g, want %g", k, got[k], v)
+		}
 	}
 }
 

@@ -25,11 +25,10 @@ import (
 
 // Options configure a Server.
 type Options struct {
-	// P bounds the fold-in worker count per /infer batch (0 = GOMAXPROCS).
+	// P bounds the fold-in worker count per /infer request (0 = GOMAXPROCS).
 	P int
-	// MaxInFlight caps concurrent /infer fold-in batches (direct or
-	// coalesced); further requests wait until a slot frees or their
-	// context is cancelled (default 4).
+	// MaxInFlight caps concurrent /infer fold-ins; further requests wait
+	// until a slot frees or their context is cancelled (default 4).
 	MaxInFlight int
 	// Sweeps is the fold-in sweep count (default 30).
 	Sweeps int
@@ -61,30 +60,11 @@ type Options struct {
 	// sections serve zero-copy from the mapping, and replaced mappings are
 	// retired (kept mapped) until Close so in-flight requests never fault.
 	MMap bool
-	// BatchWindow enables /infer request coalescing with group-commit
-	// semantics: while every in-flight slot is busy, arriving requests
-	// merge into one forming fold-in batch; the batch dispatches as soon
-	// as a slot frees, the batch reaches MaxBatchDocs, or the window
-	// expires — whichever comes first. An unsaturated server therefore
-	// dispatches immediately (no added latency), and the window only
-	// bounds how long a request can wait for batchmates under overload.
-	// Zero disables coalescing entirely. Per-request results are
-	// bit-identical either way.
-	BatchWindow time.Duration
-	// MaxBatchDocs caps the documents of one coalesced batch (default 64).
-	// A request that would overflow the cap closes the current batch and
-	// spills into the next window.
-	MaxBatchDocs int
-	// AdaptiveWindow derives the effective coalescing window from an EWMA
-	// of observed /infer inter-arrival times, bounded above by BatchWindow
-	// (which must be > 0 for coalescing to be on at all) — see adaptive.go.
-	// Off, the window is the fixed BatchWindow.
-	AdaptiveWindow bool
 	// MaxQueue bounds the /infer admission queue: at most
 	// MaxInFlight+MaxQueue requests may be in the system (running or
-	// waiting for a slot / parked in a forming batch); beyond that,
-	// requests are shed immediately with 503 + Retry-After instead of
-	// queueing without bound (default 64).
+	// waiting for a slot); beyond that, requests are shed immediately
+	// with 503 + Retry-After instead of queueing without bound (default
+	// 64).
 	MaxQueue int
 	// RouteTimeout, when > 0, cancels any request's context after this
 	// long, on every route: a queued /infer drops out of its queue, a
@@ -98,9 +78,9 @@ type Options struct {
 	// paths 404 like any unregistered route.
 	Pprof bool
 	// Ctx, when cancelled, shuts down the server's background machinery
-	// (coalescer, reload poller, in-flight coalesced batches) exactly like
-	// Close (nil = background). Mapped snapshots are only released by an
-	// explicit Close, which must come after the HTTP server has drained.
+	// (reload poller, runtime-metrics collector) exactly like Close (nil =
+	// background). Mapped snapshots are only released by an explicit
+	// Close, which must come after the HTTP server has drained.
 	Ctx context.Context
 }
 
@@ -119,12 +99,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Alpha <= 0 {
 		o.Alpha = lda.DefaultFoldInAlpha
-	}
-	if o.BatchWindow < 0 {
-		o.BatchWindow = 0
-	}
-	if o.MaxBatchDocs <= 0 {
-		o.MaxBatchDocs = 64
 	}
 	if o.ReloadPoll < 0 {
 		o.ReloadPoll = 0
@@ -297,8 +271,7 @@ func buildArtifact(snap *store.Snapshot, opt Options, gen uint64, closer io.Clos
 
 // Server answers queries over the current snapshot artifact. Structure
 // lookups are lock-free reads of the atomically-swapped artifact pointer;
-// /infer runs on the shared pool behind a bounded in-flight semaphore,
-// optionally through the request coalescer.
+// /infer runs on the shared pool behind a bounded in-flight semaphore.
 type Server struct {
 	opt      Options
 	cur      atomic.Pointer[artifact]
@@ -306,15 +279,11 @@ type Server struct {
 	mux      *http.ServeMux
 
 	// Background machinery lifecycle: ctx is cancelled by Close (or by
-	// Options.Ctx); bg tracks the coalescer collector and reload poller,
-	// batchWG the in-flight coalesced batches.
-	ctx     context.Context
-	cancel  context.CancelFunc
-	bg      sync.WaitGroup
-	batchWG sync.WaitGroup
-
-	// jobs feeds the coalescer collector; nil when coalescing is off.
-	jobs chan *inferJob
+	// Options.Ctx); bg tracks the reload poller and the runtime-metrics
+	// collector.
+	ctx    context.Context
+	cancel context.CancelFunc
+	bg     sync.WaitGroup
 
 	// reloadMu serializes artifact swaps; lastStamp is the stamp of the
 	// last snapshot loaded from SnapshotPath.
@@ -331,21 +300,19 @@ type Server struct {
 	retired []io.Closer
 	closed  bool
 
-	// Serving metrics, surfaced on /healthz and /metrics.
-	inferBatches  atomic.Uint64 // fold-in batches dispatched (direct or coalesced)
-	inferRequests atomic.Uint64 // /infer requests accepted into a batch
+	// inferRequests counts /infer requests that reached fold-in, surfaced
+	// on /healthz and /metrics.
+	inferRequests atomic.Uint64
 
 	// metrics is the /metrics registry (metrics.go); admitted is the
 	// admission-control gauge: /infer requests in the system, bounded by
-	// MaxInFlight+MaxQueue. window is the adaptive coalescing window
-	// state (nil unless AdaptiveWindow with coalescing on).
+	// MaxInFlight+MaxQueue.
 	metrics  *metrics
 	admitted atomic.Int64
-	window   *ewmaWindow
 }
 
 // New builds a server over the snapshot and starts its background
-// machinery (request coalescer when BatchWindow > 0, reload poller when
+// machinery (runtime-metrics collector, plus the reload poller when
 // SnapshotPath + ReloadPoll are set). Callers must Close the server when
 // done serving; cancelling Options.Ctx stops the background goroutines
 // early but releases no mappings.
@@ -396,16 +363,6 @@ func New(snap *store.Snapshot, opt Options) (*Server, error) {
 	}
 	s.mux = mux
 
-	if opt.BatchWindow > 0 {
-		s.jobs = make(chan *inferJob)
-		if opt.AdaptiveWindow {
-			s.window = newEwmaWindow(opt.BatchWindow)
-			s.bg.Add(1)
-			go s.tickWindow()
-		}
-		s.bg.Add(1)
-		go s.collect()
-	}
 	if opt.SnapshotPath != "" && opt.ReloadPoll > 0 {
 		s.bg.Add(1)
 		go s.pollReload()
@@ -434,15 +391,14 @@ func (s *Server) AdoptCloser(c io.Closer) {
 // New was given; +1 per successful reload).
 func (s *Server) Generation() uint64 { return s.cur.Load().gen }
 
-// Close shuts the server down: it stops the coalescer and reload poller,
-// fails queued /infer jobs, waits for in-flight coalesced batches, and
-// releases every snapshot mapping (current and retired). Call it after the
-// HTTP server wrapping Handler has drained — handlers must not run
-// concurrently with the unmapping. Idempotent.
+// Close shuts the server down: it stops the reload poller and the
+// runtime-metrics collector and releases every snapshot mapping (current
+// and retired). Call it after the HTTP server wrapping Handler has
+// drained — handlers must not run concurrently with the unmapping.
+// Idempotent.
 func (s *Server) Close() error {
 	s.cancel()
-	s.bg.Wait()      // collector + poller exited; queued jobs failed
-	s.batchWG.Wait() // coalesced batches finished replying
+	s.bg.Wait()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -556,7 +512,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		"status":         "ok",
 		"sections":       a.snap.Sections(),
 		"generation":     a.gen,
-		"infer_batches":  s.inferBatches.Load(),
 		"infer_requests": s.inferRequests.Load(),
 	}
 	if a.snap.Topics != nil {
@@ -573,10 +528,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		if msg := s.reloadErr.Load().(string); msg != "" {
 			resp["reload_error"] = msg
 		}
-	}
-	if s.opt.BatchWindow > 0 {
-		resp["batch_window_ms"] = float64(s.opt.BatchWindow) / float64(time.Millisecond)
-		resp["max_batch_docs"] = s.opt.MaxBatchDocs
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -1140,12 +1091,12 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Admission control: bound the number of /infer requests in the
-	// system — running plus waiting for a slot or parked in a forming
-	// batch — at MaxInFlight+MaxQueue. Beyond that the server is past the
-	// load it can usefully queue for, so shed immediately (503 +
-	// Retry-After) before even reading the body: queue depth stays
-	// bounded, shed requests cost ~nothing, and admitted requests keep
-	// their latency instead of everyone timing out together.
+	// system — running plus waiting for a slot — at MaxInFlight+MaxQueue.
+	// Beyond that the server is past the load it can usefully queue for,
+	// so shed immediately (503 + Retry-After) before even reading the
+	// body: queue depth stays bounded, shed requests cost ~nothing, and
+	// admitted requests keep their latency instead of everyone timing out
+	// together.
 	limit := int64(s.opt.MaxInFlight + s.opt.MaxQueue)
 	if n := s.admitted.Add(1); n > limit {
 		s.admitted.Add(-1)
@@ -1174,38 +1125,41 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		sweeps = maxInferSweeps
 	}
 
-	if s.jobs != nil {
-		s.inferCoalesced(w, r, &req, sweeps)
-		return
-	}
-
-	// Direct path (coalescing off): this request is its own batch. The
-	// artifact is pinned once, so a hot reload mid-request is invisible.
+	// The artifact is pinned once, so a hot reload mid-request is
+	// invisible.
 	a := s.cur.Load()
 	if a.foldIn == nil {
 		writeErr(w, http.StatusNotFound, "snapshot has no topics section (fold-in unavailable)")
 		return
 	}
-	batch, errmsg := resolveDocs(a, &req)
+	docs, errmsg := resolveDocs(a, &req)
 	if errmsg != "" {
 		writeErr(w, http.StatusBadRequest, "%s", errmsg)
 		return
 	}
 
-	// Bounded in-flight batching: at most MaxInFlight fold-in batches run
-	// concurrently; waiters drop out when their request is cancelled.
+	// Bounded in-flight fold-in: at most MaxInFlight requests sample at
+	// once; waiters drop out when their request is cancelled. A free slot
+	// is taken without consulting the context, because select picks at
+	// random among ready cases: a single blocking select would blame a
+	// deadline that expired during body decode on a slot wait that never
+	// happened. FoldIn checks the context before its first chunk and
+	// reports that request as aborted instead.
 	select {
 	case s.inferSem <- struct{}{}:
-		defer func() { <-s.inferSem }()
-	case <-r.Context().Done():
-		writeErr(w, http.StatusServiceUnavailable, "request cancelled while waiting for an inference slot")
-		return
+	default:
+		select {
+		case s.inferSem <- struct{}{}:
+		case <-r.Context().Done():
+			writeErr(w, http.StatusServiceUnavailable, "request cancelled while waiting for an inference slot")
+			return
+		}
 	}
+	defer func() { <-s.inferSem }()
 
-	s.inferBatches.Add(1)
 	s.inferRequests.Add(1)
-	s.metrics.batchDocs.Observe(float64(len(batch)))
-	theta, err := lda.FoldIn(a.foldIn, batch, lda.FoldInConfig{
+	s.metrics.inferDocs.Observe(float64(len(docs)))
+	theta, err := lda.FoldIn(a.foldIn, docs, lda.FoldInConfig{
 		Seed: req.Seed, Sweeps: sweeps, P: s.opt.P, Sampler: s.opt.Sampler, Ctx: r.Context(),
 		Rec: s.metrics,
 	})

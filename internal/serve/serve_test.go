@@ -144,6 +144,35 @@ func postJSON(t testing.TB, url string, body any, wantStatus int) map[string]any
 	return out
 }
 
+// inferBody builds a canonical /infer request body.
+func inferBody(t testing.TB, seed int64, ids [][]int, sweeps int) []byte {
+	t.Helper()
+	m := map[string]any{"seed": seed, "ids": ids}
+	if sweeps > 0 {
+		m["sweeps"] = sweeps
+	}
+	b, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// postInfer posts an /infer body and returns (status, decoded response).
+func postInfer(t testing.TB, url string, body []byte) (int, map[string]any) {
+	t.Helper()
+	resp, err := http.Post(url+"/infer", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var out map[string]any
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatalf("bad JSON: %v", err)
+	}
+	return resp.StatusCode, out
+}
+
 func TestHealthz(t *testing.T) {
 	ts := newTestServer(t, Options{})
 	got := getJSON(t, ts.URL+"/healthz", http.StatusOK)

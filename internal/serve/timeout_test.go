@@ -1,7 +1,10 @@
 package serve
 
 import (
+	"bytes"
+	"context"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -68,26 +71,34 @@ func TestRouteTimeoutAbortsRunningFoldIn(t *testing.T) {
 	}
 }
 
-// TestRouteTimeoutCoalescedMember: a member parked in a forming batch
-// times out with a 503 while its batchmates' window keeps forming, and
-// the server keeps serving normally afterwards.
-func TestRouteTimeoutCoalescedMember(t *testing.T) {
-	ts, s := newTestServerPair(t, Options{
-		MaxInFlight: 1, BatchWindow: 30 * time.Second, MaxBatchDocs: 64,
-		RouteTimeout: 100 * time.Millisecond,
-	})
-	s.inferSem <- struct{}{} // park the forming batch: no group commit
-	status, out := postInfer(t, ts.URL, inferBody(t, 1, [][]int{{0, 1, 2}}, 3))
-	if status != http.StatusServiceUnavailable {
-		t.Fatalf("parked member past its timeout: status %d (%v)", status, out)
+// TestRouteTimeoutExpiredBeforeSlot: a request whose deadline expired
+// before it reached the slot gate (e.g. during a slow body decode) while a
+// slot is free must be reported as an aborted fold-in, never as a slot
+// wait that did not happen. A single blocking select over "slot free" and
+// "context done" picks between the two at random, so the loop makes a
+// regression all but certain to show.
+func TestRouteTimeoutExpiredBeforeSlot(t *testing.T) {
+	s, err := New(testSnapshot(t), Options{MaxInFlight: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	<-s.inferSem // release: the batch (sans its timed-out member) runs
-
-	// The machinery survives the timed-out member: a fresh request on the
-	// now-free server completes.
-	status, out = postInfer(t, ts.URL, inferBody(t, 2, [][]int{{5, 6, 7}}, 3))
-	if status != http.StatusOK {
-		t.Fatalf("post-timeout request: status %d (%v)", status, out)
+	defer s.Close()
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	body := inferBody(t, 1, [][]int{{0, 1, 2}}, 3)
+	for i := 0; i < 50; i++ {
+		req := httptest.NewRequest(http.MethodPost, "/infer", bytes.NewReader(body)).WithContext(ctx)
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, req)
+		if rec.Code != http.StatusServiceUnavailable {
+			t.Fatalf("attempt %d: status %d (%s)", i, rec.Code, rec.Body.String())
+		}
+		if msg := rec.Body.String(); !strings.Contains(msg, "inference aborted") {
+			t.Fatalf("attempt %d: expired request with a free slot blamed on: %s", i, msg)
+		}
+		if n := len(s.inferSem); n != 0 {
+			t.Fatalf("attempt %d: %d slots still held after the abort", i, n)
+		}
 	}
 }
 
