@@ -24,7 +24,13 @@ import (
 //     admitted request is ever failed by overload (zero 5xx on admitted);
 //   - after the storm drains, the goroutine count returns to the
 //     pre-storm baseline (nothing leaks per shed or per admitted request).
+//
+// The storm runs against the direct /infer path, the only one the server has.
 func TestSaturationShedsAndRecovers(t *testing.T) {
+	t.Run("direct", testSaturationDirect)
+}
+
+func testSaturationDirect(t *testing.T) {
 	const (
 		inflight = 2
 		queue    = 4
