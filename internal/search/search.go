@@ -2,8 +2,10 @@ package search
 
 import (
 	"hash/fnv"
+	"slices"
 	"sort"
 	"strconv"
+	"unicode/utf8"
 
 	"lesm/internal/core"
 	"lesm/internal/store"
@@ -170,6 +172,10 @@ type Index struct {
 	// entries containing terms[i], ascending, deduplicated.
 	terms    []string
 	postings [][]int32
+	// lcp[i] is the rune length of the longest common prefix of terms[i-1]
+	// and terms[i] (lcp[0] = 0): the sorted dictionary read as an implicit
+	// trie, which the fuzzy walk in within descends.
+	lcp []int32
 	// foldedName[i] is Fold(entries[i].Name), for exact full-name checks.
 	foldedName []string
 	// nameTokens[i] is entry i's distinct token count (min 1), the length
@@ -229,10 +235,27 @@ func Build(src Source) *Index {
 	}
 	sort.Strings(ix.terms)
 	ix.postings = make([][]int32, len(ix.terms))
+	ix.lcp = make([]int32, len(ix.terms))
 	for i, t := range ix.terms {
 		ix.postings[i] = terms[t] // already ascending: entries added in id order
+		if i > 0 {
+			ix.lcp[i] = int32(sharedRunes(ix.terms[i-1], t))
+		}
 	}
 	return ix
+}
+
+// sharedRunes counts the runes of the longest common prefix of a and b,
+// cut back to a rune boundary of both so the prefix decodes identically.
+func sharedRunes(a, b string) int {
+	n := 0
+	for n < len(a) && n < len(b) && a[n] == b[n] {
+		n++
+	}
+	for n > 0 && (n < len(a) && !utf8.RuneStart(a[n]) || n < len(b) && !utf8.RuneStart(b[n])) {
+		n--
+	}
+	return utf8.RuneCountInString(a[:n])
 }
 
 // Entries returns the number of indexed entries.
@@ -350,14 +373,12 @@ func (ix *Index) expand(token string) []termMatch {
 	if max == 0 {
 		return nil
 	}
-	qr := []rune(token)
-	var out []termMatch
-	for t, term := range ix.terms {
-		d := boundedLevenshtein(qr, term, max)
-		if d <= max {
-			out = append(out, termMatch{term: t, dist: d})
-		}
-	}
+	return ix.rank(ix.within([]rune(token), max))
+}
+
+// rank orders fuzzy matches closest first, then by descending document
+// frequency, then lexicographically, and keeps the first maxExpansions.
+func (ix *Index) rank(out []termMatch) []termMatch {
 	sort.Slice(out, func(a, b int) bool {
 		if out[a].dist != out[b].dist {
 			return out[a].dist < out[b].dist
@@ -372,6 +393,170 @@ func (ix *Index) expand(token string) []termMatch {
 		out = out[:maxExpansions]
 	}
 	return out
+}
+
+// within returns every dictionary term within max edits of the query
+// runes qr, in dictionary order, with its exact edit distance. max must
+// be below 32.
+//
+// It walks the sorted dictionary depth first as an implicit trie. Row d of
+// the Levenshtein table (the first d runes of the current term against the
+// query) depends only on those d runes, so a term reuses the rows of the
+// prefix it shares with the previous term (lcp) and computes rows only for
+// the rest. A row with no cell within max kills its prefix: every
+// following term that shares it is skipped without computing a row.
+//
+// A row keeps only the band of 2·max+1 cells around the diagonal
+// (Ukkonen's cut-off: cells farther out are at least max+1), as max+1
+// bitmasks over the band, level e marking the cells within e edits. The
+// next row follows in a few word operations per level (the Wu–Manber
+// recurrence, confined to the band). Rows deeper than len(qr)+max have an
+// empty band and always prune, so the row stack never exceeds
+// len(qr)+max+1 rows, and it only grows as deep as the terms reach: its
+// memory is bounded by the shorter of the query and the longest term.
+func (ix *Index) within(qr []rune, max int) []termMatch {
+	n, w, k := len(qr), 2*max+1, max+1
+	// Row d occupies rows[d*k : d*k+k]; bit o of its level e is set when
+	// the path's first d runes are within e edits of the query's first
+	// d-max+o. offs[d] is the byte offset in the current term after d runes.
+	depth := min(n+max+1, 32)
+	rows := make([]uint64, k, depth*k)
+	offs := make([]int, 1, depth)
+	for e := range rows {
+		// Row 0: cell o stands for the query's first o-max runes, at that
+		// distance from the empty prefix.
+		rows[e] = (1<<(min(e, n)+1) - 1) << max
+	}
+	m := newMatcher(qr, w)
+	terms, lcp := ix.terms, ix.lcp
+	var out []termMatch
+	for t := 0; t < len(terms); {
+		term := terms[t]
+		d := int(lcp[t])
+		rows, offs = rows[:(d+1)*k], offs[:d+1]
+		dead := false
+		for b := offs[d]; b < len(term); {
+			r, size := runeAt(term, b)
+			b += size
+			d++
+			if d > n+max {
+				dead = true // row d's band lies past the query's end
+				break
+			}
+			rows = slices.Grow(rows, k)[:(d+1)*k]
+			offs = append(offs, b)
+			eq, valid := m.eq(r, d-max)
+			if !bandRow(rows[(d-1)*k:d*k], rows[d*k:(d+1)*k], eq, valid) {
+				dead = true
+				break
+			}
+		}
+		if !dead {
+			if o := n - d + max; o >= 0 && o < w {
+				for e, level := range rows[d*k : (d+1)*k] {
+					if level>>o&1 != 0 {
+						out = append(out, termMatch{term: t, dist: e})
+						break
+					}
+				}
+			}
+			t++
+			continue
+		}
+		// Every following term sharing the first d runes is dead too, and so
+		// is every sibling whose d-th rune equals none of the query runes
+		// row d compares: its row d, having no matching cell, is a subset
+		// of the dead one. Both are skipped with their subtrees.
+		for {
+			for t++; t < len(lcp) && int(lcp[t]) >= d; t++ {
+			}
+			if t == len(lcp) || int(lcp[t]) != d-1 {
+				break
+			}
+			r, _ := runeAt(terms[t], offs[d-1])
+			if eq, _ := m.eq(r, d-max); eq != 0 {
+				break
+			}
+		}
+	}
+	return out
+}
+
+// runeAt decodes the rune of s at byte offset b and its size.
+func runeAt(s string, b int) (rune, int) {
+	if c := s[b]; c < utf8.RuneSelf {
+		return rune(c), 1
+	}
+	return utf8.DecodeRuneInString(s[b:])
+}
+
+// matcher answers, for one query, which cells of a band compare a term
+// rune with an equal query rune.
+type matcher struct {
+	qr []rune
+	w  int
+	// ascii[c] has bit j set when qr[j] == c, for queries of at most 64
+	// runes (nil otherwise).
+	ascii *[utf8.RuneSelf]uint64
+}
+
+func newMatcher(qr []rune, w int) matcher {
+	m := matcher{qr: qr, w: w}
+	if len(qr) <= 64 {
+		m.ascii = new([utf8.RuneSelf]uint64)
+		for j, c := range qr {
+			if c < utf8.RuneSelf {
+				m.ascii[c] |= 1 << j
+			}
+		}
+	}
+	return m
+}
+
+// eq returns the band cells whose query rune equals r (eq) and the band
+// cells inside the query (valid), for the band whose cell o stands for the
+// query's first lo+o runes.
+func (m matcher) eq(r rune, lo int) (eq, valid uint64) {
+	oLo, oHi := 0, m.w-1
+	if lo < 0 {
+		oLo = -lo
+	}
+	if n := len(m.qr); lo+oHi > n {
+		oHi = n - lo
+	}
+	valid = (1<<(oHi+1) - 1) &^ (1<<oLo - 1)
+	if m.ascii != nil && r < utf8.RuneSelf {
+		// Cell o compares query rune lo+o-1.
+		if s := lo - 1; s >= 0 {
+			return m.ascii[r] >> s & valid, valid
+		}
+		return m.ascii[r] << (1 - lo) & valid, valid
+	}
+	for o := oLo; o <= oHi; o++ {
+		if j := lo + o; j > 0 && m.qr[j-1] == r {
+			eq |= 1 << o
+		}
+	}
+	return eq, valid
+}
+
+// bandRow fills cur, the row after a term rune, from prev, the row before
+// it, and reports whether any cell of cur is within max edits (its top
+// level is not empty). Bit o of a level of cur stands for the query's
+// first lo+o runes, bit o of prev's for its first lo+o-1; eq marks the
+// cells whose query rune equals the term rune and valid the cells inside
+// the query.
+func bandRow(prev, cur []uint64, eq, valid uint64) bool {
+	var below, left uint64 // level e-1 of prev and of cur
+	for e := range cur {
+		// Within e edits by a match on the diagonal, or within e-1 by a
+		// substitution on the diagonal, by skipping the term's rune (the
+		// cell above) or by skipping the query's rune (the cell left).
+		c := (prev[e]&eq | below | below>>1 | left<<1) & valid
+		below, left = prev[e], c
+		cur[e] = c
+	}
+	return left != 0
 }
 
 // Search matches q against the index and returns up to limit hits ranked
@@ -441,29 +626,32 @@ func (ix *Index) Search(q string, limit int) []Hit {
 		}
 		hits = append(hits, h)
 	}
-	sort.Slice(hits, func(a, b int) bool {
-		ha, hb := hits[a], hits[b]
-		if ha.Score != hb.Score {
-			return ha.Score > hb.Score
-		}
-		if ha.Weight != hb.Weight {
-			return ha.Weight > hb.Weight
-		}
-		if ha.Kind != hb.Kind {
-			return ha.Kind < hb.Kind
-		}
-		if ha.Name != hb.Name {
-			return ha.Name < hb.Name
-		}
-		if ha.Path != hb.Path {
-			return ha.Path < hb.Path
-		}
-		return ha.ID < hb.ID
-	})
+	sort.Slice(hits, func(a, b int) bool { return hitLess(hits[a], hits[b]) })
 	if limit > 0 && len(hits) > limit {
 		hits = hits[:limit]
 	}
 	return hits
+}
+
+// hitLess is Search's ranking: descending score, then descending weight,
+// then kind, name, path and id ascending.
+func hitLess(ha, hb Hit) bool {
+	if ha.Score != hb.Score {
+		return ha.Score > hb.Score
+	}
+	if ha.Weight != hb.Weight {
+		return ha.Weight > hb.Weight
+	}
+	if ha.Kind != hb.Kind {
+		return ha.Kind < hb.Kind
+	}
+	if ha.Name != hb.Name {
+		return ha.Name < hb.Name
+	}
+	if ha.Path != hb.Path {
+		return ha.Path < hb.Path
+	}
+	return ha.ID < hb.ID
 }
 
 // Resolve maps a free-form name to the entity it most plausibly denotes:
@@ -525,54 +713,4 @@ func dedupe(tokens []string) []string {
 		}
 	}
 	return out
-}
-
-// boundedLevenshtein computes the edit distance between the rune slice a
-// and the (folded) string b, giving up as soon as it provably exceeds
-// max: rows whose minimum passes the bound return max+1 immediately, and
-// a length difference beyond max never starts the DP at all.
-func boundedLevenshtein(a []rune, b string, max int) int {
-	br := []rune(b)
-	la, lb := len(a), len(br)
-	diff := la - lb
-	if diff < 0 {
-		diff = -diff
-	}
-	if diff > max {
-		return max + 1
-	}
-	if la == 0 {
-		return lb
-	}
-	prev := make([]int, lb+1)
-	cur := make([]int, lb+1)
-	for j := 0; j <= lb; j++ {
-		prev[j] = j
-	}
-	for i := 1; i <= la; i++ {
-		cur[0] = i
-		rowMin := cur[0]
-		for j := 1; j <= lb; j++ {
-			cost := 1
-			if a[i-1] == br[j-1] {
-				cost = 0
-			}
-			v := prev[j-1] + cost
-			if d := prev[j] + 1; d < v {
-				v = d
-			}
-			if d := cur[j-1] + 1; d < v {
-				v = d
-			}
-			cur[j] = v
-			if v < rowMin {
-				rowMin = v
-			}
-		}
-		if rowMin > max {
-			return max + 1
-		}
-		prev, cur = cur, prev
-	}
-	return prev[lb]
 }

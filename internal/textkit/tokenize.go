@@ -7,7 +7,8 @@ import (
 )
 
 // FoldRune maps r to its canonical case-folded form: the lowercase of the
-// smallest rune in r's unicode.SimpleFold orbit. This is strictly stronger
+// smallest rune in r's unicode.SimpleFold orbit that is, like r, a letter or
+// digit (or, like r, neither). This is strictly stronger
 // than unicode.ToLower — case variants that lowercasing keeps apart still
 // fold together (Greek final sigma 'ς' and 'σ' both become 'σ', the Kelvin
 // sign 'K' becomes 'k', long s 'ſ' becomes 's') — so a query folded with
@@ -16,6 +17,13 @@ import (
 // against indexed text (Tokenize, the phrase and entity search indexes)
 // must fold through this one helper; mixing it with strings.ToLower
 // reintroduces the non-ASCII mismatch it exists to prevent.
+//
+// The class restriction matters for one orbit: Greek iota (Ι, ι and the
+// prosgegrammeni ι) shares its orbit with U+0345 COMBINING YPOGEGRAMMENI,
+// a mark and the orbit's smallest rune. Folding iota to the mark would
+// split every iota word when folded text is tokenized again. Keeping the
+// class makes FoldRune idempotent and Tokenize(Fold(s)) == Tokenize(s);
+// TestFoldRuneKeepsClassAllRunes checks every rune.
 func FoldRune(r rune) rune {
 	if r < utf8.RuneSelf {
 		if 'A' <= r && r <= 'Z' {
@@ -23,14 +31,18 @@ func FoldRune(r rune) rune {
 		}
 		return r
 	}
+	word := isWordRune(r)
 	min := r
 	for f := unicode.SimpleFold(r); f != r; f = unicode.SimpleFold(f) {
-		if f < min {
+		if f < min && isWordRune(f) == word {
 			min = f
 		}
 	}
 	return unicode.ToLower(min)
 }
+
+// isWordRune reports whether r belongs in a token: a letter or a digit.
+func isWordRune(r rune) bool { return unicode.IsLetter(r) || unicode.IsDigit(r) }
 
 // Fold case-folds every rune of s through FoldRune. It is the string-level
 // companion of FoldRune for callers that compare whole strings (phrase
@@ -55,7 +67,7 @@ func Tokenize(s string) []string {
 	}
 	for _, r := range s {
 		switch {
-		case unicode.IsLetter(r) || unicode.IsDigit(r):
+		case isWordRune(r):
 			b.WriteRune(FoldRune(r))
 		default:
 			flush()
