@@ -79,20 +79,59 @@ func NewFoldInModel(phi [][]float64, alpha float64) *FoldInModel {
 // distribution the fitting sampler would have used on its next sweep.
 func FoldInModelFromCounts(nKV [][]int, nK []int, alpha, beta float64) *FoldInModel {
 	k := len(nKV)
-	if beta <= 0 {
-		beta = 0.01
-	}
+	beta = foldInBeta(beta)
 	phi := make([][]float64, k)
 	for t := range nKV {
 		v := len(nKV[t])
 		vb := float64(v) * beta
 		row := make([]float64, v)
 		for w, c := range nKV[t] {
-			row[w] = (float64(c) + beta) / (float64(nK[t]) + vb)
+			row[w] = smoothed(c, nK[t], beta, vb)
 		}
 		phi[t] = row
 	}
 	return NewFoldInModel(phi, alpha)
+}
+
+// foldInBeta is the topic-word smoothing FoldInModelFromCounts applies:
+// beta, or 0.01 when beta is not positive.
+func foldInBeta(beta float64) float64 {
+	if beta <= 0 {
+		return 0.01
+	}
+	return beta
+}
+
+// smoothed is one cell of the smoothed topic-word distribution,
+// (n_kw+β)/(n_k+Vβ) with vb = V·β — the expression Model.Phi and
+// FoldInModelFromCounts share, so the two agree bit for bit.
+func smoothed(nkw, nk int, beta, vb float64) float64 {
+	return (float64(nkw) + beta) / (float64(nk) + vb)
+}
+
+// PhiMatchesCounts reports whether phi holds, bit for bit, the
+// distribution FoldInModelFromCounts(nKV, nK, _, beta) would derive. A
+// Gibbs model's own Phi always does, so a caller holding both can freeze
+// phi itself (NewFoldInModel) instead of a derived copy and sample
+// identically. It allocates nothing; a shape mismatch reports false.
+func PhiMatchesCounts(phi [][]float64, nKV [][]int, nK []int, beta float64) bool {
+	if len(phi) != len(nKV) || len(nK) != len(nKV) {
+		return false
+	}
+	beta = foldInBeta(beta)
+	for t, counts := range nKV {
+		row := phi[t]
+		if len(row) != len(counts) {
+			return false
+		}
+		vb := float64(len(counts)) * beta
+		for w, c := range counts {
+			if math.Float64bits(row[w]) != math.Float64bits(smoothed(c, nK[t], beta, vb)) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // K returns the number of topics.

@@ -2,6 +2,7 @@ package lda
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"reflect"
 	"runtime"
@@ -199,5 +200,57 @@ func TestNewFoldInModelFromPhi(t *testing.T) {
 	}
 	if theta[0][0] <= theta[0][1] {
 		t.Fatalf("phi-only fold-in ignored the evidence: %v", theta[0])
+	}
+}
+
+// TestPhiIsFoldInPhi pins the invariant that lets a served Gibbs snapshot
+// fold in against its stored Phi rows instead of a derived copy: for
+// token and phrase fits, dense and MH, with the background topic on,
+// Model.Phi is bit for bit the PhiLike FoldInModelFromCounts derives from
+// the model's counts, and PhiMatchesCounts says so. One flipped bit or a
+// changed beta must turn the check false.
+func TestPhiIsFoldInPhi(t *testing.T) {
+	for _, s := range []Sampler{SamplerDense, SamplerMH} {
+		for _, phrases := range []bool{false, true} {
+			cfg := goldenConfig(s, true, 2)
+			var m *Model
+			var err error
+			if phrases {
+				m, err = RunPhrases(goldenPhrases(), goldenV, cfg)
+			} else {
+				m, err = Run(goldenCorpus(), goldenV, cfg)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			name := fmt.Sprintf("%s/phrases=%v", s, phrases)
+			if len(m.Phi) != m.K+1 {
+				t.Fatalf("%s: %d Phi rows, want K+1 = %d with the background topic", name, len(m.Phi), m.K+1)
+			}
+			want := FoldInModelFromCounts(m.NKV, m.NK, DefaultFoldInAlpha, m.Beta).PhiLike
+			for k := range want {
+				for w := range want[k] {
+					if math.Float64bits(m.Phi[k][w]) != math.Float64bits(want[k][w]) {
+						t.Fatalf("%s: Phi[%d][%d] = %v, counts give %v", name, k, w, m.Phi[k][w], want[k][w])
+					}
+				}
+			}
+			if !PhiMatchesCounts(m.Phi, m.NKV, m.NK, m.Beta) {
+				t.Fatalf("%s: PhiMatchesCounts rejects the model's own Phi", name)
+			}
+			if PhiMatchesCounts(m.Phi, m.NKV, m.NK, 2*m.Beta) {
+				t.Fatalf("%s: PhiMatchesCounts accepts Phi under another beta", name)
+			}
+			phi := make([][]float64, len(m.Phi))
+			copy(phi, m.Phi)
+			phi[1] = append([]float64(nil), m.Phi[1]...)
+			phi[1][7] = math.Float64frombits(math.Float64bits(phi[1][7]) ^ 1)
+			if PhiMatchesCounts(phi, m.NKV, m.NK, m.Beta) {
+				t.Fatalf("%s: PhiMatchesCounts misses a one-bit difference", name)
+			}
+			if PhiMatchesCounts(m.Phi[:m.K], m.NKV, m.NK, m.Beta) {
+				t.Fatalf("%s: PhiMatchesCounts accepts a Phi with a row missing", name)
+			}
+		}
 	}
 }

@@ -343,7 +343,7 @@ func (f *fit) summarize(docs [][]int, z [][]int) *Model {
 	for k := 0; k < kTotal; k++ {
 		m.Phi[k] = make([]float64, v)
 		for w := 0; w < v; w++ {
-			m.Phi[k][w] = (float64(nKV[k][w]) + cfg.Beta) / (float64(nK[k]) + vb)
+			m.Phi[k][w] = smoothed(nKV[k][w], nK[k], cfg.Beta, vb)
 		}
 	}
 	var asum float64

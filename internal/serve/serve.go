@@ -191,17 +191,11 @@ func buildArtifact(snap *store.Snapshot, opt Options, gen uint64, closer io.Clos
 	if snap.Vocab != nil {
 		a.vocab = textkit.VocabularyFromWords(snap.Vocab)
 	}
-	if t := snap.Topics; t != nil {
-		if t.NKV != nil && t.NK != nil {
-			a.foldIn = lda.FoldInModelFromCounts(t.NKV, t.NK, opt.Alpha, t.Beta)
-		} else if t.Phi != nil {
-			a.foldIn = lda.NewFoldInModel(t.Phi, opt.Alpha)
-		}
-		if a.foldIn != nil && opt.Sampler.ResolveFor(a.foldIn.K(), a.foldIn.V()) == lda.SamplerMH {
-			// Pay the alias-table O(K·V) build at load, not on the first
-			// /infer request against this artifact.
-			a.foldIn.PrecomputeSparse()
-		}
+	a.foldIn = store.FoldInModel(snap.Topics, opt.Alpha)
+	if a.foldIn != nil && opt.Sampler.ResolveFor(a.foldIn.K(), a.foldIn.V()) == lda.SamplerMH {
+		// Pay the alias-table O(K·V) build at load, not on the first
+		// /infer request against this artifact.
+		a.foldIn.PrecomputeSparse()
 	}
 	if h := snap.Hierarchy; h != nil {
 		a.nodes = map[string]*core.TopicNode{}

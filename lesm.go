@@ -776,11 +776,7 @@ func (a *Artifact) foldInModel() (*lda.FoldInModel, error) {
 		// convention): that prior is calibrated for whole training
 		// documents and bounds a short query document's theta to
 		// near-uniform regardless of content.
-		if t.NKV != nil && t.NK != nil {
-			a.foldModel = lda.FoldInModelFromCounts(t.NKV, t.NK, lda.DefaultFoldInAlpha, t.Beta)
-			return
-		}
-		a.foldModel = lda.NewFoldInModel(t.Phi, lda.DefaultFoldInAlpha)
+		a.foldModel = store.FoldInModel(storeTopics(t), lda.DefaultFoldInAlpha)
 	})
 	return a.foldModel, a.foldErr
 }
@@ -795,20 +791,25 @@ func (a *Artifact) snapshot() *store.Snapshot {
 	if a.Vocab != nil {
 		s.Vocab = a.Vocab.Words()
 	}
-	if t := a.Topics; t != nil {
-		v := 0
-		if len(t.Phi) > 0 {
-			v = len(t.Phi[0])
-		}
-		s.Topics = &store.Topics{
-			K: len(t.Phi), V: v, Weight: t.Weight, Phi: t.Phi,
-			Alpha: t.Alpha, Beta: t.Beta, NKV: t.NKV, NK: t.NK,
-		}
+	if a.Topics != nil {
+		s.Topics = storeTopics(a.Topics)
 	}
 	if a.Advisor != nil {
 		s.Advisor = &store.Advisor{Net: a.Advisor.res.Net, Rank: a.Advisor.res.Rank}
 	}
 	return s
+}
+
+// storeTopics is the snapshot form of a topic model.
+func storeTopics(t *TopicModel) *store.Topics {
+	v := 0
+	if len(t.Phi) > 0 {
+		v = len(t.Phi[0])
+	}
+	return &store.Topics{
+		K: len(t.Phi), V: v, Weight: t.Weight, Phi: t.Phi,
+		Alpha: t.Alpha, Beta: t.Beta, NKV: t.NKV, NK: t.NK,
+	}
 }
 
 func artifactFromSnapshot(s *store.Snapshot) *Artifact {
