@@ -24,10 +24,11 @@ import (
 //
 // The MH core's word proposal is the prior part α_k·φ_kw of the
 // conditional p(k) ∝ (n_dk + α_k)·φ_kw, served by one Walker alias table
-// per word, built lazily once per model and cached (the model is
-// immutable, so unlike the fitting side the tables never go stale and the
-// proposal is exact). FoldInConfig.Sampler picks the core; auto resolves
-// it per model exactly as fitting does.
+// per word (the model is immutable, so unlike the fitting side the tables
+// never go stale and the proposal is exact). The tables are a pure
+// function of φ and α: they are built once per model and cached, or
+// adopted ready-made from a snapshot (UseTables). FoldInConfig.Sampler
+// picks the core; auto resolves it per model exactly as fitting does.
 
 // DefaultFoldInAlpha is the document prior fold-in consumers should reach
 // for when the caller doesn't supply one. The *fitting* default (50/K) is
@@ -44,20 +45,35 @@ const DefaultFoldInAlpha = 0.1
 type FoldInModel struct {
 	// PhiLike[k][w] is the fixed p(w | topic k) each token is scored
 	// against. Rows must share one length V; tokens with id >= V are
-	// ignored.
+	// ignored. The rows may alias read-only memory (a mapped snapshot):
+	// fold-in never writes them.
 	PhiLike [][]float64
 	// Alpha[k] is the Dirichlet document prior (uniform in practice, but
 	// kept per-topic so a background topic's inflated prior survives).
 	Alpha []float64
 
-	// Lazily-built MH machinery: per-word alias tables over the prior part
-	// α_k·φ_kw of the conditional, plus their masses, plus one table over
-	// α alone (the doc proposal's prior arm). ~2 extra words of memory per
-	// (topic, word) cell, paid only when the MH core is first used.
+	// The MH machinery: the per-word tables over the prior part α_k·φ_kw
+	// of the conditional, plus one table over α alone (the doc proposal's
+	// prior arm). Set once, by the first of ensureAlias (a build: 12 bytes
+	// of heap per (topic, word) cell) and UseTables (adopted storage, e.g.
+	// a mapped snapshot section: no heap).
 	aliasOnce sync.Once
-	qMass     []float64
-	qTab      []linalg.Alias
+	tab       FoldInTables
 	alphaTab  *linalg.Alias
+}
+
+// FoldInTables are the MH fold-in core's word proposals: for each word w,
+// a Walker alias table over the K weights α_k·φ_kw, stored word-major in
+// flat arrays so a token's draw reads one contiguous row and no per-word
+// header exists.
+type FoldInTables struct {
+	// Mass[w] is Σ_k α_k·φ_kw (the table's Total); 0 marks a word whose
+	// weights are all zero, which the sampler proposes uniformly instead.
+	Mass []float64
+	// Prob[w·K:(w+1)·K] and Alias[w·K:(w+1)·K] are word w's columns as
+	// linalg.AliasBuilder.Build fills them (see linalg.DrawColumn).
+	Prob  []float64
+	Alias []int32
 }
 
 // NewFoldInModel freezes explicit topic-word distributions (e.g. a STROD
@@ -168,35 +184,68 @@ func (fm *FoldInModel) validate() error {
 	return nil
 }
 
-// ensureAlias builds the per-word alias tables over α_k·φ_kw once. The
-// build is O(K·V) and the result is cached for the model's lifetime —
-// serving pays it on the first MH /infer, not per request.
+// ensureAlias builds the per-word alias tables over α_k·φ_kw once, unless
+// UseTables supplied them first. The build is O(K·V) and the result is
+// cached for the model's lifetime.
 func (fm *FoldInModel) ensureAlias() {
 	fm.aliasOnce.Do(func() {
 		k, v := fm.K(), fm.V()
-		fm.qMass = make([]float64, v)
-		fm.qTab = make([]linalg.Alias, v)
-		prob := make([]float64, k*v)
-		alias := make([]int32, k*v)
+		fm.tab = FoldInTables{
+			Mass:  make([]float64, v),
+			Prob:  make([]float64, k*v),
+			Alias: make([]int32, k*v),
+		}
 		weights := make([]float64, k)
 		var b linalg.AliasBuilder
 		for w := 0; w < v; w++ {
 			for t := 0; t < k; t++ {
 				weights[t] = fm.Alpha[t] * fm.PhiLike[t][w]
 			}
-			fm.qTab[w] = b.Build(nil, weights, prob[w*k:(w+1)*k], alias[w*k:(w+1)*k])
-			fm.qMass[w] = fm.qTab[w].Total
+			row := b.Build(nil, weights, fm.tab.Prob[w*k:(w+1)*k], fm.tab.Alias[w*k:(w+1)*k])
+			fm.tab.Mass[w] = row.Total
 		}
 		fm.alphaTab = linalg.NewAlias(fm.Alpha)
 	})
 }
 
 // PrecomputeSparse eagerly builds the MH core's cached per-word alias
-// tables (normally built lazily on the first MH FoldIn call), so a
-// long-lived server pays the O(K·V) build at startup instead of on its
-// first request. Safe to call concurrently; a no-op after the first build.
-// (The name predates the MH core; it keeps it for existing callers.)
+// tables (otherwise built on the first MH FoldIn call), so a long-lived
+// server pays the O(K·V) build at startup instead of on its first
+// request. Safe to call concurrently; a no-op once the tables exist,
+// built or adopted. (The name predates the MH core; it keeps it for
+// existing callers.)
 func (fm *FoldInModel) PrecomputeSparse() { fm.ensureAlias() }
+
+// Tables returns the model's MH word-proposal tables, building them first
+// if the model has none. The result is shared with the model and must
+// not be modified.
+func (fm *FoldInModel) Tables() FoldInTables {
+	fm.ensureAlias()
+	return fm.tab
+}
+
+// UseTables adopts ready-made word-proposal tables in place of the O(K·V)
+// build, keeping their storage (which may be read-only, e.g. a mapped
+// snapshot). They must be what Tables returns for a model with the same
+// PhiLike and Alpha; then every FoldIn draws bit for bit as with built
+// tables. Their values are trusted: every Alias entry must be in [0, K)
+// and every Prob in [0, 1] (store.Snapshot.Validate checks a decoded
+// snapshot section). UseTables reports whether it adopted them: it
+// refuses tables whose lengths do not fit the model's K and V, and it is
+// a no-op once the model has tables.
+func (fm *FoldInModel) UseTables(t FoldInTables) bool {
+	k, v := fm.K(), fm.V()
+	if len(t.Mass) != v || len(t.Prob) != k*v || len(t.Alias) != k*v {
+		return false
+	}
+	used := false
+	fm.aliasOnce.Do(func() {
+		fm.tab = t
+		fm.alphaTab = linalg.NewAlias(fm.Alpha)
+		used = true
+	})
+	return used
+}
 
 // FoldInConfig parameterizes FoldIn.
 type FoldInConfig struct {
@@ -451,8 +500,8 @@ func foldInDocMH(fm *FoldInModel, toks []int, seed int64, di uint64, sweeps int,
 	rng := newStream(seed, di, 0)
 	for i, w := range toks {
 		var t int
-		if fm.qMass[w] > 0 {
-			t = fm.qTab[w].Draw(rng.Float64())
+		if fm.tab.Mass[w] > 0 {
+			t = fm.drawWord(w, k, rng.Float64())
 		} else {
 			t = rng.Intn(k) // every topic scores zero: uniform fallback
 		}
@@ -471,10 +520,10 @@ func foldInDocMH(fm *FoldInModel, toks []int, seed int64, di uint64, sweeps int,
 			// Word proposal. Exact (q ∝ α·φ), so φ cancels; a word whose
 			// prior mass is all zero falls back to a uniform proposal, whose
 			// acceptance keeps the full φ ratio.
-			exact := fm.qMass[w] > 0
+			exact := fm.tab.Mass[w] > 0
 			var t int
 			if exact {
-				t = fm.qTab[w].Draw(rng.Float64())
+				t = fm.drawWord(w, k, rng.Float64())
 			} else {
 				t = rng.Intn(k)
 			}
@@ -524,6 +573,12 @@ func foldInDocMH(fm *FoldInModel, toks []int, seed int64, di uint64, sweeps int,
 		}
 	}
 
+}
+
+// drawWord draws a topic from word w's table over α_k·φ_kw (k topics).
+func (fm *FoldInModel) drawWord(w, k int, u float64) int {
+	row := w * k
+	return linalg.DrawColumn(fm.tab.Prob[row:row+k], fm.tab.Alias[row:row+k], u)
 }
 
 // foldInTheta is the smoothed normalization both cores share.

@@ -37,16 +37,27 @@ func (a *Alias) Empty() bool { return a.n == 0 || a.Total <= 0 }
 // standard one-uniform trick), so callers consume exactly one PRNG step
 // per draw — the determinism contract's bookkeeping stays trivial.
 func (a *Alias) Draw(u float64) int {
-	f := u * float64(a.n)
-	i := int(f)
-	if i >= a.n { // u == 1-ulp rounding up
-		i = a.n - 1
-	}
-	if f-float64(i) >= a.prob[i] {
-		i = int(a.alias[i])
-	}
+	i := DrawColumn(a.prob, a.alias, u)
 	if a.out != nil {
 		return int(a.out[i])
+	}
+	return i
+}
+
+// DrawColumn is Draw over a table's bare column arrays: prob and alias as
+// Build filled them (equal lengths, at least one column), the result a
+// column index. It lets a caller keep many tables in two flat arrays —
+// one row per table — with no Alias value per table, and it draws exactly
+// what Draw on the built table would.
+func DrawColumn(prob []float64, alias []int32, u float64) int {
+	n := len(prob)
+	f := u * float64(n)
+	i := int(f)
+	if i >= n { // u == 1-ulp rounding up
+		i = n - 1
+	}
+	if f-float64(i) >= prob[i] {
+		i = int(alias[i])
 	}
 	return i
 }

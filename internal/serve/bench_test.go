@@ -10,6 +10,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"lesm/internal/lda"
+	"lesm/internal/store"
 )
 
 // benchInfer measures /infer requests per second end to end (HTTP decode,
@@ -96,4 +99,75 @@ func BenchmarkInferConcurrent(b *testing.B) {
 // head room, so requests queue for it.
 func BenchmarkInferSaturated(b *testing.B) {
 	benchInferConcurrent(b, Options{MaxInFlight: 1})
+}
+
+// k200Snapshot is a K=200, V=2000 Gibbs topics section (Phi equal to the
+// counts' smoothing, as a fit writes it) with or without the foldin
+// section lesm.Save adds, written to dir and opened through the mmap path
+// as lesmd -mmap opens it.
+func k200Snapshot(b *testing.B, dir string, section bool) *store.Snapshot {
+	const k, v = 200, 2000
+	t := &store.Topics{K: k, V: v, Alpha: 0.25, Beta: 0.01, Weight: make([]float64, k), NK: make([]int, k)}
+	for topic := 0; topic < k; topic++ {
+		row := make([]int, v)
+		for w := range row {
+			row[w] = (w*31 + topic*17) % 13
+			if (w+topic)%5 == 0 {
+				row[w] += 40
+			}
+			t.NK[topic] += row[w]
+		}
+		t.NKV = append(t.NKV, row)
+		t.Weight[topic] = 1 / float64(k)
+	}
+	t.Phi = lda.FoldInModelFromCounts(t.NKV, t.NK, 0, t.Beta).PhiLike
+	snap := &store.Snapshot{Topics: t}
+	if section {
+		snap.FoldIn = store.NewFoldIn(snap.FoldInModel(lda.DefaultFoldInAlpha), lda.DefaultFoldInAlpha)
+	}
+	path := dir + "/k200.lesm"
+	if err := store.Write(path, snap); err != nil {
+		b.Fatal(err)
+	}
+	m, err := store.OpenMapped(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { m.Close() })
+	return m.Snapshot()
+}
+
+// BenchmarkBuildArtifact times one generation's artifact build over a
+// mapped K=200 snapshot at lesmd's defaults, with the foldin section
+// (tables adopted from the mapping) and without it (tables built), and
+// reports the heap one built artifact keeps live as heap-B/artifact.
+func BenchmarkBuildArtifact(b *testing.B) {
+	for _, section := range []bool{true, false} {
+		name := "section"
+		if !section {
+			name = "no-section"
+		}
+		b.Run(name, func(b *testing.B) {
+			snap := k200Snapshot(b, b.TempDir(), section)
+			opt := Options{}.withDefaults()
+			heapNow := func() uint64 {
+				var ms runtime.MemStats
+				runtime.GC()
+				runtime.ReadMemStats(&ms)
+				return ms.HeapAlloc
+			}
+			base := heapNow()
+			var a *artifact
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				var err error
+				if a, err = buildArtifact(snap, opt, 1, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(int64(heapNow())-int64(base)), "heap-B/artifact")
+			runtime.KeepAlive(a)
+		})
+	}
 }

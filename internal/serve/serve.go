@@ -42,9 +42,10 @@ type Options struct {
 	// model as in lda.Sampler.ResolveFor; "mh" = Metropolis–Hastings
 	// alias proposals; "dense" = the O(K)-per-token core). Both cores
 	// sample the same conditional through different deterministic
-	// trajectories; MH precomputes per-word alias tables at load (~2
-	// extra words of memory per topic-word cell). Any other name,
-	// including the removed "sparse", fails New.
+	// trajectories. MH adopts the per-word alias tables of the snapshot's
+	// foldin section when they were stored at Alpha, and otherwise builds
+	// them at load (12 bytes of heap per topic-word cell). Any other
+	// name, including the removed "sparse", fails New.
 	Sampler lda.Sampler
 
 	// SnapshotPath is the on-disk snapshot backing hot reload: POST
@@ -191,10 +192,11 @@ func buildArtifact(snap *store.Snapshot, opt Options, gen uint64, closer io.Clos
 	if snap.Vocab != nil {
 		a.vocab = textkit.VocabularyFromWords(snap.Vocab)
 	}
-	a.foldIn = store.FoldInModel(snap.Topics, opt.Alpha)
+	a.foldIn = snap.FoldInModel(opt.Alpha)
 	if a.foldIn != nil && opt.Sampler.ResolveFor(a.foldIn.K(), a.foldIn.V()) == lda.SamplerMH {
-		// Pay the alias-table O(K·V) build at load, not on the first
-		// /infer request against this artifact.
+		// Without tables adopted from the snapshot's foldin section, pay
+		// the O(K·V) alias build at load, not on the first /infer request
+		// against this artifact.
 		a.foldIn.PrecomputeSparse()
 	}
 	if h := snap.Hierarchy; h != nil {

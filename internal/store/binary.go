@@ -77,6 +77,16 @@ func (e *enc) floats(v []float64) {
 	}
 }
 
+// int32s writes a length-prefixed array of 4-byte values, zero-padded to
+// the next 8-byte boundary so the primitive stays a multiple of 8 wide.
+func (e *enc) int32s(v []int32) {
+	e.u64(uint64(len(v)))
+	for _, x := range v {
+		e.u32(uint32(x))
+	}
+	e.buf = append(e.buf, zeros[:pad8(4*len(v))]...)
+}
+
 // dec is the bounds-checked reader for enc's output. The first out-of-range
 // read latches err and turns every later read into a zero-value no-op, so
 // decoders can run straight-line and check err once at the end.
@@ -174,7 +184,7 @@ func (d *dec) ints(what string) []int {
 	if n == 0 {
 		return nil
 	}
-	if b := d.zcTake(n, what); b != nil {
+	if b := d.zcTake(n, 8, what); b != nil {
 		return unsafe.Slice((*int)(unsafe.Pointer(&b[0])), n)
 	}
 	out := make([]int, n)
@@ -189,7 +199,7 @@ func (d *dec) floats(what string) []float64 {
 	if n == 0 {
 		return nil
 	}
-	if b := d.zcTake(n, what); b != nil {
+	if b := d.zcTake(n, 8, what); b != nil {
 		return unsafe.Slice((*float64)(unsafe.Pointer(&b[0])), n)
 	}
 	out := make([]float64, n)
@@ -199,16 +209,35 @@ func (d *dec) floats(what string) []float64 {
 	return out
 }
 
-// zcTake consumes n 8-byte elements and returns their backing bytes when a
-// zero-copy view is possible: zc decoding enabled, platform compatible,
-// and the data 8-aligned in memory. A nil return means "use the copying
-// path" (which also covers the latched-error case via take).
-func (d *dec) zcTake(n int, what string) []byte {
+func (d *dec) int32s(what string) []int32 {
+	n := d.length(4, what)
+	if n == 0 {
+		return nil
+	}
+	var out []int32
+	if b := d.zcTake(n, 4, what); b != nil {
+		out = unsafe.Slice((*int32)(unsafe.Pointer(&b[0])), n)
+	} else {
+		out = make([]int32, n)
+		for i := range out {
+			out[i] = int32(d.u32(what))
+		}
+	}
+	d.take(pad8(4*n), what) // skip alignment padding
+	return out
+}
+
+// zcTake consumes n elements of the given byte size and returns their
+// backing bytes when a zero-copy view is possible: zc decoding enabled,
+// platform compatible, and the data aligned to size in memory. A nil
+// return means "use the copying path" (which also covers the latched-error
+// case via take).
+func (d *dec) zcTake(n, size int, what string) []byte {
 	if !d.zc || !nativeZeroCopy || d.err != nil {
 		return nil
 	}
-	if d.off >= len(d.buf) || uintptr(unsafe.Pointer(&d.buf[d.off]))%8 != 0 {
+	if d.off >= len(d.buf) || uintptr(unsafe.Pointer(&d.buf[d.off]))%uintptr(size) != 0 {
 		return nil
 	}
-	return d.take(n*8, what)
+	return d.take(n*size, what)
 }

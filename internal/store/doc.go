@@ -19,14 +19,18 @@
 //	section payloads, concatenated in table order, each starting 8-aligned
 //
 // Sections appear in a fixed canonical order ("vocab", "corpus", "topics",
-// "hier", "roles", "advisor") and only when present. Every section's CRC is
-// verified on load; unknown section names are skipped, so newer writers
-// stay readable by older readers.
+// "foldin", "hier", "roles", "advisor") and only when present. Every
+// section's CRC is verified on load; unknown section names are skipped, so
+// newer writers stay readable by older readers. The optional "foldin"
+// section (FoldIn) stores the MH fold-in core's per-word alias tables for
+// the topics at one document prior; it rode in without a version bump for
+// exactly that reason, and a reader without it builds the tables itself.
 //
-// Since format version 2 every payload primitive is 8 bytes wide (strings
-// are zero-padded), so the numeric arrays sit 8-aligned in the file. That
+// Since format version 2 every payload primitive is a multiple of 8 bytes
+// wide (strings and 4-byte int32 arrays are zero-padded), so the numeric
+// arrays sit 8-aligned in the file. That
 // enables the zero-copy read path: OpenMapped memory-maps a snapshot
-// read-only and decodes it with []int/[]float64/string views aliasing the
+// read-only and decodes it with []int/[]float64/[]int32/string views aliasing the
 // mapped bytes — opening a huge model costs page tables instead of heap,
 // pages fault in lazily, and the per-section CRCs are still verified at
 // open. Decode the ordinary way (Read/Decode) when the caller needs a

@@ -33,6 +33,7 @@ const (
 	SecVocab   = "vocab"
 	SecCorpus  = "corpus"
 	SecTopics  = "topics"
+	SecFoldIn  = "foldin"
 	SecHier    = "hier"
 	SecRoles   = "roles"
 	SecAdvisor = "advisor"
@@ -40,14 +41,16 @@ const (
 
 // sectionOrder fixes the on-disk order of present sections; determinism of
 // the whole file depends on it.
-var sectionOrder = []string{SecVocab, SecCorpus, SecTopics, SecHier, SecRoles, SecAdvisor}
+var sectionOrder = []string{SecVocab, SecCorpus, SecTopics, SecFoldIn, SecHier, SecRoles, SecAdvisor}
 
 // Topics is a flat topic-word model plus the sufficient statistics fold-in
-// inference needs. Phi alone supports serving top-words; NKV/NK (token
-// count tables from a Gibbs fit) let /infer sample against the exact
-// smoothed distributions (NKV[k][w]+Beta)/(NK[k]+V*Beta). Models from
-// count-free fitters (STROD) leave NKV/NK nil and fold-in falls back to
-// Phi directly.
+// inference needs. Phi alone supports serving top-words. When NKV and NK
+// (token count tables from a Gibbs fit) are both present, fold-in always
+// samples against their exact smoothed distributions
+// (NKV[k][w]+Beta)/(NK[k]+V*Beta); Phi's rows stand in for those only
+// when they equal them bit for bit, as a Gibbs fit's Phi does (see
+// Snapshot.FoldInModel). Models from count-free fitters (STROD) leave
+// NKV/NK nil and fold-in samples against Phi directly.
 type Topics struct {
 	K, V   int
 	Weight []float64
@@ -86,6 +89,7 @@ type Snapshot struct {
 	Vocab       []string
 	Corpus      *CorpusMeta
 	Topics      *Topics
+	FoldIn      *FoldIn
 	Hierarchy   *core.Hierarchy
 	RolePhrases []TopicPhrases
 	Advisor     *Advisor
@@ -111,6 +115,8 @@ func (s *Snapshot) has(name string) bool {
 		return s.Corpus != nil
 	case SecTopics:
 		return s.Topics != nil
+	case SecFoldIn:
+		return s.FoldIn != nil
 	case SecHier:
 		return s.Hierarchy != nil
 	case SecRoles:
@@ -138,6 +144,8 @@ func Encode(s *Snapshot) ([]byte, error) {
 			encodeCorpus(&e, s.Corpus)
 		case SecTopics:
 			encodeTopics(&e, s.Topics)
+		case SecFoldIn:
+			encodeFoldIn(&e, s.FoldIn)
 		case SecHier:
 			encodeHierarchy(&e, s.Hierarchy)
 		case SecRoles:
@@ -237,6 +245,8 @@ func decode(b []byte, zeroCopy bool) (*Snapshot, error) {
 			s.Corpus = decodeCorpus(pd)
 		case SecTopics:
 			s.Topics = decodeTopics(pd)
+		case SecFoldIn:
+			s.FoldIn = decodeFoldIn(pd)
 		case SecHier:
 			s.Hierarchy = decodeHierarchy(pd)
 		case SecRoles:

@@ -71,6 +71,11 @@ func (s *Snapshot) Validate() error {
 			return err
 		}
 	}
+	if s.FoldIn != nil {
+		if err := s.FoldIn.Validate(s.Topics); err != nil {
+			return err
+		}
+	}
 	if s.Advisor != nil {
 		if err := s.Advisor.Validate(); err != nil {
 			return err

@@ -681,13 +681,16 @@ type Artifact struct {
 	// Advisor is a mined advisor-advisee ranking.
 	Advisor *AdvisorResult
 
-	// foldOnce caches the frozen fold-in model: deriving the smoothed
-	// distributions from the count tables is O(K·V), too much to repeat on
-	// every Infer call against an immutable model. Callers must not mutate
-	// Topics after the first Infer.
-	foldOnce  sync.Once
-	foldModel *lda.FoldInModel
-	foldErr   error
+	// foldOnce caches the frozen fold-in model: checking or deriving the
+	// smoothed distributions and building the MH tables are O(K·V), too
+	// much to repeat on every Infer call against an immutable model.
+	// Callers must not mutate Topics after the first Infer or Save.
+	// foldTables is the snapshot's foldin section when the artifact was
+	// loaded from one; the model adopts its tables instead of building.
+	foldOnce   sync.Once
+	foldModel  *lda.FoldInModel
+	foldErr    error
+	foldTables *store.FoldIn
 
 	// searchOnce caches the entity search index: building it walks every
 	// name the artifact carries, so it is derived once per immutable
@@ -714,9 +717,10 @@ const (
 	SearchAuthor = search.KindAuthor
 )
 
-// Sections lists the snapshot sections this artifact would persist, in
-// file order.
-func (a *Artifact) Sections() []string { return a.snapshot().Sections() }
+// Sections lists the snapshot sections Save writes for this artifact, in
+// file order. When that includes the foldin section, the first call
+// builds (and caches) the fold-in tables.
+func (a *Artifact) Sections() []string { return a.persisted().Sections() }
 
 // SearchIndex returns the artifact's entity search index — the same
 // tokenized inverted index with fuzzy matching that lesmd serves /search
@@ -776,7 +780,8 @@ func (a *Artifact) foldInModel() (*lda.FoldInModel, error) {
 		// convention): that prior is calibrated for whole training
 		// documents and bounds a short query document's theta to
 		// near-uniform regardless of content.
-		a.foldModel = store.FoldInModel(storeTopics(t), lda.DefaultFoldInAlpha)
+		s := &store.Snapshot{Topics: storeTopics(t), FoldIn: a.foldTables}
+		a.foldModel = s.FoldInModel(lda.DefaultFoldInAlpha)
 	})
 	return a.foldModel, a.foldErr
 }
@@ -817,6 +822,7 @@ func artifactFromSnapshot(s *store.Snapshot) *Artifact {
 		Hierarchy:   s.Hierarchy,
 		Corpus:      s.Corpus,
 		RolePhrases: s.RolePhrases,
+		foldTables:  s.FoldIn,
 	}
 	if s.Vocab != nil {
 		a.Vocab = textkit.VocabularyFromWords(s.Vocab)
@@ -837,11 +843,30 @@ func artifactFromSnapshot(s *store.Snapshot) *Artifact {
 // format (magic + section table + per-section CRC; see internal/store).
 // Encoding is deterministic — the same artifact always produces the same
 // bytes — and Load(Save(a)) re-encodes byte-identically.
+//
+// When the auto sampler would fold the topics in with the MH core, Save
+// also writes the foldin section: the core's per-word alias tables at
+// lda.DefaultFoldInAlpha (lesmd's default prior), which a server adopts
+// from the file instead of building them at every load. The tables are
+// the ones Infer uses, built once and cached on the artifact.
 func Save(path string, a *Artifact) error {
 	if a == nil {
 		return errors.New("lesm: nil artifact")
 	}
-	return store.Write(path, a.snapshot())
+	return store.Write(path, a.persisted())
+}
+
+// persisted is the snapshot Save writes: the artifact's sections plus,
+// when the auto sampler folds its topics in with the MH core, the foldin
+// section built from (and cached with) the fold-in model Infer uses.
+func (a *Artifact) persisted() *store.Snapshot {
+	s := a.snapshot()
+	if t := s.Topics; t != nil && lda.SamplerAuto.ResolveFor(t.K, t.V) == lda.SamplerMH {
+		if fm, err := a.foldInModel(); err == nil && fm != nil && fm.K() == t.K && fm.V() == t.V {
+			s.FoldIn = store.NewFoldIn(fm, lda.DefaultFoldInAlpha)
+		}
+	}
+	return s
 }
 
 // Load reads an artifact persisted by Save, verifying the per-section

@@ -442,3 +442,59 @@ func TestLoadMappedMatchesLoad(t *testing.T) {
 		t.Fatal("corrupted snapshot accepted by LoadMapped")
 	}
 }
+
+// TestSaveWritesFoldInSection: for topics the auto sampler folds in with
+// the MH core, Save writes the foldin section; LoadMapped adopts its
+// tables from the mapping, re-saves byte-identically, and infers exactly
+// what a fresh artifact over the same topics infers.
+func TestSaveWritesFoldInSection(t *testing.T) {
+	corpus := demoCorpus()
+	topics, err := InferTopicsGibbs(corpus, 32, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := SamplerAuto.ResolveFor(len(topics.Phi), corpus.Vocab.Size()); s != SamplerMH {
+		t.Fatalf("auto resolves the fixture to %s, want mh", s)
+	}
+	a := &Artifact{Topics: topics, Vocab: corpus.Vocab}
+	if want := []string{"vocab", "topics", "foldin"}; !reflect.DeepEqual(a.Sections(), want) {
+		t.Fatalf("sections = %v, want %v", a.Sections(), want)
+	}
+	dir := t.TempDir()
+	if err := Save(dir+"/m.lesm", a); err != nil {
+		t.Fatal(err)
+	}
+	mapped, closer, err := LoadMapped(dir + "/m.lesm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closer.Close()
+	if err := Save(dir+"/again.lesm", mapped); err != nil {
+		t.Fatal(err)
+	}
+	b1, _ := os.ReadFile(dir + "/m.lesm")
+	b2, _ := os.ReadFile(dir + "/again.lesm")
+	if !bytes.Equal(b1, b2) {
+		t.Fatalf("Save → LoadMapped → Save changed the snapshot (%d vs %d bytes)", len(b1), len(b2))
+	}
+	fm, err := mapped.foldInModel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tab := fm.Tables(); &tab.Alias[0] != &mapped.foldTables.Alias[0] {
+		t.Fatal("the loaded artifact built its fold-in tables instead of adopting the section's")
+	}
+	docs := [][]int{{0, 1, 2, 3, 4, 5}, {7, 7, 9}}
+	fresh := &Artifact{Topics: topics, Vocab: corpus.Vocab}
+	want, err := fresh.Infer(docs, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := mapped.Infer(docs, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("fold-in over the adopted tables differs from a fresh build")
+	}
+}
