@@ -47,7 +47,10 @@ func stampPath(path string) (fileStamp, error) {
 // Reload validates snap, builds its artifact and swaps it in as the next
 // generation. On error the current artifact keeps serving. closer, when
 // non-nil, is the snapshot's backing mapping; the server adopts it and
-// releases it on Close.
+// releases it on Close. Pass a closer that holds only the mapping
+// (store.Mapped.Mapping, as LoadSnapshot returns), not the Mapped itself:
+// the server keeps it after the generation is replaced, and a closer that
+// refers to the snapshot keeps the snapshot alive as long.
 func (s *Server) Reload(snap *store.Snapshot, closer io.Closer) error {
 	s.reloadMu.Lock()
 	defer s.reloadMu.Unlock()
@@ -69,8 +72,11 @@ func (s *Server) reloadLocked(snap *store.Snapshot, closer io.Closer) error {
 	old := s.cur.Swap(a)
 	// Retire the replaced artifact's mapping instead of closing it: an
 	// in-flight request that loaded the old pointer may still be reading
-	// mapped memory. Retired mappings cost address space, not resident
-	// memory, and are released in Close.
+	// mapped memory. Only the closer is kept, and LoadSnapshot's closer
+	// holds the mapping alone, so the old generation's decoded snapshot
+	// and artifact are garbage once its last request finishes. What stays
+	// is address space over clean, evictable file pages, released in
+	// Close.
 	if old != nil && old.closer != nil {
 		s.mu.Lock()
 		s.retired = append(s.retired, old.closer)
@@ -111,17 +117,19 @@ func (s *Server) ReloadFromPath(force bool) (bool, error) {
 }
 
 // LoadSnapshot reads a snapshot from disk, through the zero-copy mapping
-// when mmap is set (the returned closer is then the mapping; nil for the
-// heap path). It is the one load routine both the daemon's initial load
-// (cmd/lesmd, which hands the closer to Server.AdoptCloser) and every
-// hot reload go through, so the two can never diverge.
+// when mmap is set (the returned closer then releases the mapping and
+// refers to nothing else — store.Mapped.Mapping — so a server holding it
+// after a swap does not keep the snapshot alive; nil for the heap path).
+// It is the one load routine both the daemon's initial load (cmd/lesmd,
+// which hands the closer to Server.AdoptCloser) and every hot reload go
+// through, so the two can never diverge.
 func LoadSnapshot(path string, mmap bool) (*store.Snapshot, io.Closer, error) {
 	if mmap {
 		m, err := store.OpenMapped(path)
 		if err != nil {
 			return nil, nil, err
 		}
-		return m.Snapshot(), m, nil
+		return m.Snapshot(), m.Mapping(), nil
 	}
 	snap, err := store.Read(path)
 	if err != nil {

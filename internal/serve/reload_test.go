@@ -5,7 +5,9 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -295,5 +297,59 @@ func TestReloadErrorClearsOnSuccess(t *testing.T) {
 	}
 	if rec := s.serveOnce(t, http.MethodGet, "/healthz", nil); strings.Contains(rec.Body.String(), "reload_error") {
 		t.Fatalf("reload_error outlived the repaired admin reload: %s", rec.Body.String())
+	}
+}
+
+// TestRetiredSnapshotCollected: a mapped generation replaced by a hot
+// reload leaves only its mapping behind. Once no request reads it, its
+// decoded snapshot — vocabulary strings, hierarchy, phrases — must be
+// garbage, both for the initial generation (whose closer came in through
+// AdoptCloser) and for one that was itself swapped in by a reload. The
+// mappings stay open until Close.
+func TestRetiredSnapshotCollected(t *testing.T) {
+	path := t.TempDir() + "/model.lesm"
+	if err := store.Write(path, testSnapshot(t)); err != nil {
+		t.Fatal(err)
+	}
+	var collected atomic.Int32
+	watch := func(snap *store.Snapshot) {
+		runtime.SetFinalizer(snap, func(*store.Snapshot) { collected.Add(1) })
+	}
+	snap, closer, err := LoadSnapshot(path, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	watch(snap)
+	s, err := New(snap, Options{SnapshotPath: path, MMap: true})
+	if err != nil {
+		closer.Close()
+		t.Fatal(err)
+	}
+	snap = nil
+	s.AdoptCloser(closer)
+	defer s.Close()
+
+	if err := store.Write(path, altSnapshot(t)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.ReloadFromPath(true); err != nil {
+		t.Fatal(err)
+	}
+	watch(s.cur.Load().snap)
+	if err := store.Write(path, testSnapshot(t)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.ReloadFromPath(true); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 50 && collected.Load() < 2; i++ {
+		runtime.GC()
+		time.Sleep(2 * time.Millisecond)
+	}
+	if n := collected.Load(); n != 2 {
+		t.Fatalf("%d of 2 replaced generations' snapshots collected; a retired handle still refers to the others", n)
+	}
+	if rec := s.serveOnce(t, http.MethodGet, "/topics", nil); rec.Code != http.StatusOK {
+		t.Fatalf("current generation broken after the old ones were collected: %d", rec.Code)
 	}
 }

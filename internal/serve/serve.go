@@ -290,8 +290,9 @@ type Server struct {
 
 	// retired holds closers of replaced artifacts until Close: an
 	// in-flight request may still be reading the old mapping, so swaps
-	// must never unmap. (The cost is address space, not resident memory —
-	// clean file-backed pages are evictable.)
+	// must never unmap. The closers hold mappings only, never the decoded
+	// snapshots, so what a retired generation costs is address space over
+	// clean, evictable file pages — not heap.
 	mu      sync.Mutex
 	retired []io.Closer
 	closed  bool
@@ -372,8 +373,11 @@ func New(snap *store.Snapshot, opt Options) (*Server, error) {
 func (s *Server) Handler() http.Handler { return s.mux }
 
 // AdoptCloser attaches the initial snapshot's backing resource (typically
-// a store.Mapped) to the server, releasing it on Close like the mappings
-// of reloaded generations. Call it right after New, before serving.
+// the mapping closer LoadSnapshot returns) to the server, releasing it on
+// Close like the mappings of reloaded generations. The server keeps it
+// past the first reload, so it should hold the mapping alone
+// (store.Mapped.Mapping), not the decoded snapshot. Call it right after
+// New, before serving.
 func (s *Server) AdoptCloser(c io.Closer) {
 	if c == nil {
 		return

@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"io"
 	"sync"
 )
 
@@ -27,7 +28,12 @@ import (
 // platforms without mmap (or with a non-64-bit little-endian layout) the
 // same API transparently degrades to a heap read and/or a copying decode.
 type Mapped struct {
-	snap  *Snapshot
+	snap *Snapshot
+	mp   *mapping
+}
+
+// mapping is the file mapping alone: the bytes and how to release them.
+type mapping struct {
 	data  []byte
 	unmap func([]byte) error
 	once  sync.Once
@@ -49,20 +55,30 @@ func OpenMapped(path string) (*Mapped, error) {
 		}
 		return nil, fmt.Errorf("store: mapped decode of %s: %w", path, err)
 	}
-	return &Mapped{snap: s, data: data, unmap: unmap}, nil
+	return &Mapped{snap: s, mp: &mapping{data: data, unmap: unmap}}, nil
 }
 
 // Snapshot returns the decoded snapshot. Treat it as read-only; its slices
 // may alias the mapping.
 func (m *Mapped) Snapshot() *Snapshot { return m.snap }
 
+// Mapping returns a closer that releases the mapping exactly as Close
+// does but holds nothing else: keeping it does not keep the decoded
+// snapshot (its vocabulary strings, hierarchy and other heap-decoded
+// sections) reachable. A holder that must defer the unmap past the
+// snapshot's own lifetime — a server retiring a replaced generation —
+// keeps this instead of the Mapped.
+func (m *Mapped) Mapping() io.Closer { return m.mp }
+
 // Size returns the mapped file size in bytes.
-func (m *Mapped) Size() int { return len(m.data) }
+func (m *Mapped) Size() int { return len(m.mp.data) }
 
 // Close releases the mapping. After Close, any slice of the snapshot that
 // aliased the mapping must no longer be touched — on mmap platforms a
 // dereference faults. Close is idempotent and safe for concurrent use.
-func (m *Mapped) Close() error {
+func (m *Mapped) Close() error { return m.mp.Close() }
+
+func (m *mapping) Close() error {
 	m.once.Do(func() {
 		if m.unmap != nil {
 			m.err = m.unmap(m.data)
