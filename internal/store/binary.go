@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"unsafe"
 )
@@ -28,6 +29,10 @@ var zeros [8]byte
 type enc struct {
 	buf []byte
 }
+
+// grow makes room for n more bytes, so a caller that knows its payload's
+// size appends it without reallocating.
+func (e *enc) grow(n int) { e.buf = slices.Grow(e.buf, n) }
 
 func (e *enc) u32(v uint32) {
 	e.buf = binary.LittleEndian.AppendUint32(e.buf, v)
@@ -63,8 +68,16 @@ func (e *enc) rawStr(s string) {
 	e.buf = append(e.buf, s...)
 }
 
+// ints, floats and int32s write length-prefixed arrays. Where the
+// platform's in-memory layout is the wire format (nativeZeroCopy, the
+// same condition that lets the decoder alias it), the elements are
+// copied as one block of bytes; the output is the same either way.
 func (e *enc) ints(v []int) {
 	e.u64(uint64(len(v)))
+	if nativeZeroCopy {
+		e.buf = append(e.buf, rawBytes(v)...)
+		return
+	}
 	for _, x := range v {
 		e.i64(int64(x))
 	}
@@ -72,19 +85,32 @@ func (e *enc) ints(v []int) {
 
 func (e *enc) floats(v []float64) {
 	e.u64(uint64(len(v)))
+	if nativeZeroCopy {
+		e.buf = append(e.buf, rawBytes(v)...)
+		return
+	}
 	for _, x := range v {
 		e.f64(x)
 	}
 }
 
-// int32s writes a length-prefixed array of 4-byte values, zero-padded to
-// the next 8-byte boundary so the primitive stays a multiple of 8 wide.
+// int32s writes 4-byte values, zero-padded to the next 8-byte boundary
+// so the primitive stays a multiple of 8 wide.
 func (e *enc) int32s(v []int32) {
 	e.u64(uint64(len(v)))
-	for _, x := range v {
-		e.u32(uint32(x))
+	if nativeZeroCopy {
+		e.buf = append(e.buf, rawBytes(v)...)
+	} else {
+		for _, x := range v {
+			e.u32(uint32(x))
+		}
 	}
 	e.buf = append(e.buf, zeros[:pad8(4*len(v))]...)
+}
+
+// rawBytes views an array's memory as bytes.
+func rawBytes[T int | int32 | float64](v []T) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(v))), len(v)*int(unsafe.Sizeof(*new(T))))
 }
 
 // dec is the bounds-checked reader for enc's output. The first out-of-range

@@ -76,6 +76,7 @@ func (s *Snapshot) FoldInModel(alpha float64) *lda.FoldInModel {
 }
 
 func encodeFoldIn(e *enc, f *FoldIn) {
+	e.grow(3*8 + 8 + 8*len(f.Mass) + 8 + 8*len(f.Prob) + 8 + 4*len(f.Alias) + pad8(4*len(f.Alias)))
 	e.f64(f.Alpha)
 	e.i64(int64(f.K))
 	e.i64(int64(f.V))

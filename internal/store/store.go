@@ -164,8 +164,13 @@ func Encode(s *Snapshot) ([]byte, error) {
 	// both the heap read path and mmap leave page-aligned), so the arrays
 	// inside them are zero-copy servable. Padding lives between the header
 	// and the first payload, and between payloads; the offset-driven
-	// decoder never reads it.
-	var e enc
+	// decoder never reads it. The file is sized up front, so appending
+	// never copies it.
+	size := headerSize + pad8(headerSize)
+	for _, p := range payloads {
+		size += len(p) + pad8(len(p))
+	}
+	e := enc{buf: make([]byte, 0, size)}
 	e.buf = append(e.buf, Magic...)
 	e.u32(Version)
 	e.u32(uint32(len(names)))
@@ -321,6 +326,16 @@ func decodeCorpus(d *dec) *CorpusMeta {
 // --- topics ---
 
 func encodeTopics(e *enc, t *Topics) {
+	// The K·V tables dominate a snapshot; sizing the payload up front
+	// spares the append growth from copying them several times over.
+	n := 4*8 + 8 + 8*len(t.Weight) + 8 + 8 + 8 + 8*len(t.NK)
+	for _, row := range t.Phi {
+		n += 8 + 8*len(row)
+	}
+	for _, row := range t.NKV {
+		n += 8 + 8*len(row)
+	}
+	e.grow(n)
 	e.i64(int64(t.K))
 	e.i64(int64(t.V))
 	e.f64(t.Alpha)
