@@ -230,21 +230,17 @@ func (fm *FoldInModel) Tables() FoldInTables {
 // PhiLike and Alpha; then every FoldIn draws bit for bit as with built
 // tables. Their values are trusted: every Alias entry must be in [0, K)
 // and every Prob in [0, 1] (store.Snapshot.Validate checks a decoded
-// snapshot section). UseTables reports whether it adopted them: it
-// refuses tables whose lengths do not fit the model's K and V, and it is
-// a no-op once the model has tables.
-func (fm *FoldInModel) UseTables(t FoldInTables) bool {
+// snapshot section). UseTables ignores tables whose lengths do not fit
+// the model's K and V, and it is a no-op once the model has tables.
+func (fm *FoldInModel) UseTables(t FoldInTables) {
 	k, v := fm.K(), fm.V()
 	if len(t.Mass) != v || len(t.Prob) != k*v || len(t.Alias) != k*v {
-		return false
+		return
 	}
-	used := false
 	fm.aliasOnce.Do(func() {
 		fm.tab = t
 		fm.alphaTab = linalg.NewAlias(fm.Alpha)
-		used = true
 	})
-	return used
 }
 
 // FoldInConfig parameterizes FoldIn.

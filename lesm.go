@@ -862,7 +862,7 @@ func Save(path string, a *Artifact) error {
 func (a *Artifact) persisted() *store.Snapshot {
 	s := a.snapshot()
 	if t := s.Topics; t != nil && lda.SamplerAuto.ResolveFor(t.K, t.V) == lda.SamplerMH {
-		if fm, err := a.foldInModel(); err == nil && fm != nil && fm.K() == t.K && fm.V() == t.V {
+		if fm, _ := a.foldInModel(); fm != nil && fm.K() == t.K && fm.V() == t.V {
 			s.FoldIn = store.NewFoldIn(fm, lda.DefaultFoldInAlpha)
 		}
 	}
