@@ -50,6 +50,9 @@ type emState struct {
 	// accs is the pool of per-chunk E-step accumulators, reused across
 	// sweeps (the per-worker scratch of the parallel runtime).
 	accs []*sweepAcc
+	// genericOnly runs every E pass through the generic per-link loop,
+	// bypassing the small-k kernels (the differential test's reference).
+	genericOnly bool
 }
 
 // table stores k+1 topic values per node for every node type, node-major:
@@ -332,7 +335,10 @@ func sweepChunks(nLinks int) int { return par.NumChunksCapped(nLinks, maxSweepCh
 // st.logL NaN. The E pass runs on the shared worker pool: links are chunked
 // deterministically by flat index, each chunk accumulates into its own
 // scratch (from the reusable pool), and chunks merge in order — so the
-// result is identical at any parallelism level.
+// result is identical at any parallelism level. A non-final pass with k in
+// 2..4 runs each pair's links through the register kernel for that k (see
+// eSpan), which repeats the generic loop's arithmetic operation for
+// operation.
 func (st *emState) sweep(final bool, o par.Opts) error {
 	k := st.k
 	g := st.g
@@ -345,6 +351,7 @@ func (st *emState) sweep(final bool, o par.Opts) error {
 		st.accs = make([]*sweepAcc, sweepChunks(nLinks))
 	}
 	rho, phi, parentPhi := st.rho, st.phi.byType, st.parentPhi
+	kernel := st.kernel(final)
 	err := par.ForChunksN(o, nLinks, sweepChunks(nLinks), func(c, lo, hi int) {
 		acc := st.accs[c]
 		if acc == nil {
@@ -364,6 +371,21 @@ func (st *emState) sweep(final bool, o par.Opts) error {
 			end := hi - st.linkOff[pi]
 			if end > len(links) {
 				end = len(links)
+			}
+			if kernel != 0 {
+				sp := eSpan{links: links[idx-st.linkOff[pi] : end], alpha: a,
+					background: st.background, phiX: phiX, phiY: phiY,
+					parentX: parentX, parentY: parentY, accX: accX, accY: accY}
+				switch kernel {
+				case 2:
+					sp.pass2(rho, arho)
+				case 3:
+					sp.pass3(rho, arho)
+				case 4:
+					sp.pass4(rho, arho)
+				}
+				idx = st.linkOff[pi] + end
+				continue
 			}
 			for li := idx - st.linkOff[pi]; li < end; li++ {
 				l := links[li]
@@ -477,6 +499,286 @@ func (st *emState) sweep(final bool, o par.Opts) error {
 	}
 	st.rho = rhoAcc
 	return nil
+}
+
+// kernel returns the k whose register kernel runs the E pass, or 0 for the
+// generic loop: the final pass (which also records the likelihood and the
+// child weights) and every k outside 2..4 take the generic loop.
+func (st *emState) kernel(final bool) int {
+	if final || st.genericOnly || st.k < 2 || st.k > 4 {
+		return 0
+	}
+	return st.k
+}
+
+// eSpan is one pair's run of links within a chunk, with the rows a
+// non-final E pass reads (phi and the parent's phi of each end's type) and
+// accumulates into (the chunk's phi table).
+//
+// Its pass methods are the E pass for k = 2, 3 and 4. The generic loop
+// keeps the chunk's rho accumulators and the per-link scratch s in memory,
+// so every link's updates wait on a store and a reload; the kernels hold
+// rho, the products and the rho accumulators in locals (registers) for the
+// whole span and write the accumulators back at its end. Each kernel
+// repeats the generic loop's arithmetic operation for operation, so the
+// results are the same bits:
+//   - per direction, product z is rho[z]*pa[z]*pb[z] in that operand order,
+//     computed separately for each direction;
+//   - total sums z = 1..k in ascending order, then adds the background term
+//     (the generic loop starts the sum from 0, which changes at most the
+//     sign of a zero total, and every zero total takes the degenerate
+//     branch);
+//   - a total <= 0 sets every subtopic product to 1 and total to k;
+//   - each share is w*s[z]/total, never a multiply by a reciprocal;
+//   - each share goes to the rho accumulator, then ea, then eb, and the
+//     background share to ea[0] only;
+//   - on a self-loop, pa/pb and ea/eb are the same row, as in the generic
+//     loop, and every accumulator element still sees its additions in the
+//     generic loop's order.
+//
+// One function per k: a single kernel with branch-guarded lanes ran slower
+// than the dedicated k=3 one, from the extra register pressure.
+type eSpan struct {
+	links            []hin.Link
+	alpha            float64
+	background       bool
+	phiX, phiY       []float64
+	parentX, parentY []float64
+	accX, accY       []float64
+}
+
+// pass2 is the non-final E pass over the span for k = 2.
+func (sp *eSpan) pass2(rho, arho []float64) {
+	const nz = 3
+	a, bg := sp.alpha, sp.background
+	phiX, phiY, parentX, parentY := sp.phiX, sp.phiY, sp.parentX, sp.parentY
+	accX, accY := sp.accX, sp.accY
+	r0, r1, r2 := rho[0], rho[1], rho[2]
+	h0, h1, h2 := arho[0], arho[1], arho[2]
+	for _, l := range sp.links {
+		w := a * l.W
+		ri, rj := l.I*nz, l.J*nz
+		pa, pb := phiX[ri:ri+nz:ri+nz], phiY[rj:rj+nz:rj+nz]
+		ea, eb := accX[ri:ri+nz:ri+nz], accY[rj:rj+nz:rj+nz]
+
+		// I first, J second.
+		s1 := r1 * pa[1] * pb[1]
+		s2 := r2 * pa[2] * pb[2]
+		total := s1 + s2
+		s0 := 0.0
+		if bg {
+			s0 = r0 * pa[0] * parentY[l.J]
+			total += s0
+		}
+		if total <= 0 {
+			s1, s2, total = 1, 1, 2
+		}
+		e := w * s1 / total
+		h1 += e
+		ea[1] += e
+		eb[1] += e
+		e = w * s2 / total
+		h2 += e
+		ea[2] += e
+		eb[2] += e
+		if bg {
+			e = w * s0 / total
+			h0 += e
+			ea[0] += e
+		}
+
+		// J first, I second.
+		s1 = r1 * pb[1] * pa[1]
+		s2 = r2 * pb[2] * pa[2]
+		total = s1 + s2
+		if bg {
+			s0 = r0 * pb[0] * parentX[l.I]
+			total += s0
+		}
+		if total <= 0 {
+			s1, s2, total = 1, 1, 2
+		}
+		e = w * s1 / total
+		h1 += e
+		eb[1] += e
+		ea[1] += e
+		e = w * s2 / total
+		h2 += e
+		eb[2] += e
+		ea[2] += e
+		if bg {
+			e = w * s0 / total
+			h0 += e
+			eb[0] += e
+		}
+	}
+	arho[0], arho[1], arho[2] = h0, h1, h2
+}
+
+// pass3 is the non-final E pass over the span for k = 3.
+func (sp *eSpan) pass3(rho, arho []float64) {
+	const nz = 4
+	a, bg := sp.alpha, sp.background
+	phiX, phiY, parentX, parentY := sp.phiX, sp.phiY, sp.parentX, sp.parentY
+	accX, accY := sp.accX, sp.accY
+	r0, r1, r2, r3 := rho[0], rho[1], rho[2], rho[3]
+	h0, h1, h2, h3 := arho[0], arho[1], arho[2], arho[3]
+	for _, l := range sp.links {
+		w := a * l.W
+		ri, rj := l.I*nz, l.J*nz
+		pa, pb := phiX[ri:ri+nz:ri+nz], phiY[rj:rj+nz:rj+nz]
+		ea, eb := accX[ri:ri+nz:ri+nz], accY[rj:rj+nz:rj+nz]
+
+		// I first, J second.
+		s1 := r1 * pa[1] * pb[1]
+		s2 := r2 * pa[2] * pb[2]
+		s3 := r3 * pa[3] * pb[3]
+		total := s1 + s2 + s3
+		s0 := 0.0
+		if bg {
+			s0 = r0 * pa[0] * parentY[l.J]
+			total += s0
+		}
+		if total <= 0 {
+			s1, s2, s3, total = 1, 1, 1, 3
+		}
+		e := w * s1 / total
+		h1 += e
+		ea[1] += e
+		eb[1] += e
+		e = w * s2 / total
+		h2 += e
+		ea[2] += e
+		eb[2] += e
+		e = w * s3 / total
+		h3 += e
+		ea[3] += e
+		eb[3] += e
+		if bg {
+			e = w * s0 / total
+			h0 += e
+			ea[0] += e
+		}
+
+		// J first, I second.
+		s1 = r1 * pb[1] * pa[1]
+		s2 = r2 * pb[2] * pa[2]
+		s3 = r3 * pb[3] * pa[3]
+		total = s1 + s2 + s3
+		if bg {
+			s0 = r0 * pb[0] * parentX[l.I]
+			total += s0
+		}
+		if total <= 0 {
+			s1, s2, s3, total = 1, 1, 1, 3
+		}
+		e = w * s1 / total
+		h1 += e
+		eb[1] += e
+		ea[1] += e
+		e = w * s2 / total
+		h2 += e
+		eb[2] += e
+		ea[2] += e
+		e = w * s3 / total
+		h3 += e
+		eb[3] += e
+		ea[3] += e
+		if bg {
+			e = w * s0 / total
+			h0 += e
+			eb[0] += e
+		}
+	}
+	arho[0], arho[1], arho[2], arho[3] = h0, h1, h2, h3
+}
+
+// pass4 is the non-final E pass over the span for k = 4.
+func (sp *eSpan) pass4(rho, arho []float64) {
+	const nz = 5
+	a, bg := sp.alpha, sp.background
+	phiX, phiY, parentX, parentY := sp.phiX, sp.phiY, sp.parentX, sp.parentY
+	accX, accY := sp.accX, sp.accY
+	r0, r1, r2, r3, r4 := rho[0], rho[1], rho[2], rho[3], rho[4]
+	h0, h1, h2, h3, h4 := arho[0], arho[1], arho[2], arho[3], arho[4]
+	for _, l := range sp.links {
+		w := a * l.W
+		ri, rj := l.I*nz, l.J*nz
+		pa, pb := phiX[ri:ri+nz:ri+nz], phiY[rj:rj+nz:rj+nz]
+		ea, eb := accX[ri:ri+nz:ri+nz], accY[rj:rj+nz:rj+nz]
+
+		// I first, J second.
+		s1 := r1 * pa[1] * pb[1]
+		s2 := r2 * pa[2] * pb[2]
+		s3 := r3 * pa[3] * pb[3]
+		s4 := r4 * pa[4] * pb[4]
+		total := s1 + s2 + s3 + s4
+		s0 := 0.0
+		if bg {
+			s0 = r0 * pa[0] * parentY[l.J]
+			total += s0
+		}
+		if total <= 0 {
+			s1, s2, s3, s4, total = 1, 1, 1, 1, 4
+		}
+		e := w * s1 / total
+		h1 += e
+		ea[1] += e
+		eb[1] += e
+		e = w * s2 / total
+		h2 += e
+		ea[2] += e
+		eb[2] += e
+		e = w * s3 / total
+		h3 += e
+		ea[3] += e
+		eb[3] += e
+		e = w * s4 / total
+		h4 += e
+		ea[4] += e
+		eb[4] += e
+		if bg {
+			e = w * s0 / total
+			h0 += e
+			ea[0] += e
+		}
+
+		// J first, I second.
+		s1 = r1 * pb[1] * pa[1]
+		s2 = r2 * pb[2] * pa[2]
+		s3 = r3 * pb[3] * pa[3]
+		s4 = r4 * pb[4] * pa[4]
+		total = s1 + s2 + s3 + s4
+		if bg {
+			s0 = r0 * pb[0] * parentX[l.I]
+			total += s0
+		}
+		if total <= 0 {
+			s1, s2, s3, s4, total = 1, 1, 1, 1, 4
+		}
+		e = w * s1 / total
+		h1 += e
+		eb[1] += e
+		ea[1] += e
+		e = w * s2 / total
+		h2 += e
+		eb[2] += e
+		ea[2] += e
+		e = w * s3 / total
+		h3 += e
+		eb[3] += e
+		ea[3] += e
+		e = w * s4 / total
+		h4 += e
+		eb[4] += e
+		ea[4] += e
+		if bg {
+			e = w * s0 / total
+			h0 += e
+			eb[0] += e
+		}
+	}
+	arho[0], arho[1], arho[2], arho[3], arho[4] = h0, h1, h2, h3, h4
 }
 
 // mergeRanges is the number of element ranges the phi merge is split into.
