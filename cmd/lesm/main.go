@@ -66,6 +66,10 @@ func main() {
 	resume := flag.Bool("resume", false, "with -checkpoint: continue the fit from the checkpoint file if it exists (fresh start when it does not)")
 	flag.Parse()
 
+	eng, err := parseEngine(*engine)
+	if err != nil {
+		log.Fatalf("lesm: -engine: %v", err)
+	}
 	// Reject a bad -sampler up front, even when -topics is 0 and the flag
 	// would otherwise be silently unused.
 	if err := lesm.Sampler(*sampler).Validate(); err != nil {
@@ -146,10 +150,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	opt := lesm.HierarchyOptions{K: *k, Levels: *levels, Seed: *seed, Parallelism: *par, Recorder: rec}
-	if *engine == "strod" {
-		opt.Engine = lesm.EngineSTROD
-	}
+	opt := lesm.HierarchyOptions{Engine: eng, K: *k, Levels: *levels, Seed: *seed, Parallelism: *par, Recorder: rec}
 	h, err := lesm.BuildTextHierarchy(corpus, opt)
 	if err != nil {
 		fatal(err)
@@ -231,4 +232,15 @@ func main() {
 		fmt.Printf("saved snapshot %s (sections: %v)\n", *save, art.Sections())
 	}
 	finishRec()
+}
+
+// parseEngine maps the -engine flag to the hierarchy engine.
+func parseEngine(s string) (lesm.Engine, error) {
+	switch s {
+	case "cathy":
+		return lesm.EngineCATHY, nil
+	case "strod":
+		return lesm.EngineSTROD, nil
+	}
+	return 0, fmt.Errorf("unknown engine %q, want cathy or strod", s)
 }

@@ -219,9 +219,11 @@ func firstRunOptions(opts []RunOptions) RunOptions {
 
 // HierarchyOptions configure BuildHierarchy.
 type HierarchyOptions struct {
-	// Engine picks the algorithm (default EngineCATHY).
+	// Engine picks the algorithm (default EngineCATHY); any other value is
+	// an error.
 	Engine Engine
 	// K is the number of children per topic (0 = select by BIC, CATHY only).
+	// A negative K is an error, and so is K = 1 under EngineCATHY.
 	K int
 	// Levels is the depth below the root (default 2).
 	Levels int
@@ -243,12 +245,31 @@ type HierarchyOptions struct {
 	Ctx context.Context
 }
 
+// validate rejects options no engine can honour: an unknown Engine, a
+// negative K, and K = 1 under EngineCATHY (one child is no split; 0 selects
+// k by BIC).
+func (opt HierarchyOptions) validate() error {
+	if opt.Engine != EngineCATHY && opt.Engine != EngineSTROD {
+		return fmt.Errorf("lesm: unknown Engine %d", opt.Engine)
+	}
+	if opt.K < 0 {
+		return fmt.Errorf("lesm: K = %d, need >= 0", opt.K)
+	}
+	if opt.Engine == EngineCATHY && opt.K == 1 {
+		return errors.New("lesm: K = 1 under EngineCATHY, need >= 2 (or 0 to select k by BIC)")
+	}
+	return nil
+}
+
 // BuildHierarchy constructs a topical hierarchy from a heterogeneous
 // network (EngineCATHY) or from the term type of the network (EngineSTROD
 // requires a corpus; use BuildTextHierarchy instead).
 func BuildHierarchy(net *Network, opt HierarchyOptions) (*Hierarchy, error) {
 	if net == nil {
 		return nil, errors.New("lesm: nil network")
+	}
+	if err := opt.validate(); err != nil {
+		return nil, err
 	}
 	if opt.Engine == EngineSTROD {
 		return nil, errors.New("lesm: EngineSTROD requires a corpus; use BuildTextHierarchy")
@@ -275,6 +296,9 @@ func BuildHierarchy(net *Network, opt HierarchyOptions) (*Hierarchy, error) {
 func BuildTextHierarchy(corpus *Corpus, opt HierarchyOptions) (*Hierarchy, error) {
 	if corpus == nil || len(corpus.Docs) == 0 {
 		return nil, errors.New("lesm: empty corpus")
+	}
+	if err := opt.validate(); err != nil {
+		return nil, err
 	}
 	if opt.Levels == 0 {
 		opt.Levels = 2

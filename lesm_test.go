@@ -47,6 +47,33 @@ func TestBuildHierarchyErrors(t *testing.T) {
 	}
 }
 
+func TestHierarchyOptionsRejected(t *testing.T) {
+	corpus := demoCorpus()
+	net := synth.DBLP(synth.DBLPConfig{NumPapers: 100, NumAuthors: 30, Seed: 1003}).CollapsedNetwork(0)
+	for _, c := range []struct {
+		name string
+		opt  HierarchyOptions
+		want string
+	}{
+		{"STROD K=-1", HierarchyOptions{Engine: EngineSTROD, K: -1}, "K = -1"},
+		{"CATHY K=-1", HierarchyOptions{K: -1}, "K = -1"},
+		{"CATHY K=1", HierarchyOptions{K: 1}, "K = 1"},
+		{"unknown engine", HierarchyOptions{Engine: EngineSTROD + 1, K: 3}, "unknown Engine"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if _, err := BuildTextHierarchy(corpus, c.opt); err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("BuildTextHierarchy: err = %v, want one containing %q", err, c.want)
+			}
+			if c.opt.Engine == EngineSTROD {
+				return // BuildHierarchy rejects STROD for wanting a corpus
+			}
+			if _, err := BuildHierarchy(net, c.opt); err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("BuildHierarchy: err = %v, want one containing %q", err, c.want)
+			}
+		})
+	}
+}
+
 func TestAttachPhrasesAndRoles(t *testing.T) {
 	ds := synth.DBLP(synth.DBLPConfig{NumPapers: 1000, NumAuthors: 250, Seed: 1002})
 	net := ds.CollapsedNetwork(0)
