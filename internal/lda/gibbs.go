@@ -54,12 +54,17 @@ type delta struct {
 	ctr sweepCounters
 }
 
-func newDelta(kTotal, v int) *delta {
-	return &delta{
+// newDelta allocates a zeroed delta. Its arrays come from par.PadSlice:
+// the chunk writes them on every count move, and at small K·V they would
+// otherwise share cache lines with a neighbouring chunk's arrays of the
+// same size class. The dirty list grows by append; its writes are one per
+// first touch of a cell, and only its ends can border other state.
+func newDelta(kTotal, v int) delta {
+	return delta{
 		kTotal:  kTotal,
-		kv:      make([]int, v*kTotal),
-		k:       make([]int, kTotal),
-		touched: make([]bool, v*kTotal),
+		kv:      par.PadSlice[int](v * kTotal),
+		k:       par.PadSlice[int](kTotal),
+		touched: par.PadSlice[bool](v * kTotal),
 	}
 }
 
@@ -94,22 +99,28 @@ func (dl *delta) applyTo(nKV []int, nK []int) {
 	}
 }
 
-// sweepScratch is the per-chunk scratch of a fit — delta tables,
-// probability buffers and (for the MH core) per-chunk sampling state —
-// allocated once and reused across all sweeps (the tables are
-// O(topics x vocabulary) each, too big to reallocate per sweep). applyTo
-// re-zeroes each delta as it folds it into the globals.
+// chunk is one chunk's mutable sampler state: the reusable PRNG stream
+// slot (per-document streams are values reseeded in place, so a sweep
+// performs no per-document heap allocation), the count delta, the
+// probability scratch and, when the MH core runs, its sampling state.
+// The chunk's worker writes all of it during a pass, so it lives in a
+// par.Padded slot and its arrays come from par.PadSlice: no cache line
+// holds words of two chunks (TestChunkStateCacheLinePrivate).
+type chunk struct {
+	rng   stream
+	dl    delta
+	probs []float64 // [kTotal]
+	// mh is the Metropolis–Hastings state; zero unless the MH core runs
+	// (see enableMH / mh.go).
+	mh mhChunk
+}
+
+// sweepScratch is the per-chunk state of a fit, allocated once and reused
+// across all sweeps (the delta tables are O(topics x vocabulary) each,
+// too big to reallocate per sweep). applyTo re-zeroes each delta as it
+// folds it into the globals.
 type sweepScratch struct {
-	deltas []*delta
-	probs  [][]float64
-	// rngs[c] is chunk c's reusable stream slot: per-document streams are
-	// values reseeded in place, so a sweep performs no per-document heap
-	// allocation (the pointer handed to the kernel would otherwise force
-	// each stream to escape).
-	rngs []stream
-	// mh[c] is chunk c's Metropolis–Hastings state; nil unless the MH core
-	// runs (see enableMH / mh.go).
-	mh []*mhChunk
+	chunks []par.Padded[chunk]
 	// ps, when non-nil, makes pass accumulate pass timings and delta-table
 	// sizes (set by newRunRecorder; nil keeps the pass free of time
 	// syscalls on the unrecorded path).
@@ -122,10 +133,10 @@ type sweepScratch struct {
 	chunkFn func(c, lo, hi int)
 }
 
-// docKernel samples document di of chunk c with its own counter-based
-// PRNG stream, records count changes in the chunk's delta dl, and may use
-// probs (len kTotal) as scratch.
-type docKernel func(c, di int, rng *stream, dl *delta, probs []float64)
+// docKernel samples document di with the chunk's state ch: it draws from
+// the document's counter-based PRNG stream in ch.rng, records count
+// changes in ch.dl, and may use ch.probs as scratch.
+type docKernel func(ch *chunk, di int)
 
 // passArgs are one chunk pass's parameters, held on the scratch so the
 // prebuilt chunk closure can read them.
@@ -136,22 +147,17 @@ type passArgs struct {
 }
 
 func newSweepScratch(nc, kTotal, v int) *sweepScratch {
-	sc := &sweepScratch{
-		deltas: make([]*delta, nc),
-		probs:  make([][]float64, nc),
-		rngs:   make([]stream, nc),
-	}
-	for c := range sc.deltas {
-		sc.deltas[c] = newDelta(kTotal, v)
-		sc.probs[c] = make([]float64, kTotal)
+	sc := &sweepScratch{chunks: make([]par.Padded[chunk], nc)}
+	for c := range sc.chunks {
+		ch := &sc.chunks[c].V
+		ch.dl = newDelta(kTotal, v)
+		ch.probs = par.PadSlice[float64](kTotal)
 	}
 	sc.chunkFn = func(c, lo, hi int) {
-		dl := sc.deltas[c]
-		probs := sc.probs[c]
-		rng := &sc.rngs[c]
+		ch := &sc.chunks[c].V
 		for di := lo; di < hi; di++ {
-			*rng = newStream(sc.pass.seed, uint64(di), sc.pass.sweep)
-			sc.pass.visit(c, di, rng, dl, probs)
+			ch.rng = newStream(sc.pass.seed, uint64(di), sc.pass.sweep)
+			sc.pass.visit(ch, di)
 		}
 	}
 	return sc
@@ -317,7 +323,8 @@ func newFit(engine string, c corpus, v int, cfg Config) (*fit, error) {
 // shared by both cores so an A/B comparison starts from the same state.
 func (f *fit) initPass(c corpus) error {
 	kTotal, nDK, z := f.kTotal, f.nDK, f.z
-	return f.pass(0, nil, func(_, di int, rng *stream, dl *delta, _ []float64) {
+	return f.pass(0, nil, func(ch *chunk, di int) {
+		rng, dl := &ch.rng, &ch.dl
 		n := c.slots(di)
 		nDK[di] = make([]int, kTotal)
 		z[di] = make([]int, n)
@@ -352,8 +359,8 @@ func (f *fit) run(kernel docKernel) error {
 func (f *fit) sweep(sweep int, kernel docKernel) error {
 	var endPass func() error
 	if f.mh != nil {
-		for _, ch := range f.sc.mh {
-			ch.refreshDen()
+		for c := range f.sc.chunks {
+			f.sc.chunks[c].V.mh.refreshDen()
 		}
 		f.mh.beginSweep(f.o, f.nKV)
 		endPass = f.mh.endPass
@@ -391,7 +398,7 @@ func (f *fit) pass(sweep uint64, end func() error, visit docKernel) error {
 		start = time.Now()
 	}
 	sc.pass = passArgs{seed: f.cfg.Seed, sweep: sweep, visit: visit}
-	err := par.ForChunksN(f.o, f.d, len(sc.deltas), sc.chunkFn)
+	err := par.ForChunksN(f.o, f.d, len(sc.chunks), sc.chunkFn)
 	sc.pass = passArgs{} // drop the closure references
 	if err != nil {
 		return err
@@ -405,7 +412,8 @@ func (f *fit) pass(sweep uint64, end func() error, visit docKernel) error {
 	// untouched; applying an empty delta is O(topics), harmless.
 	if sc.ps != nil {
 		mergeStart := time.Now()
-		for _, dl := range sc.deltas {
+		for c := range sc.chunks {
+			dl := &sc.chunks[c].V.dl
 			sc.ps.cells += int64(len(dl.dirty))
 			dl.applyTo(f.nKV, f.nK)
 		}
@@ -413,8 +421,8 @@ func (f *fit) pass(sweep uint64, end func() error, visit docKernel) error {
 		sc.ps.wall += time.Since(start)
 		return nil
 	}
-	for _, dl := range sc.deltas {
-		dl.applyTo(f.nKV, f.nK)
+	for c := range sc.chunks {
+		sc.chunks[c].V.dl.applyTo(f.nKV, f.nK)
 	}
 	return nil
 }

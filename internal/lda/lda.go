@@ -290,7 +290,8 @@ func (f *fit) denseTokenKernel(docs [][]int) docKernel {
 	z, nDK, nKV, nK, alpha := f.z, f.nDK, f.nKV, f.nK, f.alpha
 	kTotal, beta := f.kTotal, f.cfg.Beta
 	vb := float64(f.v) * beta
-	return func(_, di int, rng *stream, dl *delta, probs []float64) {
+	return func(ch *chunk, di int) {
+		rng, dl, probs := &ch.rng, &ch.dl, ch.probs
 		doc := docs[di]
 		for i, w := range doc {
 			kOld := z[di][i]

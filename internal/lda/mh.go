@@ -195,9 +195,12 @@ type mhChunk struct {
 	pDK []int
 }
 
+// newMHChunk returns the MH state of the chunk whose delta is dl. Its
+// per-topic arrays are written on every count move (den) or document
+// (pDK), so they come from par.PadSlice like the delta's.
 func newMHChunk(alpha []float64, beta float64, v int, nKV []int, nK []int, dl *delta,
-	prop *mhProposal, alphaTab *linalg.Alias, phrases bool) *mhChunk {
-	c := &mhChunk{
+	prop *mhProposal, alphaTab *linalg.Alias, phrases bool) mhChunk {
+	c := mhChunk{
 		alpha: alpha, beta: beta, vb: float64(v) * beta,
 		nKV: nKV, nK: nK, dl: dl, prop: prop, alphaTab: alphaTab,
 	}
@@ -205,9 +208,9 @@ func newMHChunk(alpha []float64, beta float64, v int, nKV []int, nK []int, dl *d
 		c.alphaSum += a
 	}
 	if phrases {
-		c.pDK = make([]int, len(alpha))
+		c.pDK = par.PadSlice[int](len(alpha))
 	}
-	c.den = make([]float64, len(alpha))
+	c.den = par.PadSlice[float64](len(alpha))
 	c.refreshDen()
 	return c
 }
@@ -224,9 +227,9 @@ func (s *mhChunk) refreshDen() {
 // enableMH attaches MH sampling state to every chunk of the scratch.
 func (sc *sweepScratch) enableMH(alpha []float64, beta float64, v int, nKV []int, nK []int,
 	prop *mhProposal, alphaTab *linalg.Alias, phrases bool) {
-	sc.mh = make([]*mhChunk, len(sc.deltas))
-	for c := range sc.mh {
-		sc.mh[c] = newMHChunk(alpha, beta, v, nKV, nK, sc.deltas[c], prop, alphaTab, phrases)
+	for c := range sc.chunks {
+		ch := &sc.chunks[c].V
+		ch.mh = newMHChunk(alpha, beta, v, nKV, nK, &ch.dl, prop, alphaTab, phrases)
 	}
 }
 
@@ -460,9 +463,9 @@ func (f *fit) startMH(phrases bool) error {
 
 // mhTokenKernel samples every token of a document through the MH kernel.
 func (f *fit) mhTokenKernel(docs [][]int) docKernel {
-	sc, z, nDK := f.sc, f.z, f.nDK
-	return func(c, di int, rng *stream, _ *delta, _ []float64) {
-		ch := sc.mh[c]
+	z, nDK := f.z, f.nDK
+	return func(chunk *chunk, di int) {
+		ch, rng := &chunk.mh, &chunk.rng
 		zd := z[di]
 		ch.beginDoc(nDK[di], zd)
 		doc := docs[di]
@@ -485,9 +488,9 @@ func (f *fit) mhTokenKernel(docs [][]int) docKernel {
 // phrases keep the dense product conditional, reading counts through the
 // same chunk state.
 func (f *fit) mhPhraseKernel(docs []PhraseDoc) docKernel {
-	sc, zP, nDK, nKV, nK, alpha := f.sc, f.z, f.nDK, f.nKV, f.nK, f.alpha
-	return func(c, di int, rng *stream, _ *delta, probs []float64) {
-		ch := sc.mh[c]
+	zP, nDK, nKV, nK, alpha := f.z, f.nDK, f.nKV, f.nK, f.alpha
+	return func(chunk *chunk, di int) {
+		ch, rng, probs := &chunk.mh, &chunk.rng, chunk.probs
 		zPd := zP[di]
 		ch.beginDoc(nDK[di], zPd)
 		doc := docs[di]

@@ -93,7 +93,8 @@ func TestMHKernelMatchesExactConditional(t *testing.T) {
 	nK[0]++
 	nDK[0]++
 
-	ch := newMHChunk(alpha, beta, v, wordMajor(nKV, kTotal, v), nK, newDelta(kTotal, v), prop, linalg.NewAlias(alpha), false)
+	dl := newDelta(kTotal, v)
+	ch := newMHChunk(alpha, beta, v, wordMajor(nKV, kTotal, v), nK, &dl, prop, linalg.NewAlias(alpha), false)
 	ch.beginDoc(nDK, nil)
 
 	// Exact conditional from the base (token-removed) counts.

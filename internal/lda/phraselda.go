@@ -95,7 +95,8 @@ func samplePhrase(phrase []int, nDK, nK []int, nKV []int, dl *delta,
 func (f *fit) densePhraseKernel(docs []PhraseDoc) docKernel {
 	zP, nDK, nKV, nK, alpha, beta := f.z, f.nDK, f.nKV, f.nK, f.alpha, f.cfg.Beta
 	vb := float64(f.v) * beta
-	return func(_, di int, rng *stream, dl *delta, probs []float64) {
+	return func(ch *chunk, di int) {
+		rng, dl, probs := &ch.rng, &ch.dl, ch.probs
 		doc := docs[di]
 		for pi, phrase := range doc {
 			kOld := zP[di][pi]

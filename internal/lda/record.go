@@ -109,11 +109,12 @@ func (r *runRecorder) endSweep(o par.Opts, sweep, rebuildsTotal int, rebuildTime
 		return nil
 	}
 	var c sweepCounters
-	for _, dl := range r.sc.deltas {
+	for i := range r.sc.chunks {
+		dl := &r.sc.chunks[i].V.dl
 		c.addFrom(&dl.ctr)
 		dl.ctr = sweepCounters{}
 	}
-	chunks := len(r.sc.deltas)
+	chunks := len(r.sc.chunks)
 	if r.docs < chunks {
 		chunks = r.docs
 	}
