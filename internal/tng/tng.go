@@ -82,14 +82,18 @@ type trigramKey struct {
 	topic, prev, word int
 }
 
-// tngDelta is one chunk's private diff against the sweep-start global
-// tables: dense tables with a dirty list for the topic-word counts (merge
-// cost O(cells touched)), dense merges for the small arrays, and flat maps
-// for the sparse bigram tables (integer adds, so the map iteration order
-// of the merge cannot change the result). The delta also holds read-only
-// references to the frozen globals so the eff* accessors can answer
-// "global + own-chunk delta" without per-document closures in the hot
-// loop (the pattern internal/lda's mhChunk uses).
+// tngDelta is one chunk's private state: its diff against the
+// sweep-start global tables — dense tables with a dirty list for the
+// topic-word counts (merge cost O(cells touched)), dense merges for the
+// small arrays, and flat count tables for the sparse bigram tables
+// (integer adds, so the merge order cannot change the result) —
+// plus the chunk's PRNG stream slot and sampling scratch. The delta also
+// holds read-only references to the frozen globals so the eff* accessors
+// can answer "global + own-chunk delta" without per-document closures in
+// the hot loop (the pattern internal/lda's mhChunk uses). The chunk's
+// worker writes it on every token, so it lives in a par.Padded slot and
+// its arrays come from par.PadSlice (see internal/par's chunk-private
+// state rule).
 type tngDelta struct {
 	v       int
 	kv      [][]int // [k][v]
@@ -97,9 +101,12 @@ type tngDelta struct {
 	touched []bool  // [k*v]
 	dirty   []int
 	n0, n1  []int // [v]
-	big     map[trigramKey]int
-	bigTot  map[bigramKey]int
+	big     countTable[trigramKey]
+	bigTot  countTable[bigramKey]
 	probs   []float64 // [2k] sampling scratch, reused across the chunk's docs
+	// st is the reusable stream slot: per-document streams are values
+	// reseeded in place, so a pass allocates none.
+	st rng.Stream
 	// changed tallies (z, x) assignment changes for observability;
 	// harvested per sweep only when a Recorder is attached and never
 	// read by the sampling math.
@@ -114,19 +121,17 @@ type tngDelta struct {
 	gBigTot map[bigramKey]int
 }
 
-func newTngDelta(k, v int, gKV [][]int, gK, gN0, gN1 []int, gBig map[bigramKey]map[int]int, gBigTot map[bigramKey]int) *tngDelta {
+func newTngDelta(k, v int, gKV [][]int, gK, gN0, gN1 []int, gBig map[bigramKey]map[int]int, gBigTot map[bigramKey]int) tngDelta {
 	kv := make([][]int, k)
 	for i := range kv {
-		kv[i] = make([]int, v)
+		kv[i] = par.PadSlice[int](v)
 	}
-	return &tngDelta{
-		v: v, kv: kv, k: make([]int, k),
-		touched: make([]bool, k*v),
-		n0:      make([]int, v), n1: make([]int, v),
-		big:    map[trigramKey]int{},
-		bigTot: map[bigramKey]int{},
-		probs:  make([]float64, 2*k),
-		gKV:    gKV, gK: gK, gN0: gN0, gN1: gN1, gBig: gBig, gBigTot: gBigTot,
+	return tngDelta{
+		v: v, kv: kv, k: par.PadSlice[int](k),
+		touched: par.PadSlice[bool](k * v),
+		n0:      par.PadSlice[int](v), n1: par.PadSlice[int](v),
+		probs: par.PadSlice[float64](2 * k),
+		gKV:   gKV, gK: gK, gN0: gN0, gN1: gN1, gBig: gBig, gBigTot: gBigTot,
 	}
 }
 
@@ -136,13 +141,13 @@ func (d *tngDelta) effK(k int) int     { return d.gK[k] + d.k[k] }
 func (d *tngDelta) effN0(w int) int    { return d.gN0[w] + d.n0[w] }
 func (d *tngDelta) effN1(w int) int    { return d.gN1[w] + d.n1[w] }
 func (d *tngDelta) effBig(key bigramKey, w int) int {
-	c := d.big[trigramKey{key.topic, key.prev, w}]
+	c := d.big.get(trigramKey{key.topic, key.prev, w})
 	if m := d.gBig[key]; m != nil {
 		c += m[w]
 	}
 	return c
 }
-func (d *tngDelta) effBigTot(key bigramKey) int { return d.gBigTot[key] + d.bigTot[key] }
+func (d *tngDelta) effBigTot(key bigramKey) int { return d.gBigTot[key] + d.bigTot.get(key) }
 
 func (d *tngDelta) addKV(k, w, c int) {
 	idx := k*d.v + w
@@ -155,8 +160,8 @@ func (d *tngDelta) addKV(k, w, c int) {
 }
 
 func (d *tngDelta) addBig(key bigramKey, w, c int) {
-	d.big[trigramKey{key.topic, key.prev, w}] += c
-	d.bigTot[key] += c
+	d.big.add(trigramKey{key.topic, key.prev, w}, c)
+	d.bigTot.add(key, c)
 }
 
 // applyTo folds the delta into the global tables and resets it.
@@ -186,9 +191,9 @@ func (d *tngDelta) applyTo(nKV [][]int, nK []int, n0, n1 []int, big map[bigramKe
 			d.n1[w] = 0
 		}
 	}
-	for tk, c := range d.big {
+	d.big.each(func(tk trigramKey, c int) {
 		if c == 0 {
-			continue
+			return
 		}
 		key := bigramKey{tk.topic, tk.prev}
 		m := big[key]
@@ -197,14 +202,14 @@ func (d *tngDelta) applyTo(nKV [][]int, nK []int, n0, n1 []int, big map[bigramKe
 			big[key] = m
 		}
 		m[tk.word] += c
-	}
-	for key, c := range d.bigTot {
+	})
+	d.bigTot.each(func(key bigramKey, c int) {
 		if c != 0 {
 			bigTot[key] += c
 		}
-	}
-	clear(d.big)
-	clear(d.bigTot)
+	})
+	d.big.reset()
+	d.bigTot.reset()
 }
 
 // Run fits the model to id-encoded documents.
@@ -259,9 +264,9 @@ func Run(docs [][]int, v int, cfg Config) (*Model, error) {
 	// Chunk policy shared with internal/lda's samplers (par.SamplerChunks);
 	// the per-chunk dense delta tables hold k*v cells each.
 	nc := par.SamplerChunks(d, k*v)
-	deltas := make([]*tngDelta, nc)
+	deltas := make([]par.Padded[tngDelta], nc)
 	for c := range deltas {
-		deltas[c] = newTngDelta(k, v, nKV, nK, n0, n1, big, bigTot)
+		deltas[c].V = newTngDelta(k, v, nKV, nK, n0, n1, big, bigTot)
 	}
 
 	// pass runs one chunked pass and merges the deltas in chunk order.
@@ -270,17 +275,17 @@ func Run(docs [][]int, v int, cfg Config) (*Model, error) {
 			return o.Err()
 		}
 		err := par.ForChunksN(o, d, nc, func(c, lo, hi int) {
-			dl := deltas[c]
+			dl := &deltas[c].V
 			for di := lo; di < hi; di++ {
-				st := rng.NewStream(cfg.Seed, uint64(di), sweep)
-				visit(di, &st, dl)
+				dl.st = rng.NewStream(cfg.Seed, uint64(di), sweep)
+				visit(di, &dl.st, dl)
 			}
 		})
 		if err != nil {
 			return err
 		}
-		for _, dl := range deltas {
-			dl.applyTo(nKV, nK, n0, n1, big, bigTot)
+		for c := range deltas {
+			deltas[c].V.applyTo(nKV, nK, n0, n1, big, bigTot)
 		}
 		return nil
 	}
@@ -437,7 +442,8 @@ func Run(docs [][]int, v int, cfg Config) (*Model, error) {
 		}
 		if cfg.Rec != nil {
 			var changed int64
-			for _, dl := range deltas {
+			for c := range deltas {
+				dl := &deltas[c].V
 				changed += dl.changed
 				dl.changed = 0
 			}
