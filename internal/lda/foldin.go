@@ -177,8 +177,8 @@ func (fm *FoldInModel) validate() error {
 		return fmt.Errorf("lda: FoldInModel has %d topics but %d Alpha entries", fm.K(), len(fm.Alpha))
 	}
 	for k, a := range fm.Alpha {
-		if a < 0 || math.IsNaN(a) {
-			return fmt.Errorf("lda: FoldInModel.Alpha[%d] = %v, need >= 0", k, a)
+		if !validPrior(a) {
+			return fmt.Errorf("lda: FoldInModel.Alpha[%d] = %v, need finite >= 0", k, a)
 		}
 	}
 	return nil

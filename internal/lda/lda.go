@@ -162,8 +162,9 @@ func (c Config) parOpts() par.Opts {
 
 // validate rejects configurations that would otherwise panic deep inside
 // the sampler (K <= 0 divides by zero in withDefaults, an empty vocabulary
-// indexes out of range, negative priors produce negative probabilities).
-// Called on the raw config, before defaulting fills zero fields.
+// indexes out of range, negative priors produce negative probabilities,
+// infinite ones NaN distributions or an out-of-range MH draw). Called on
+// the raw config, before defaulting fills zero fields.
 func (c Config) validate(v int) error {
 	if c.K <= 0 {
 		return fmt.Errorf("lda: Config.K = %d, need at least 1 topic", c.K)
@@ -171,19 +172,17 @@ func (c Config) validate(v int) error {
 	if v <= 0 {
 		return fmt.Errorf("lda: vocabulary size %d, need at least 1", v)
 	}
-	// NaN compares false against everything, so "< 0" alone would wave a
-	// NaN prior through into every per-token probability.
-	if c.Alpha < 0 || math.IsNaN(c.Alpha) {
-		return fmt.Errorf("lda: Config.Alpha = %v, need >= 0 (0 = default 50/K)", c.Alpha)
+	if !validPrior(c.Alpha) {
+		return fmt.Errorf("lda: Config.Alpha = %v, need finite >= 0 (0 = default 50/K)", c.Alpha)
 	}
-	if c.Beta < 0 || math.IsNaN(c.Beta) {
-		return fmt.Errorf("lda: Config.Beta = %v, need >= 0 (0 = default 0.01)", c.Beta)
+	if !validPrior(c.Beta) {
+		return fmt.Errorf("lda: Config.Beta = %v, need finite >= 0 (0 = default 0.01)", c.Beta)
 	}
 	if c.Iters < 0 {
 		return fmt.Errorf("lda: Config.Iters = %d, need >= 0 (0 = default 200)", c.Iters)
 	}
-	if c.BGWeight < 0 || math.IsNaN(c.BGWeight) {
-		return fmt.Errorf("lda: Config.BGWeight = %v, need >= 0 (0 = default 3)", c.BGWeight)
+	if !validPrior(c.BGWeight) {
+		return fmt.Errorf("lda: Config.BGWeight = %v, need finite >= 0 (0 = default 3)", c.BGWeight)
 	}
 	if err := c.Sampler.Validate(); err != nil {
 		return err
@@ -202,6 +201,11 @@ func (c Config) validate(v int) error {
 	}
 	return nil
 }
+
+// validPrior reports whether x is a usable prior: finite and >= 0. NaN
+// compares false against everything, so "x < 0" alone would wave a NaN
+// prior through into every per-token probability.
+func validPrior(x float64) bool { return x >= 0 && x <= math.MaxFloat64 }
 
 func (c Config) withDefaults() Config {
 	if c.Alpha == 0 {

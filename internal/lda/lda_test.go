@@ -249,6 +249,12 @@ func TestRunValidatesConfig(t *testing.T) {
 		{"negative beta", 2, Config{K: 2, Iters: 1, Beta: -0.5}, "Beta"},
 		{"NaN beta", 2, Config{K: 2, Iters: 1, Beta: math.NaN()}, "Beta"},
 		{"NaN bgweight", 2, Config{K: 2, Iters: 1, Background: true, BGWeight: math.NaN()}, "BGWeight"},
+		{"+Inf alpha", 2, Config{K: 2, Iters: 1, Alpha: math.Inf(1)}, "Alpha"},
+		{"-Inf alpha", 2, Config{K: 2, Iters: 1, Alpha: math.Inf(-1)}, "Alpha"},
+		{"+Inf beta", 2, Config{K: 2, Iters: 1, Beta: math.Inf(1)}, "Beta"},
+		{"+Inf beta mh", 2, Config{K: 2, Iters: 1, Beta: math.Inf(1), Sampler: SamplerMH}, "Beta"},
+		{"-Inf beta", 2, Config{K: 2, Iters: 1, Beta: math.Inf(-1)}, "Beta"},
+		{"+Inf bgweight", 2, Config{K: 2, Iters: 1, Background: true, BGWeight: math.Inf(1)}, "BGWeight"},
 		{"negative iters", 2, Config{K: 2, Iters: -1}, "Iters"},
 		{"negative bgweight", 2, Config{K: 2, Iters: 1, Background: true, BGWeight: -2}, "BGWeight"},
 		{"unknown sampler", 2, Config{K: 2, Iters: 1, Sampler: "turbo"}, "sampler"},
@@ -295,6 +301,13 @@ func TestFoldInValidatesModel(t *testing.T) {
 	fm = &FoldInModel{PhiLike: [][]float64{{0.5, 0.5}, {0.5, 0.5}}, Alpha: []float64{1, -1}}
 	if _, err := FoldIn(fm, [][]int{{0}}, FoldInConfig{}); err == nil || !strings.Contains(err.Error(), "Alpha[1]") {
 		t.Fatalf("negative alpha: err=%v", err)
+	}
+	// Non-finite priors.
+	for _, a := range []float64{math.Inf(1), math.Inf(-1), math.NaN()} {
+		fm = &FoldInModel{PhiLike: [][]float64{{0.5, 0.5}, {0.5, 0.5}}, Alpha: []float64{a, 1}}
+		if _, err := FoldIn(fm, [][]int{{0}}, FoldInConfig{}); err == nil || !strings.Contains(err.Error(), "Alpha[0]") {
+			t.Fatalf("alpha %v: err=%v", a, err)
+		}
 	}
 	// Unknown sampler.
 	fm = &FoldInModel{PhiLike: [][]float64{{0.5, 0.5}}, Alpha: []float64{1}}

@@ -41,6 +41,31 @@ type Config struct {
 	Rec obs.Recorder
 }
 
+// validate rejects configurations that would produce negative, infinite
+// or NaN probabilities in the sampler. Called on the raw config, before
+// defaulting fills zero fields.
+func (c Config) validate() error {
+	if c.K <= 0 {
+		return fmt.Errorf("tng: Config.K = %d, need at least 1 topic", c.K)
+	}
+	for _, p := range []struct {
+		name string
+		x    float64
+	}{{"Alpha", c.Alpha}, {"Beta", c.Beta}, {"Delta", c.Delta}, {"Gamma", c.Gamma}} {
+		// False for NaN and both infinities as well as negatives.
+		if !(p.x >= 0 && p.x <= math.MaxFloat64) {
+			return fmt.Errorf("tng: Config.%s = %v, need finite >= 0 (0 = default)", p.name, p.x)
+		}
+	}
+	if !(c.Discount >= 0 && c.Discount < 1) {
+		return fmt.Errorf("tng: Config.Discount = %v, need 0 <= Discount < 1", c.Discount)
+	}
+	if c.Iters < 0 {
+		return fmt.Errorf("tng: Config.Iters = %d, need >= 0 (0 = default 150)", c.Iters)
+	}
+	return nil
+}
+
 func (c Config) withDefaults() Config {
 	if c.Alpha == 0 {
 		c.Alpha = 50 / float64(c.K)
@@ -224,8 +249,8 @@ func (d *tngDelta) applyTo(nKV [][]int, nK []int, n0, n1 []int, big map[bigramKe
 // error when the config or a token id is invalid, or when Config.Ctx is
 // cancelled.
 func Run(docs [][]int, v int, cfg Config) (*Model, error) {
-	if cfg.K <= 0 {
-		return nil, fmt.Errorf("tng: Config.K = %d, need at least 1 topic", cfg.K)
+	if err := cfg.validate(); err != nil {
+		return nil, err
 	}
 	if v <= 0 {
 		return nil, fmt.Errorf("tng: vocabulary size %d, need at least 1", v)

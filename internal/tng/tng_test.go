@@ -3,6 +3,7 @@ package tng
 import (
 	"context"
 	"errors"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -97,6 +98,23 @@ func TestRunValidatesInputs(t *testing.T) {
 	}
 	if _, err := Run([][]int{{7}}, 3, Config{K: 2, Iters: 1}); err == nil {
 		t.Fatal("out-of-range token accepted")
+	}
+	inf, nan := math.Inf(1), math.NaN()
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"Alpha", Config{Alpha: -1}}, {"Alpha", Config{Alpha: inf}}, {"Alpha", Config{Alpha: nan}},
+		{"Beta", Config{Beta: -inf}}, {"Beta", Config{Beta: inf}}, {"Beta", Config{Beta: nan}},
+		{"Delta", Config{Delta: -0.5}}, {"Delta", Config{Delta: inf}}, {"Delta", Config{Delta: nan}},
+		{"Gamma", Config{Gamma: -1}}, {"Gamma", Config{Gamma: inf}}, {"Gamma", Config{Gamma: nan}},
+		{"Discount", Config{Discount: -0.1}}, {"Discount", Config{Discount: 1}}, {"Discount", Config{Discount: nan}},
+		{"Iters", Config{Iters: -1}},
+	} {
+		tc.cfg.K = 2
+		if _, err := Run([][]int{{0, 1}}, 3, tc.cfg); err == nil || !strings.Contains(err.Error(), "Config."+tc.name) {
+			t.Fatalf("%+v: err=%v, want a Config.%s error", tc.cfg, err, tc.name)
+		}
 	}
 }
 
