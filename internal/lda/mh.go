@@ -464,8 +464,8 @@ func (f *fit) startMH(phrases bool) error {
 // mhTokenKernel samples every token of a document through the MH kernel.
 func (f *fit) mhTokenKernel(docs [][]int) docKernel {
 	z, nDK := f.z, f.nDK
-	return func(chunk *chunk, di int) {
-		ch, rng := &chunk.mh, &chunk.rng
+	return func(c *chunk, di int) {
+		ch, rng := &c.mh, &c.rng
 		zd := z[di]
 		ch.beginDoc(nDK[di], zd)
 		doc := docs[di]
@@ -489,8 +489,8 @@ func (f *fit) mhTokenKernel(docs [][]int) docKernel {
 // same chunk state.
 func (f *fit) mhPhraseKernel(docs []PhraseDoc) docKernel {
 	zP, nDK, nKV, nK, alpha := f.z, f.nDK, f.nKV, f.nK, f.alpha
-	return func(chunk *chunk, di int) {
-		ch, rng, probs := &chunk.mh, &chunk.rng, chunk.probs
+	return func(c *chunk, di int) {
+		ch, rng, probs := &c.mh, &c.rng, c.probs
 		zPd := zP[di]
 		ch.beginDoc(nDK[di], zPd)
 		doc := docs[di]
