@@ -14,4 +14,19 @@
 // level, the invariant the engines' same-seed reproducibility tests rely
 // on. Large inputs expose up to MaxChunks (256) chunks, so machines well
 // past 16 cores keep scaling.
+//
+// Chunk-private mutable state lives in a Padded slot, and every array a
+// chunk writes is allocated by PadSlice: each pads its value with
+// CacheGuard (128) bytes on both sides, so no 128-byte-aligned block holds
+// words of two chunks. One goroutine allocating all chunks' state back to
+// back otherwise puts neighbours on shared cache lines, and two workers
+// writing their own words on one line invalidate each other on every
+// write (false sharing), which made P=2 Gibbs fits slower than P=1. The
+// classes found in the samplers: a contiguous []T of small per-chunk
+// values (8-byte PRNG streams), adjacent small structs (count-delta and MH
+// headers with their per-token counters), small per-chunk arrays of one
+// size class interleaved across chunks (per-topic totals, probability
+// scratch and cached denominators at small K), and Go map headers, which
+// every assignment writes and which keep no padding — keep maps out of
+// per-token chunk state.
 package par

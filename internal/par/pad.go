@@ -2,19 +2,6 @@ package par
 
 import "unsafe"
 
-// Chunk- and worker-private mutable state. A pass allocates every chunk's
-// scratch from one goroutine, back to back, so without care the Go
-// allocator packs neighbouring chunks' state into one span: small structs
-// and small arrays of the same size class interleave, and a contiguous
-// []T of per-chunk values puts several chunks on one cache line. Two
-// workers writing their own chunks' words on a shared line then invalidate
-// each other's copy on every write (false sharing), which can make a P=2
-// pass slower than P=1. The rule every engine follows: a value a chunk or
-// worker writes during a pass lives in a Padded slot, and every array it
-// writes is allocated by PadSlice, so no CacheGuard-aligned block holds
-// mutable words of two chunks. Neither changes what is computed, only
-// where it lives.
-
 // CacheGuard is the padding, in bytes, that isolates private state: two
 // 64-byte cache lines, because x86's adjacent-line prefetcher moves lines
 // in 128-byte-aligned pairs (so writes to neighbouring lines still
