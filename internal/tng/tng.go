@@ -249,6 +249,24 @@ func (d *tngDelta) applyTo(nKV [][]int, nK []int, n0, n1 []int, big map[bigramKe
 // error when the config or a token id is invalid, or when Config.Ctx is
 // cancelled.
 func Run(docs [][]int, v int, cfg Config) (*Model, error) {
+	s, err := newSampler(docs, v, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return s.fit()
+}
+
+// sampler is a TNG fit after its initialization pass: the chunk state,
+// one padded slot per chunk, and fit, which runs the Gibbs sweeps and
+// returns the model.
+type sampler struct {
+	Slots []par.Padded[tngDelta]
+	fit   func() (*Model, error)
+}
+
+// newSampler validates the run, allocates the tables and chunk state and
+// draws the initialization pass.
+func newSampler(docs [][]int, v int, cfg Config) (*sampler, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -346,7 +364,17 @@ func Run(docs [][]int, v int, cfg Config) (*Model, error) {
 	if err != nil {
 		return nil, err
 	}
+	return &sampler{Slots: deltas, fit: func() (*Model, error) {
+		return sweeps(docs, v, cfg, deltas, pass, nDK, nKV, nK, z, x)
+	}}, nil
+}
 
+// sweeps runs the Gibbs sweeps after the initialization pass and builds
+// the model.
+func sweeps(docs [][]int, v int, cfg Config, deltas []par.Padded[tngDelta],
+	pass func(sweep uint64, visit func(di int, st *rng.Stream, dl *tngDelta)) error,
+	nDK, nKV [][]int, nK []int, z, x [][]int) (*Model, error) {
+	k, d, nc := cfg.K, len(docs), len(deltas)
 	vb := float64(v) * cfg.Beta
 	vd := float64(v) * cfg.Delta
 	var totTok int64
