@@ -2,15 +2,14 @@ package lda
 
 import (
 	"fmt"
-	"time"
 
 	"lesm/internal/par"
 )
 
 // Parallel Gibbs machinery shared by Run and RunPhrases, for both cores.
 //
-// A sweep is one chunked pass over the documents on the shared runtime
-// (internal/par). The global count tables nKV/nK are frozen for the
+// A sweep is one chunked pass over the documents on the shared pass
+// driver (par.Sweeper). The global count tables nKV/nK are frozen for the
 // duration of the pass; every chunk records its count changes in a private
 // delta table, and sampling inside a chunk reads global + own-chunk delta.
 // After the pass, deltas merge into the global tables in chunk order.
@@ -19,33 +18,20 @@ import (
 // is bit-identical at any parallelism level. Across chunks the counts are
 // one pass stale, the standard approximate-distributed-Gibbs trade
 // (AD-LDA, Newman et al. 2009); within a chunk sampling remains fully
-// collapsed.
-
-// samplerChunks is the pass's chunk count for d documents over kTotal
-// topics and v words — the shared coarse sampler policy (par.SamplerChunks:
-// clamp(d/32, 1, 64), lowered until the O(topics x vocabulary) delta
-// tables fit the cell budget; see the rationale there). internal/tng uses
-// the same policy, so the two samplers' staleness/memory behavior cannot
-// silently diverge.
-func samplerChunks(d, kTotal, v int) int {
-	return par.SamplerChunks(d, kTotal*v)
-}
+// collapsed. internal/tng runs on the same driver.
 
 // delta is one chunk's private count-table diff against the sweep-start
-// global tables, word-major like them (cell w*kTotal+k): a token reads
-// several topics of one word, and in this layout they share one row
-// instead of sitting a vocabulary apart. Reads during sampling index kv
-// directly; writes go through add, which also tracks the touched cells,
-// so folding a delta back into the globals costs O(cells touched) rather
-// than a full O(topics x vocabulary) scan per chunk per sweep — on
+// global tables. kv is word-major like them (cell w*kTotal+k): a token
+// reads several topics of one word, and in this layout they share one row
+// instead of sitting a vocabulary apart. Reads during sampling index
+// kv.Cells directly; writes go through add, whose dirty tracking makes
+// folding a delta back into the globals cost O(cells touched) — on
 // realistic vocabularies a chunk's documents touch a tiny fraction of the
 // table.
 type delta struct {
-	kTotal  int
-	kv      []int  // [v*kTotal] word-major topic-word count changes
-	k       []int  // [kTotal] topic total changes
-	touched []bool // [v*kTotal] whether the cell is on the dirty list
-	dirty   []int  // cells w*kTotal+k with touched == true
+	kTotal int
+	kv     par.Delta // [v*kTotal] word-major topic-word count changes
+	k      []int     // [kTotal] topic total changes
 	// ctr tallies sampling events for observability. The cores bump
 	// these unconditionally (plain int adds on chunk-private state, far
 	// cheaper than a branch per token); they are harvested and reset by
@@ -57,57 +43,35 @@ type delta struct {
 // newDelta allocates a zeroed delta. Its arrays come from par.PadSlice:
 // the chunk writes them on every count move, and at small K·V they would
 // otherwise share cache lines with a neighbouring chunk's arrays of the
-// same size class. The dirty list grows by append; its writes are one per
-// first touch of a cell, and only its ends can border other state.
+// same size class.
 func newDelta(kTotal, v int) delta {
-	return delta{
-		kTotal:  kTotal,
-		kv:      par.PadSlice[int](v * kTotal),
-		k:       par.PadSlice[int](kTotal),
-		touched: par.PadSlice[bool](v * kTotal),
-	}
+	return delta{kTotal: kTotal, kv: par.NewDelta(v * kTotal), k: par.PadSlice[int](kTotal)}
 }
 
-// add applies a count change for (topic k, word w), recording the cell on
-// the dirty list on first touch.
+// add applies a count change for (topic k, word w).
 func (dl *delta) add(k, w, c int) {
-	idx := w*dl.kTotal + k
-	if !dl.touched[idx] {
-		dl.touched[idx] = true
-		dl.dirty = append(dl.dirty, idx)
-	}
-	dl.kv[idx] += c
+	dl.kv.Add(w*dl.kTotal+k, c)
 	dl.k[k] += c
 }
 
-// applyTo folds the delta into the global tables and resets it for the
-// next pass, visiting only the touched cells. Counts are integers, so
-// merge order cannot change the result; we still merge in chunk order to
-// honor the runtime's ordered-reduction contract.
-func (dl *delta) applyTo(nKV []int, nK []int) {
-	for _, idx := range dl.dirty {
-		if c := dl.kv[idx]; c != 0 {
-			nKV[idx] += c
-			dl.kv[idx] = 0
-		}
-		dl.touched[idx] = false
-	}
-	dl.dirty = dl.dirty[:0]
+// applyTo folds the delta into the global tables, resets it for the next
+// pass and returns the number of kv cells merged.
+func (dl *delta) applyTo(nKV []int, nK []int) int {
+	n := dl.kv.MergeInto(nKV)
 	for k, c := range dl.k {
 		nK[k] += c
 		dl.k[k] = 0
 	}
+	return n
 }
 
-// chunk is one chunk's mutable sampler state: the reusable PRNG stream
-// slot (per-document streams are values reseeded in place, so a sweep
-// performs no per-document heap allocation), the count delta, the
-// probability scratch and, when the MH core runs, its sampling state.
-// The chunk's worker writes all of it during a pass, so it lives in a
-// par.Padded slot and its arrays come from par.PadSlice: no cache line
-// holds words of two chunks (TestChunkStateCacheLinePrivate).
+// chunk is one chunk's mutable sampler state besides its PRNG stream,
+// which the pass driver keeps next to it in the chunk's par.Slot: the
+// count delta, the probability scratch and, when the MH core runs, its
+// sampling state. The chunk's worker writes all of it during a pass, so
+// its arrays come from par.PadSlice: no cache line holds words of two
+// chunks (TestChunkStateCacheLinePrivate).
 type chunk struct {
-	rng   stream
 	dl    delta
 	probs []float64 // [kTotal]
 	// mh is the Metropolis–Hastings state; zero unless the MH core runs
@@ -115,53 +79,10 @@ type chunk struct {
 	mh mhChunk
 }
 
-// sweepScratch is the per-chunk state of a fit, allocated once and reused
-// across all sweeps (the delta tables are O(topics x vocabulary) each,
-// too big to reallocate per sweep). applyTo re-zeroes each delta as it
-// folds it into the globals.
-type sweepScratch struct {
-	chunks []par.Padded[chunk]
-	// ps, when non-nil, makes pass accumulate pass timings and delta-table
-	// sizes (set by newRunRecorder; nil keeps the pass free of time
-	// syscalls on the unrecorded path).
-	ps *passStats
-
-	// pass carries one chunk pass's parameters to chunkFn, the chunk
-	// closure built once per fit — re-binding fields is free, so a sweep
-	// allocates no closure either (TestNilRecorderSweepAllocFree).
-	pass    passArgs
-	chunkFn func(c, lo, hi int)
-}
-
 // docKernel samples document di with the chunk's state ch: it draws from
-// the document's counter-based PRNG stream in ch.rng, records count
-// changes in ch.dl, and may use ch.probs as scratch.
-type docKernel func(ch *chunk, di int)
-
-// passArgs are one chunk pass's parameters, held on the scratch so the
-// prebuilt chunk closure can read them.
-type passArgs struct {
-	seed  int64
-	sweep uint64
-	visit docKernel
-}
-
-func newSweepScratch(nc, kTotal, v int) *sweepScratch {
-	sc := &sweepScratch{chunks: make([]par.Padded[chunk], nc)}
-	for c := range sc.chunks {
-		ch := &sc.chunks[c].V
-		ch.dl = newDelta(kTotal, v)
-		ch.probs = par.PadSlice[float64](kTotal)
-	}
-	sc.chunkFn = func(c, lo, hi int) {
-		ch := &sc.chunks[c].V
-		for di := lo; di < hi; di++ {
-			ch.rng = newStream(sc.pass.seed, uint64(di), sc.pass.sweep)
-			sc.pass.visit(ch, di)
-		}
-	}
-	return sc
-}
+// the document's counter-based PRNG stream rng, records count changes in
+// ch.dl, and may use ch.probs as scratch.
+type docKernel func(ch *chunk, rng *stream, di int)
 
 // corpus is the document form a fit samples, seen as assignment slots: a
 // token of a Run document, or a phrase of a RunPhrases document (all of
@@ -252,8 +173,10 @@ type fit struct {
 	nKV []int
 	nK  []int
 	// z[d][s] is the topic of assignment slot s of document d.
-	z  [][]int
-	sc *sweepScratch
+	z [][]int
+	// sw drives the chunked passes; each chunk's state is a chunk,
+	// allocated once per fit (the deltas are O(topics x vocabulary) each).
+	sw *par.Sweeper[chunk]
 	rr *runRecorder
 	ck *ckptState
 	// mh is the MH core's alias rebuild schedule; nil for the dense core
@@ -283,9 +206,11 @@ func newFit(engine string, c corpus, v int, cfg Config) (*fit, error) {
 		kTotal: kTotal, v: v, d: d,
 		alpha: alphaVec(cfg, kTotal),
 		nDK:   make([][]int, d), nKV: make([]int, v*kTotal), nK: make([]int, kTotal),
-		z:  make([][]int, d),
-		sc: newSweepScratch(samplerChunks(d, kTotal, v), kTotal, v),
+		z: make([][]int, d),
 	}
+	f.sw = par.NewSweeper(f.o, d, kTotal*v, cfg.Seed,
+		func() chunk { return chunk{dl: newDelta(kTotal, v), probs: par.PadSlice[float64](kTotal)} },
+		func(ch *chunk) int { return ch.dl.applyTo(f.nKV, f.nK) })
 	tokens := countTokens(c)
 
 	// The fingerprint binds checkpoints to this exact fit; computing it
@@ -308,7 +233,7 @@ func newFit(engine string, c corpus, v int, cfg Config) (*fit, error) {
 	// The recorder attaches after the init pass so sweep 1's timings
 	// cover sweep 1 only; nil (the common case) makes every endSweep a
 	// no-op and keeps the passes untimed.
-	f.rr = newRunRecorder(cfg, engine, d, tokens, f.sc, newProbe(c, f.alpha, cfg.Beta, v, f.nDK, f.nKV, f.nK))
+	f.rr = newRunRecorder(cfg, engine, d, tokens, f.sw, newProbe(c, f.alpha, cfg.Beta, v, f.nDK, f.nKV, f.nK))
 	f.ck = newCkptState(cfg, fp, f.z)
 	if f.core == SamplerMH && d > 0 {
 		_, phrases := c.(phraseDocs)
@@ -323,8 +248,8 @@ func newFit(engine string, c corpus, v int, cfg Config) (*fit, error) {
 // shared by both cores so an A/B comparison starts from the same state.
 func (f *fit) initPass(c corpus) error {
 	kTotal, nDK, z := f.kTotal, f.nDK, f.z
-	return f.pass(0, nil, func(ch *chunk, di int) {
-		rng, dl := &ch.rng, &ch.dl
+	return f.sw.Pass(0, func(ch *chunk, rng *stream, di int) {
+		dl := &ch.dl
 		n := c.slots(di)
 		nDK[di] = make([]int, kTotal)
 		z[di] = make([]int, n)
@@ -337,7 +262,7 @@ func (f *fit) initPass(c corpus) error {
 				dl.add(k, w, 1)
 			}
 		}
-	})
+	}, nil)
 }
 
 // run is the sweep driver every fit goes through: it resumes after the
@@ -359,13 +284,13 @@ func (f *fit) run(kernel docKernel) error {
 func (f *fit) sweep(sweep int, kernel docKernel) error {
 	var endPass func() error
 	if f.mh != nil {
-		for c := range f.sc.chunks {
-			f.sc.chunks[c].V.mh.refreshDen()
+		for c := range f.sw.Slots {
+			f.sw.Slots[c].V.State.mh.refreshDen()
 		}
 		f.mh.beginSweep(f.o, f.nKV)
 		endPass = f.mh.endPass
 	}
-	if err := f.pass(uint64(sweep), endPass, kernel); err != nil {
+	if err := f.sw.Pass(uint64(sweep), kernel, endPass); err != nil {
 		f.mh.drain()
 		return err
 	}
@@ -376,55 +301,6 @@ func (f *fit) sweep(sweep int, kernel docKernel) error {
 		return err
 	}
 	return f.ck.boundary(sweep)
-}
-
-// pass runs one chunked pass (initialization or a Gibbs sweep) over the
-// documents, using the chunk count the scratch was sized for. visit
-// samples one document (see docKernel). end, when non-nil, runs once
-// after every chunk finishes but *before* the deltas merge into the
-// global tables — the MH core joins its background alias rebuild there,
-// while the globals the rebuild reads are still frozen; an end error
-// aborts the pass without merging. On success the chunk deltas are merged
-// into nKV/nK in chunk order and reset; on cancellation the global tables
-// are left unchanged and the context error is returned. A pass over zero
-// documents is a no-op.
-func (f *fit) pass(sweep uint64, end func() error, visit docKernel) error {
-	if f.d <= 0 {
-		return f.o.Err()
-	}
-	sc := f.sc
-	var start time.Time
-	if sc.ps != nil {
-		start = time.Now()
-	}
-	sc.pass = passArgs{seed: f.cfg.Seed, sweep: sweep, visit: visit}
-	err := par.ForChunksN(f.o, f.d, len(sc.chunks), sc.chunkFn)
-	sc.pass = passArgs{} // drop the closure references
-	if err != nil {
-		return err
-	}
-	if end != nil {
-		if err := end(); err != nil {
-			return err
-		}
-	}
-	// ForChunksN clamps the chunk count to d, so trailing deltas may be
-	// untouched; applying an empty delta is O(topics), harmless.
-	if sc.ps != nil {
-		mergeStart := time.Now()
-		for c := range sc.chunks {
-			dl := &sc.chunks[c].V.dl
-			sc.ps.cells += int64(len(dl.dirty))
-			dl.applyTo(f.nKV, f.nK)
-		}
-		sc.ps.merge += time.Since(mergeStart)
-		sc.ps.wall += time.Since(start)
-		return nil
-	}
-	for c := range sc.chunks {
-		sc.chunks[c].V.dl.applyTo(f.nKV, f.nK)
-	}
-	return nil
 }
 
 // alphaVec expands the document prior: cfg.Alpha per content topic, with

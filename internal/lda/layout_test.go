@@ -1,6 +1,7 @@
 package lda
 
 import (
+	"reflect"
 	"testing"
 	"unsafe"
 
@@ -29,13 +30,13 @@ func TestChunkStateCacheLinePrivate(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(f.sc.chunks) < 2 {
-				t.Fatalf("%s/%s: %d chunks, the check needs at least 2", tc.name, s, len(f.sc.chunks))
+			if len(f.sw.Slots) < 2 {
+				t.Fatalf("%s/%s: %d chunks, the check needs at least 2", tc.name, s, len(f.sw.Slots))
 			}
 			if (f.mh != nil) != (s == SamplerMH) {
 				t.Fatalf("%s/%s: MH state attached = %v", tc.name, s, f.mh != nil)
 			}
-			checkChunkBlocks(t, tc.name+"/"+string(s), f.sc)
+			checkChunkBlocks(t, tc.name+"/"+string(s), f.sw)
 		}
 	}
 }
@@ -43,7 +44,7 @@ func TestChunkStateCacheLinePrivate(t *testing.T) {
 // checkChunkBlocks records which chunk owns each CacheGuard-aligned block
 // touched by a chunk's mutable state and reports every block two chunks
 // share.
-func checkChunkBlocks(t *testing.T, name string, sc *sweepScratch) {
+func checkChunkBlocks(t *testing.T, name string, sw *par.Sweeper[chunk]) {
 	t.Helper()
 	type owner struct {
 		chunk int
@@ -65,13 +66,15 @@ func checkChunkBlocks(t *testing.T, name string, sc *sweepScratch) {
 	markInts := func(c int, what string, s []int) {
 		mark(c, what, unsafe.Pointer(unsafe.SliceData(s)), uintptr(len(s))*unsafe.Sizeof(int(0)))
 	}
-	for c := range sc.chunks {
-		ch := &sc.chunks[c].V
-		mark(c, "rng", unsafe.Pointer(&ch.rng), unsafe.Sizeof(ch.rng))
+	for c := range sw.Slots {
+		slot := &sw.Slots[c].V
+		ch := &slot.State
+		mark(c, "rng", unsafe.Pointer(&slot.Rng), unsafe.Sizeof(slot.Rng))
 		mark(c, "delta header and ctr", unsafe.Pointer(&ch.dl), unsafe.Sizeof(ch.dl))
 		markInts(c, "delta.k", ch.dl.k)
-		markInts(c, "delta.kv", ch.dl.kv)
-		mark(c, "delta.touched", unsafe.Pointer(unsafe.SliceData(ch.dl.touched)), uintptr(len(ch.dl.touched)))
+		markInts(c, "delta.kv", ch.dl.kv.Cells)
+		touched := reflect.ValueOf(ch.dl.kv).FieldByName("touched")
+		mark(c, "delta.touched", unsafe.Pointer(touched.Pointer()), uintptr(touched.Len()))
 		mark(c, "probs", unsafe.Pointer(unsafe.SliceData(ch.probs)), uintptr(len(ch.probs))*8)
 		mark(c, "mhChunk header", unsafe.Pointer(&ch.mh), unsafe.Sizeof(ch.mh))
 		mark(c, "mhChunk.den", unsafe.Pointer(unsafe.SliceData(ch.mh.den)), uintptr(len(ch.mh.den))*8)

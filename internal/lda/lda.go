@@ -294,8 +294,8 @@ func (f *fit) denseTokenKernel(docs [][]int) docKernel {
 	z, nDK, nKV, nK, alpha := f.z, f.nDK, f.nKV, f.nK, f.alpha
 	kTotal, beta := f.kTotal, f.cfg.Beta
 	vb := float64(f.v) * beta
-	return func(ch *chunk, di int) {
-		rng, dl, probs := &ch.rng, &ch.dl, ch.probs
+	return func(ch *chunk, rng *stream, di int) {
+		dl, probs := &ch.dl, ch.probs
 		doc := docs[di]
 		for i, w := range doc {
 			kOld := z[di][i]
@@ -304,7 +304,7 @@ func (f *fit) denseTokenKernel(docs [][]int) docKernel {
 			dl.add(k, w, -1)
 			// Word-major tables: the word's counts over all topics are
 			// one contiguous row in each.
-			row, drow := nKV[w*kTotal:(w+1)*kTotal], dl.kv[w*kTotal:(w+1)*kTotal]
+			row, drow := nKV[w*kTotal:(w+1)*kTotal], dl.kv.Cells[w*kTotal:(w+1)*kTotal]
 			total := 0.0
 			for kk := 0; kk < kTotal; kk++ {
 				p := (float64(nDK[di][kk]) + alpha[kk]) *

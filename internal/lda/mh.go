@@ -224,18 +224,9 @@ func (s *mhChunk) refreshDen() {
 	}
 }
 
-// enableMH attaches MH sampling state to every chunk of the scratch.
-func (sc *sweepScratch) enableMH(alpha []float64, beta float64, v int, nKV []int, nK []int,
-	prop *mhProposal, alphaTab *linalg.Alias, phrases bool) {
-	for c := range sc.chunks {
-		ch := &sc.chunks[c].V
-		ch.mh = newMHChunk(alpha, beta, v, nKV, nK, &ch.dl, prop, alphaTab, phrases)
-	}
-}
-
 func (s *mhChunk) effKV(k, w int) int {
 	i := w*s.dl.kTotal + k
-	return s.nKV[i] + s.dl.kv[i]
+	return s.nKV[i] + s.dl.kv.Cells[i]
 }
 
 // beginDoc points the chunk at document state nDK; for phrase documents it
@@ -456,7 +447,11 @@ func (f *fit) startMH(phrases bool) error {
 		// with the skipped sweeps' rebuilds (or the restoring build).
 		f.rr.prime(sched.Rebuilds, sched.BuildTime)
 	}
-	f.sc.enableMH(f.alpha, f.cfg.Beta, f.v, f.nKV, f.nK, prop, linalg.NewAlias(f.alpha), phrases)
+	alphaTab := linalg.NewAlias(f.alpha)
+	for c := range f.sw.Slots {
+		ch := &f.sw.Slots[c].V.State
+		ch.mh = newMHChunk(f.alpha, f.cfg.Beta, f.v, f.nKV, f.nK, &ch.dl, prop, alphaTab, phrases)
+	}
 	f.mh = sched
 	return nil
 }
@@ -464,8 +459,8 @@ func (f *fit) startMH(phrases bool) error {
 // mhTokenKernel samples every token of a document through the MH kernel.
 func (f *fit) mhTokenKernel(docs [][]int) docKernel {
 	z, nDK := f.z, f.nDK
-	return func(c *chunk, di int) {
-		ch, rng := &c.mh, &c.rng
+	return func(c *chunk, rng *stream, di int) {
+		ch := &c.mh
 		zd := z[di]
 		ch.beginDoc(nDK[di], zd)
 		doc := docs[di]
@@ -489,8 +484,8 @@ func (f *fit) mhTokenKernel(docs [][]int) docKernel {
 // same chunk state.
 func (f *fit) mhPhraseKernel(docs []PhraseDoc) docKernel {
 	zP, nDK, nKV, nK, alpha := f.z, f.nDK, f.nKV, f.nK, f.alpha
-	return func(c *chunk, di int) {
-		ch, rng, probs := &c.mh, &c.rng, c.probs
+	return func(c *chunk, rng *stream, di int) {
+		ch, probs := &c.mh, c.probs
 		zPd := zP[di]
 		ch.beginDoc(nDK[di], zPd)
 		doc := docs[di]

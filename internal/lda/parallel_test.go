@@ -17,7 +17,7 @@ import (
 )
 
 // bigSynthCorpus builds a corpus large enough to span several sampler
-// chunks (samplerChunks asks for one chunk per 32 documents).
+// chunks (par.SamplerChunks asks for one chunk per 32 documents).
 func bigSynthCorpus(nDocs int, seed int64) [][]int {
 	docs, _ := synthCorpus(nDocs, 24, seed)
 	return docs
@@ -29,7 +29,7 @@ func TestRunDeterministicAcrossP(t *testing.T) {
 		return Must(Run(docs, 10, Config{K: 3, Iters: 30, Seed: 42, Background: true, P: p}))
 	}
 	want := run(1)
-	if nc := samplerChunks(len(docs), 4, 10); nc < 2 {
+	if nc := par.SamplerChunks(len(docs), 4*10); nc < 2 {
 		t.Fatalf("corpus spans %d chunk(s); the test needs >= 2 to exercise delta merging", nc)
 	}
 	for _, p := range []int{2, 8} {
@@ -82,17 +82,17 @@ func TestRunIndependentOfWorkerScheduling(t *testing.T) {
 // vocabularies instead of multiplying memory. All pure functions of the
 // problem shape, never of P.
 func TestSamplerChunksPolicy(t *testing.T) {
-	if nc := samplerChunks(2048, 5, 100); nc != par.SamplerMaxChunks {
-		t.Fatalf("samplerChunks(2048, small vocab) = %d, want %d", nc, par.SamplerMaxChunks)
+	if nc := par.SamplerChunks(2048, 5*100); nc != par.SamplerMaxChunks {
+		t.Fatalf("SamplerChunks(2048, small vocab) = %d, want %d", nc, par.SamplerMaxChunks)
 	}
-	if nc := samplerChunks(31, 5, 100); nc != 1 {
-		t.Fatalf("samplerChunks(31) = %d, want 1", nc)
+	if nc := par.SamplerChunks(31, 5*100); nc != 1 {
+		t.Fatalf("SamplerChunks(31) = %d, want 1", nc)
 	}
 	// 21 topics x 500k words = 10.5M cells per chunk: the budget allows
 	// only a handful of live delta tables.
-	nc := samplerChunks(100000, 21, 500000)
+	nc := par.SamplerChunks(100000, 21*500000)
 	if nc < 1 || nc*21*500000 > par.SamplerCellBudget {
-		t.Fatalf("samplerChunks huge-vocab = %d chunks, %d cells exceeds budget %d",
+		t.Fatalf("SamplerChunks huge-vocab = %d chunks, %d cells exceeds budget %d",
 			nc, nc*21*500000, par.SamplerCellBudget)
 	}
 }

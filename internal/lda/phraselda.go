@@ -74,7 +74,7 @@ func samplePhrase(phrase []int, nDK, nK []int, nKV []int, dl *delta,
 				}
 			}
 			cell := w*kTotal + kk
-			p *= (float64(nKV[cell]+dl.kv[cell]) + beta + float64(c)) /
+			p *= (float64(nKV[cell]+dl.kv.Cells[cell]) + beta + float64(c)) /
 				(float64(nK[kk]+dl.k[kk]) + vb + float64(i))
 		}
 		probs[kk] = p
@@ -95,8 +95,8 @@ func samplePhrase(phrase []int, nDK, nK []int, nKV []int, dl *delta,
 func (f *fit) densePhraseKernel(docs []PhraseDoc) docKernel {
 	zP, nDK, nKV, nK, alpha, beta := f.z, f.nDK, f.nKV, f.nK, f.alpha, f.cfg.Beta
 	vb := float64(f.v) * beta
-	return func(ch *chunk, di int) {
-		rng, dl, probs := &ch.rng, &ch.dl, ch.probs
+	return func(ch *chunk, rng *stream, di int) {
+		dl, probs := &ch.dl, ch.probs
 		doc := docs[di]
 		for pi, phrase := range doc {
 			kOld := zP[di][pi]

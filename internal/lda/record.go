@@ -44,15 +44,6 @@ func (c *sweepCounters) addFrom(o *sweepCounters) {
 	c.docAcc += o.docAcc
 }
 
-// passStats accumulates chunk-pass timings between runRecorder harvests.
-// It hangs off sweepScratch and is nil on the unrecorded path, keeping
-// time syscalls out of unrecorded passes entirely.
-type passStats struct {
-	cells int64 // delta-table cells merged
-	merge time.Duration
-	wall  time.Duration
-}
-
 // runRecorder aggregates one fit's chunk counters and pass timings into
 // per-sweep obs.SweepStats. A nil *runRecorder is the disabled state:
 // every method no-ops, so the sweep driver calls it unconditionally.
@@ -64,7 +55,7 @@ type runRecorder struct {
 	sweeps     int
 	probeEvery int
 	probe      func(par.Opts) (float64, error)
-	sc         *sweepScratch
+	sw         *par.Sweeper[chunk]
 
 	// Cumulative rebuild figures already attributed to earlier sweeps;
 	// endSweep diffs the running totals against these.
@@ -73,17 +64,18 @@ type runRecorder struct {
 }
 
 // newRunRecorder returns nil (the zero-cost disabled state) unless
-// cfg.Rec is set. When enabled it arms the scratch's passStats so
-// subsequent chunk passes time themselves.
-func newRunRecorder(cfg Config, engine string, docs int, tokens int64, sc *sweepScratch,
+// cfg.Rec is set. When enabled it arms the pass driver's Stats so
+// subsequent chunk passes time themselves (nil keeps time calls out of
+// unrecorded passes entirely).
+func newRunRecorder(cfg Config, engine string, docs int, tokens int64, sw *par.Sweeper[chunk],
 	probe func(par.Opts) (float64, error)) *runRecorder {
 	if cfg.Rec == nil {
 		return nil
 	}
-	sc.ps = &passStats{}
+	sw.Stats = &par.PassStats{}
 	return &runRecorder{
 		rec: cfg.Rec, engine: engine, docs: docs, tokens: tokens,
-		sweeps: cfg.Iters, probeEvery: cfg.ProbeEvery, probe: probe, sc: sc,
+		sweeps: cfg.Iters, probeEvery: cfg.ProbeEvery, probe: probe, sw: sw,
 	}
 }
 
@@ -109,15 +101,12 @@ func (r *runRecorder) endSweep(o par.Opts, sweep, rebuildsTotal int, rebuildTime
 		return nil
 	}
 	var c sweepCounters
-	for i := range r.sc.chunks {
-		dl := &r.sc.chunks[i].V.dl
+	for i := range r.sw.Slots {
+		dl := &r.sw.Slots[i].V.State.dl
 		c.addFrom(&dl.ctr)
 		dl.ctr = sweepCounters{}
 	}
-	chunks := len(r.sc.chunks)
-	if r.docs < chunks {
-		chunks = r.docs
-	}
+	ps := r.sw.Stats
 	s := obs.SweepStats{
 		Engine: r.engine, Sweep: sweep, Sweeps: r.sweeps, Docs: r.docs,
 		Tokens: r.tokens, Changed: c.changed,
@@ -125,14 +114,14 @@ func (r *runRecorder) endSweep(o par.Opts, sweep, rebuildsTotal int, rebuildTime
 		DocProposals: c.docProp, DocAccepts: c.docAcc,
 		AliasRebuilds: rebuildsTotal - r.rebuilds,
 		RebuildTime:   rebuildTime - r.rebuildT,
-		Chunks:        chunks,
-		DeltaCells:    r.sc.ps.cells,
-		MergeTime:     r.sc.ps.merge,
-		SweepTime:     r.sc.ps.wall,
+		Chunks:        len(r.sw.Slots),
+		DeltaCells:    ps.Cells,
+		MergeTime:     ps.Merge,
+		SweepTime:     ps.Wall,
 		LogLikelihood: math.NaN(),
 	}
 	r.rebuilds, r.rebuildT = rebuildsTotal, rebuildTime
-	*r.sc.ps = passStats{}
+	*ps = par.PassStats{}
 	if r.probe != nil && r.probeEvery > 0 && (sweep%r.probeEvery == 0 || sweep == r.sweeps) {
 		ll, err := r.probe(o)
 		if err != nil {

@@ -20,14 +20,14 @@ func (k trigramKey) hash() uint64 {
 	return rng.Mix64(uint64(k.topic)<<42 ^ uint64(k.prev)<<21 ^ uint64(k.word))
 }
 
-// countTable is a chunk's sparse count diff: an open-addressed (linear
-// probing) map from key to count change. It replaces a Go map in the
-// chunk delta because a map's header is written on every assignment and
-// is allocated wherever the runtime puts it, so the headers of
-// neighbouring chunks' maps share cache lines; every word of a countTable
-// is in the chunk's padded slot or in its PadSlice arrays. Entries stay
-// until reset, including ones whose count returned to zero, as a map's
-// would.
+// countTable is a sparse count table: an open-addressed (linear probing)
+// map from key to count. It holds the global bigram counts and each
+// chunk's diff against them. A Go map would not do in the chunk delta: a
+// map's header is written on every assignment and is allocated wherever
+// the runtime puts it, so the headers of neighbouring chunks' maps share
+// cache lines; every word of a countTable is in the chunk's padded slot
+// or in its PadSlice arrays. Entries stay until reset, including ones
+// whose count returned to zero, as a map's would.
 type countTable[K tableKey] struct {
 	keys []K
 	vals []int
@@ -94,6 +94,19 @@ func (t *countTable[K]) each(fn func(key K, c int)) {
 			fn(t.keys[i], t.vals[i])
 		}
 	}
+}
+
+// mergeInto adds t's nonzero entries into dst, resets t and returns the
+// number of entries it held.
+func (t *countTable[K]) mergeInto(dst *countTable[K]) int {
+	n := t.n
+	t.each(func(key K, c int) {
+		if c != 0 {
+			dst.add(key, c)
+		}
+	})
+	t.reset()
+	return n
 }
 
 // reset empties the table, keeping its capacity.

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"time"
 
 	"lesm/internal/core"
 	"lesm/internal/obs"
@@ -96,154 +95,105 @@ type Model struct {
 	Z, X [][]int
 }
 
+// bigramKey addresses one bigram total: (topic, previous word).
 type bigramKey struct {
 	topic, prev int
 }
 
-// trigramKey addresses one bigram-table cell (topic, prev word, word) —
-// the flat key the chunk deltas use so a delta is a single map instead of
-// a map of maps.
+// trigramKey addresses one bigram-table cell: (topic, previous word,
+// word).
 type trigramKey struct {
 	topic, prev, word int
 }
 
-// tngDelta is one chunk's private state: its diff against the
-// sweep-start global tables — dense tables with a dirty list for the
-// topic-word counts (merge cost O(cells touched)), dense merges for the
-// small arrays, and flat count tables for the sparse bigram tables
-// (integer adds, so the merge order cannot change the result) —
-// plus the chunk's PRNG stream slot and sampling scratch. The delta also
-// holds read-only references to the frozen globals so the eff* accessors
-// can answer "global + own-chunk delta" without per-document closures in
-// the hot loop (the pattern internal/lda's mhChunk uses). The chunk's
-// worker writes it on every token, so it lives in a par.Padded slot and
-// its arrays come from par.PadSlice (see internal/par's chunk-private
-// state rule).
+// counts are a fit's global count tables.
+type counts struct {
+	kv     []int // [v*k] topic-word counts, word-major: cell w*k+topic
+	k      []int // [k] topic totals
+	n0, n1 []int // [v] per previous word: next token not continued / continued
+	big    countTable[trigramKey]
+	bigTot countTable[bigramKey]
+}
+
+// tngDelta is one chunk's private state: its diffs against the
+// sweep-start global counts — dirty-tracked deltas for the topic-word and
+// status tables, a dense one for the topic totals and count tables for
+// the sparse bigram cells (integer adds, so the merge order cannot change
+// the result) — plus the sampling scratch. The chunk's worker writes it
+// on every token, so its arrays come from par.PadSlice (see
+// internal/par's chunk-private state rule).
 type tngDelta struct {
-	v       int
-	kv      [][]int // [k][v]
-	k       []int   // [k]
-	touched []bool  // [k*v]
-	dirty   []int
-	n0, n1  []int // [v]
-	big     countTable[trigramKey]
-	bigTot  countTable[bigramKey]
-	probs   []float64 // [2k] sampling scratch, reused across the chunk's docs
-	// st is the reusable stream slot: per-document streams are values
-	// reseeded in place, so a pass allocates none.
-	st rng.Stream
+	kv, n0, n1 par.Delta
+	k          []int
+	big        countTable[trigramKey]
+	bigTot     countTable[bigramKey]
+	probs      []float64 // [2k] sampling scratch, reused across the chunk's docs
 	// changed tallies (z, x) assignment changes for observability;
 	// harvested per sweep only when a Recorder is attached and never
 	// read by the sampling math.
 	changed int64
-
-	// Frozen sweep-start globals (read-only during a pass).
-	gKV     [][]int
-	gK      []int
-	gN0     []int
-	gN1     []int
-	gBig    map[bigramKey]map[int]int
-	gBigTot map[bigramKey]int
 }
 
-func newTngDelta(k, v int, gKV [][]int, gK, gN0, gN1 []int, gBig map[bigramKey]map[int]int, gBigTot map[bigramKey]int) tngDelta {
-	kv := make([][]int, k)
-	for i := range kv {
-		kv[i] = par.PadSlice[int](v)
-	}
+func newTngDelta(k, v int) tngDelta {
 	return tngDelta{
-		v: v, kv: kv, k: par.PadSlice[int](k),
-		touched: par.PadSlice[bool](k * v),
-		n0:      par.PadSlice[int](v), n1: par.PadSlice[int](v),
+		kv: par.NewDelta(v * k), k: par.PadSlice[int](k),
+		n0: par.NewDelta(v), n1: par.NewDelta(v),
 		probs: par.PadSlice[float64](2 * k),
-		gKV:   gKV, gK: gK, gN0: gN0, gN1: gN1, gBig: gBig, gBigTot: gBigTot,
 	}
 }
 
-// Effective counts: sweep-start global + own-chunk delta.
-func (d *tngDelta) effKV(k, w int) int { return d.gKV[k][w] + d.kv[k][w] }
-func (d *tngDelta) effK(k int) int     { return d.gK[k] + d.k[k] }
-func (d *tngDelta) effN0(w int) int    { return d.gN0[w] + d.n0[w] }
-func (d *tngDelta) effN1(w int) int    { return d.gN1[w] + d.n1[w] }
-func (d *tngDelta) effBig(key bigramKey, w int) int {
-	c := d.big.get(trigramKey{key.topic, key.prev, w})
-	if m := d.gBig[key]; m != nil {
-		c += m[w]
+// add moves c tokens of word w with topic t and status x into (c > 0) or
+// out of (c < 0) the delta; prev is the previous word, -1 at a
+// document's start.
+func (d *tngDelta) add(t, x, prev, w, c int) {
+	if x == 0 {
+		d.kv.Add(w*len(d.k)+t, c)
+		d.k[t] += c
+	} else {
+		d.big.add(trigramKey{t, prev, w}, c)
+		d.bigTot.add(bigramKey{t, prev}, c)
 	}
-	return c
-}
-func (d *tngDelta) effBigTot(key bigramKey) int { return d.gBigTot[key] + d.bigTot.get(key) }
-
-func (d *tngDelta) addKV(k, w, c int) {
-	idx := k*d.v + w
-	if !d.touched[idx] {
-		d.touched[idx] = true
-		d.dirty = append(d.dirty, idx)
+	switch {
+	case prev < 0:
+	case x == 1:
+		d.n1.Add(prev, c)
+	default:
+		d.n0.Add(prev, c)
 	}
-	d.kv[k][w] += c
-	d.k[k] += c
 }
 
-func (d *tngDelta) addBig(key bigramKey, w, c int) {
-	d.big.add(trigramKey{key.topic, key.prev, w}, c)
-	d.bigTot.add(key, c)
+// merge folds chunk delta d into the global counts, resets it and
+// returns the number of cells and bigram entries merged.
+func (g *counts) merge(d *tngDelta) int {
+	n := d.kv.MergeInto(g.kv) + d.n0.MergeInto(g.n0) + d.n1.MergeInto(g.n1)
+	for t, c := range d.k {
+		g.k[t] += c
+		d.k[t] = 0
+	}
+	return n + d.big.mergeInto(&g.big) + d.bigTot.mergeInto(&g.bigTot)
 }
 
-// applyTo folds the delta into the global tables and resets it.
-func (d *tngDelta) applyTo(nKV [][]int, nK []int, n0, n1 []int, big map[bigramKey]map[int]int, bigTot map[bigramKey]int) {
-	for _, idx := range d.dirty {
-		k, w := idx/d.v, idx%d.v
-		if c := d.kv[k][w]; c != 0 {
-			nKV[k][w] += c
-			d.kv[k][w] = 0
-		}
-		d.touched[idx] = false
-	}
-	d.dirty = d.dirty[:0]
-	for k, c := range d.k {
-		nK[k] += c
-		d.k[k] = 0
-	}
-	for w, c := range d.n0 {
-		if c != 0 {
-			n0[w] += c
-			d.n0[w] = 0
-		}
-	}
-	for w, c := range d.n1 {
-		if c != 0 {
-			n1[w] += c
-			d.n1[w] = 0
-		}
-	}
-	d.big.each(func(tk trigramKey, c int) {
-		if c == 0 {
-			return
-		}
-		key := bigramKey{tk.topic, tk.prev}
-		m := big[key]
-		if m == nil {
-			m = map[int]int{}
-			big[key] = m
-		}
-		m[tk.word] += c
-	})
-	d.bigTot.each(func(key bigramKey, c int) {
-		if c != 0 {
-			bigTot[key] += c
-		}
-	})
-	d.big.reset()
-	d.bigTot.reset()
+// sampler is one fit's state after the initialization pass: the global
+// counts, the assignments and the pass driver holding the chunk state.
+type sampler struct {
+	*par.Sweeper[tngDelta]
+	cfg  Config // defaulted
+	docs [][]int
+	v    int
+	g    counts
+	nDK  [][]int
+	z, x [][]int
 }
+
+// kernel samples one document with its chunk's delta and stream.
+type kernel = func(dl *tngDelta, st *rng.Stream, di int)
 
 // Run fits the model to id-encoded documents.
 //
-// Like the internal/lda samplers, sweeps execute as chunked passes over
-// the documents on the shared parallel runtime: the global count tables
-// (topic-word, bigram, and status tables alike) are frozen for the pass,
-// each chunk records its changes in a private delta and samples against
-// global + own-chunk delta, and deltas merge in chunk order afterwards.
+// Sweeps run on the Gibbs pass driver internal/lda also uses
+// (par.Sweeper): the global count tables (topic-word, bigram and status
+// tables alike) are frozen for a pass, each chunk samples against global
+// + own-chunk delta, and the deltas merge in chunk order afterwards.
 // Every document draws from its own (Seed, doc, sweep) SplitMix64 stream,
 // so the fitted model is bit-identical at any Config.P. Run returns an
 // error when the config or a token id is invalid, or when Config.Ctx is
@@ -253,15 +203,24 @@ func Run(docs [][]int, v int, cfg Config) (*Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.fit()
-}
-
-// sampler is a TNG fit after its initialization pass: the chunk state,
-// one padded slot per chunk, and fit, which runs the Gibbs sweeps and
-// returns the model.
-type sampler struct {
-	Slots []par.Padded[tngDelta]
-	fit   func() (*Model, error)
+	cfg = s.cfg
+	var tokens int64
+	if cfg.Rec != nil {
+		for _, doc := range docs {
+			tokens += int64(len(doc))
+		}
+		s.Stats = &par.PassStats{}
+	}
+	sweep := s.sweepKernel()
+	for it := 1; it <= cfg.Iters; it++ {
+		if err := s.Pass(uint64(it), sweep, nil); err != nil {
+			return nil, err
+		}
+		if cfg.Rec != nil {
+			s.record(it, tokens)
+		}
+	}
+	return s.model(), nil
 }
 
 // newSampler validates the run, allocates the tables and chunk state and
@@ -285,59 +244,30 @@ func newSampler(docs [][]int, v int, cfg Config) (*sampler, error) {
 	if cfg.Rec != nil {
 		o.Obs = cfg.Rec
 	}
-	k := cfg.K
-	d := len(docs)
-
-	nDK := make([][]int, d)
-	nKV := make([][]int, k)
-	nK := make([]int, k)
-	for i := range nKV {
-		nKV[i] = make([]int, v)
+	k, d := cfg.K, len(docs)
+	s := &sampler{
+		cfg: cfg, docs: docs, v: v,
+		g:   counts{kv: make([]int, v*k), k: make([]int, k), n0: make([]int, v), n1: make([]int, v)},
+		nDK: make([][]int, d), z: make([][]int, d), x: make([][]int, d),
 	}
-	// Bigram tables: counts of (topic, prev) -> word, and status counts per
-	// previous word.
-	big := map[bigramKey]map[int]int{}
-	bigTot := map[bigramKey]int{}
-	n1 := make([]int, v) // prev word continued
-	n0 := make([]int, v) // prev word not continued
-
-	z := make([][]int, d)
-	x := make([][]int, d)
-
-	// Chunk policy shared with internal/lda's samplers (par.SamplerChunks);
-	// the per-chunk dense delta tables hold k*v cells each.
-	nc := par.SamplerChunks(d, k*v)
-	deltas := make([]par.Padded[tngDelta], nc)
-	for c := range deltas {
-		deltas[c].V = newTngDelta(k, v, nKV, nK, n0, n1, big, bigTot)
+	// Each chunk's dense topic-word delta holds k*v cells.
+	s.Sweeper = par.NewSweeper(o, d, k*v, cfg.Seed, func() tngDelta { return newTngDelta(k, v) }, s.g.merge)
+	if err := s.Pass(0, s.initKernel(), nil); err != nil {
+		return nil, err
 	}
+	return s, nil
+}
 
-	// pass runs one chunked pass and merges the deltas in chunk order.
-	pass := func(sweep uint64, visit func(di int, st *rng.Stream, dl *tngDelta)) error {
-		if d == 0 {
-			return o.Err()
-		}
-		err := par.ForChunksN(o, d, nc, func(c, lo, hi int) {
-			dl := &deltas[c].V
-			for di := lo; di < hi; di++ {
-				dl.st = rng.NewStream(cfg.Seed, uint64(di), sweep)
-				visit(di, &dl.st, dl)
-			}
-		})
-		if err != nil {
-			return err
-		}
-		for c := range deltas {
-			deltas[c].V.applyTo(nKV, nK, n0, n1, big, bigTot)
-		}
-		return nil
-	}
-
-	err := pass(0, func(di int, st *rng.Stream, dl *tngDelta) {
+// initKernel draws every token's topic uniformly and, mid-document, a
+// continuation status with probability 0.2 (sharing the previous topic).
+func (s *sampler) initKernel() kernel {
+	docs, k, nDK, z, x := s.docs, s.cfg.K, s.nDK, s.z, s.x
+	return func(dl *tngDelta, st *rng.Stream, di int) {
 		doc := docs[di]
 		z[di] = make([]int, len(doc))
 		x[di] = make([]int, len(doc))
 		nDK[di] = make([]int, k)
+		prev := -1
 		for i, w := range doc {
 			zi := st.Intn(k)
 			xi := 0
@@ -347,196 +277,143 @@ func newSampler(docs [][]int, v int, cfg Config) (*sampler, error) {
 			}
 			z[di][i], x[di][i] = zi, xi
 			nDK[di][zi]++
-			if xi == 0 {
-				dl.addKV(zi, w, 1)
-			} else {
-				dl.addBig(bigramKey{zi, doc[i-1]}, w, 1)
-			}
-			if i > 0 {
-				if xi == 1 {
-					dl.n1[doc[i-1]]++
-				} else {
-					dl.n0[doc[i-1]]++
-				}
-			}
+			dl.add(zi, xi, prev, w, 1)
+			prev = w
 		}
-	})
-	if err != nil {
-		return nil, err
 	}
-	return &sampler{Slots: deltas, fit: func() (*Model, error) {
-		return sweeps(docs, v, cfg, deltas, pass, nDK, nKV, nK, z, x)
-	}}, nil
 }
 
-// sweeps runs the Gibbs sweeps after the initialization pass and builds
-// the model.
-func sweeps(docs [][]int, v int, cfg Config, deltas []par.Padded[tngDelta],
-	pass func(sweep uint64, visit func(di int, st *rng.Stream, dl *tngDelta)) error,
-	nDK, nKV [][]int, nK []int, z, x [][]int) (*Model, error) {
-	k, d, nc := cfg.K, len(docs), len(deltas)
-	vb := float64(v) * cfg.Beta
-	vd := float64(v) * cfg.Delta
-	var totTok int64
-	if cfg.Rec != nil {
-		for _, doc := range docs {
-			totTok += int64(len(doc))
+// sweepKernel resamples every token's (z, x) jointly from its collapsed
+// conditional against global + own-chunk delta counts.
+func (s *sampler) sweepKernel() kernel {
+	cfg, docs, g, nDK, z, x := s.cfg, s.docs, &s.g, s.nDK, s.z, s.x
+	k := cfg.K
+	vb := float64(s.v) * cfg.Beta
+	vd := float64(s.v) * cfg.Delta
+	return func(dl *tngDelta, st *rng.Stream, di int) {
+		doc, probs := docs[di], dl.probs
+		zd, xd, nd := z[di], x[di], nDK[di]
+		prev := -1
+		for i, w := range doc {
+			zOld, xOld := zd[i], xd[i]
+			nd[zOld]--
+			dl.add(zOld, xOld, prev, w, -1)
+			// Joint sample of (x, z). x=1 allowed only mid-document
+			// and ties the topic to the previous token's topic.
+			row, drow := g.kv[w*k:(w+1)*k], dl.kv.Cells[w*k:(w+1)*k]
+			var n0 float64
+			if prev >= 0 {
+				n0 = float64(g.n0[prev]+dl.n0.Cells[prev]) + cfg.Gamma
+			}
+			total := 0.0
+			for kk := 0; kk < k; kk++ {
+				p := (float64(nd[kk]) + cfg.Alpha) *
+					(float64(row[kk]+drow[kk]) + cfg.Beta) / (float64(g.k[kk]+dl.k[kk]) + vb)
+				if prev >= 0 {
+					p *= n0
+				}
+				probs[kk] = p
+				total += p
+			}
+			clear(probs[k:])
+			if prev >= 0 {
+				prevZ := zd[i-1]
+				tk, bk := trigramKey{prevZ, prev, w}, bigramKey{prevZ, prev}
+				cnt := float64(g.big.get(tk) + dl.big.get(tk))
+				if cnt < 0 {
+					cnt = 0
+				}
+				bw := cnt - cfg.Discount
+				if bw < 0 {
+					bw = 0
+				}
+				p := (float64(nd[prevZ]) + cfg.Alpha) *
+					(bw + cfg.Delta) / (float64(g.bigTot.get(bk)+dl.bigTot.get(bk)) + vd) *
+					(float64(g.n1[prev]+dl.n1.Cells[prev]) + cfg.Gamma)
+				probs[k+prevZ] = p
+				total += p
+			}
+			if cfg.ExtraWork > 0 {
+				// Emulate CRP table bookkeeping cost.
+				s := 0.0
+				for e := 0; e < cfg.ExtraWork; e++ {
+					for kk := 0; kk < 2*k; kk++ {
+						s += probs[kk] * float64(e+1)
+					}
+				}
+				_ = s
+			}
+			r := st.Float64() * total
+			pick := 0
+			for idx := 0; idx < 2*k; idx++ {
+				r -= probs[idx]
+				if r <= 0 {
+					pick = idx
+					break
+				}
+			}
+			zi, xi := pick, 0
+			if pick >= k {
+				zi, xi = pick-k, 1
+			}
+			if zi != zOld || xi != xOld {
+				dl.changed++
+			}
+			zd[i], xd[i] = zi, xi
+			nd[zi]++
+			dl.add(zi, xi, prev, w, 1)
+			prev = w
 		}
 	}
-	for it := 0; it < cfg.Iters; it++ {
-		var t0 time.Time
-		if cfg.Rec != nil {
-			t0 = time.Now()
-		}
-		err := pass(uint64(it+1), func(di int, st *rng.Stream, dl *tngDelta) {
-			doc := docs[di]
-			probs := dl.probs
-			for i, w := range doc {
-				zi, xi := z[di][i], x[di][i]
-				zOld, xOld := zi, xi
-				// Remove token.
-				nDK[di][zi]--
-				if xi == 0 {
-					dl.addKV(zi, w, -1)
-				} else {
-					dl.addBig(bigramKey{zi, doc[i-1]}, w, -1)
-				}
-				if i > 0 {
-					if xi == 1 {
-						dl.n1[doc[i-1]]--
-					} else {
-						dl.n0[doc[i-1]]--
-					}
-				}
-				// Joint sample of (x, z). x=1 allowed only mid-document
-				// and ties the topic to the previous token's topic.
-				total := 0.0
-				for kk := 0; kk < k; kk++ {
-					p := (float64(nDK[di][kk]) + cfg.Alpha) *
-						(float64(dl.effKV(kk, w)) + cfg.Beta) / (float64(dl.effK(kk)) + vb)
-					if i > 0 {
-						p *= float64(dl.effN0(doc[i-1])) + cfg.Gamma
-					}
-					probs[kk] = p
-					total += p
-				}
-				if i > 0 {
-					prevZ := z[di][i-1]
-					key := bigramKey{prevZ, doc[i-1]}
-					cnt := float64(dl.effBig(key, w))
-					if cnt < 0 {
-						cnt = 0
-					}
-					disc := cfg.Discount
-					bw := cnt - disc
-					if bw < 0 {
-						bw = 0
-					}
-					p := (float64(nDK[di][prevZ]) + cfg.Alpha) *
-						(bw + cfg.Delta) / (float64(dl.effBigTot(key)) + vd) *
-						(float64(dl.effN1(doc[i-1])) + cfg.Gamma)
-					probs[k+prevZ] = p
-					total += p
-					for kk := 0; kk < k; kk++ {
-						if kk != prevZ {
-							probs[k+kk] = 0
-						}
-					}
-				} else {
-					for kk := 0; kk < k; kk++ {
-						probs[k+kk] = 0
-					}
-				}
-				if cfg.ExtraWork > 0 {
-					// Emulate CRP table bookkeeping cost.
-					s := 0.0
-					for e := 0; e < cfg.ExtraWork; e++ {
-						for kk := 0; kk < 2*k; kk++ {
-							s += probs[kk] * float64(e+1)
-						}
-					}
-					_ = s
-				}
-				r := st.Float64() * total
-				pick := 0
-				for idx := 0; idx < 2*k; idx++ {
-					r -= probs[idx]
-					if r <= 0 {
-						pick = idx
-						break
-					}
-				}
-				if pick < k {
-					zi, xi = pick, 0
-				} else {
-					zi, xi = pick-k, 1
-				}
-				if zi != zOld || xi != xOld {
-					dl.changed++
-				}
-				z[di][i], x[di][i] = zi, xi
-				nDK[di][zi]++
-				if xi == 0 {
-					dl.addKV(zi, w, 1)
-				} else {
-					dl.addBig(bigramKey{zi, doc[i-1]}, w, 1)
-				}
-				if i > 0 {
-					if xi == 1 {
-						dl.n1[doc[i-1]]++
-					} else {
-						dl.n0[doc[i-1]]++
-					}
-				}
-			}
-		})
-		if err != nil {
-			return nil, err
-		}
-		if cfg.Rec != nil {
-			var changed int64
-			for c := range deltas {
-				dl := &deltas[c].V
-				changed += dl.changed
-				dl.changed = 0
-			}
-			ch := nc
-			if d < ch {
-				ch = d
-			}
-			cfg.Rec.RecordSweep(obs.SweepStats{
-				Engine:        "tng",
-				Sweep:         it + 1,
-				Sweeps:        cfg.Iters,
-				Docs:          d,
-				Tokens:        totTok,
-				Changed:       changed,
-				Chunks:        ch,
-				SweepTime:     time.Since(t0),
-				LogLikelihood: math.NaN(),
-			})
-		}
-	}
+}
 
-	m := &Model{K: k, Z: z, X: x}
-	m.Phi = make([][]float64, k)
+// record emits sweep's SweepStats and resets the counters and timings it
+// harvests.
+func (s *sampler) record(sweep int, tokens int64) {
+	var changed int64
+	for c := range s.Slots {
+		dl := &s.Slots[c].V.State
+		changed += dl.changed
+		dl.changed = 0
+	}
+	ps := *s.Stats
+	*s.Stats = par.PassStats{}
+	s.cfg.Rec.RecordSweep(obs.SweepStats{
+		Engine:        "tng",
+		Sweep:         sweep,
+		Sweeps:        s.cfg.Iters,
+		Docs:          len(s.docs),
+		Tokens:        tokens,
+		Changed:       changed,
+		Chunks:        len(s.Slots),
+		DeltaCells:    ps.Cells,
+		MergeTime:     ps.Merge,
+		SweepTime:     ps.Wall,
+		LogLikelihood: math.NaN(),
+	})
+}
+
+// model builds the fitted model from the final counts.
+func (s *sampler) model() *Model {
+	cfg, k, v := s.cfg, s.cfg.K, s.v
+	vb := float64(v) * cfg.Beta
+	m := &Model{K: k, Z: s.z, X: s.x, Phi: make([][]float64, k), Rho: make([]float64, k)}
 	total := 0
 	for kk := 0; kk < k; kk++ {
 		m.Phi[kk] = make([]float64, v)
 		for w := 0; w < v; w++ {
-			m.Phi[kk][w] = (float64(nKV[kk][w]) + cfg.Beta) / (float64(nK[kk]) + vb)
+			m.Phi[kk][w] = (float64(s.g.kv[w*k+kk]) + cfg.Beta) / (float64(s.g.k[kk]) + vb)
 		}
-		total += nK[kk]
+		total += s.g.k[kk]
 	}
-	m.Rho = make([]float64, k)
 	for kk := 0; kk < k; kk++ {
 		if total > 0 {
-			m.Rho[kk] = float64(nK[kk]) / float64(total)
+			m.Rho[kk] = float64(s.g.k[kk]) / float64(total)
 		} else {
 			m.Rho[kk] = 1 / float64(k)
 		}
 	}
-	return m, nil
+	return m
 }
 
 // TopicalPhrases extracts the maximal status-1 runs as phrases and ranks
