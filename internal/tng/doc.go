@@ -6,10 +6,14 @@
 // shares the previous token's topic; consecutive status-1 tokens chain into
 // n-grams ("these bigrams can be combined to form n-gram phrases").
 //
-// It also provides PYNgram, a Pitman-Yor-flavored variant standing in for
-// PD-LDA (Lindsey et al. 2012): identical structure but with a discount on
-// bigram table counts, and a deliberately heavier sampling loop — PD-LDA's
-// hierarchical Pitman-Yor machinery is the reason the paper reports it as
-// orders of magnitude slower (Table 4.5). See DESIGN.md §2 for the
-// substitution note.
+// Config.Discount turns it into the stand-in for PD-LDA (Lindsey et al.
+// 2012) that Chapter 4's PDLDA* rows run: the same sampler with a
+// Pitman-Yor-style discount on the bigram counts, but none of PD-LDA's
+// hierarchical Pitman-Yor seating, so its runtime is a lower bound on
+// PD-LDA's (Table 4.5).
+//
+// Run is a kernel pair, initialization and sweep, on the Gibbs pass
+// driver internal/lda also uses (par.Sweeper): chunked passes against
+// frozen global counts plus chunk-private deltas, merged in chunk order,
+// so the fitted model is bit-identical at any parallelism.
 package tng

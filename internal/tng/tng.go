@@ -23,11 +23,8 @@ type Config struct {
 	Iters int     // default 150
 	Seed  int64
 	// Discount applies a Pitman-Yor-style discount to bigram counts
-	// (PYNgram only).
+	// (the PD-LDA stand-in; 0 = plain TNG).
 	Discount float64
-	// ExtraWork multiplies inner-loop work to emulate PD-LDA's CRP
-	// bookkeeping cost (PYNgram only; 0 = none).
-	ExtraWork int
 	// P bounds the worker count of the parallel sweeps (0 = GOMAXPROCS).
 	// The fitted model is bit-identical at any P.
 	P int
@@ -332,16 +329,6 @@ func (s *sampler) sweepKernel() kernel {
 					(float64(g.n1[prev]+dl.n1.Cells[prev]) + cfg.Gamma)
 				probs[k+prevZ] = p
 				total += p
-			}
-			if cfg.ExtraWork > 0 {
-				// Emulate CRP table bookkeeping cost.
-				s := 0.0
-				for e := 0; e < cfg.ExtraWork; e++ {
-					for kk := 0; kk < 2*k; kk++ {
-						s += probs[kk] * float64(e+1)
-					}
-				}
-				_ = s
 			}
 			r := st.Float64() * total
 			pick := 0
