@@ -15,6 +15,15 @@
 // on. Large inputs expose up to MaxChunks (256) chunks, so machines well
 // past 16 cores keep scaling.
 //
+// The collapsed Gibbs samplers (internal/lda's fits, internal/tng) share
+// one chunked delayed-update pass driver, Sweeper: per-chunk Padded slots
+// sized by SamplerChunks, each holding the engine's chunk state next to
+// the PRNG stream it reseeds to (seed, doc, sweep) before every document,
+// an end hook that runs while the global tables are still frozen, and a
+// merge of the chunk states in chunk order. Delta is the dirty-tracked
+// diff over a flat []int count table that those states hold; its merge
+// visits only the cells the chunk touched.
+//
 // Chunk-private mutable state lives in a Padded slot, and every array a
 // chunk writes is allocated by PadSlice: each pads its value with
 // CacheGuard (128) bytes on both sides, so no 128-byte-aligned block holds
