@@ -279,8 +279,10 @@ func (f *fit) run(kernel docKernel) error {
 
 // sweep runs one Gibbs sweep: the MH core's pre-sweep hooks (refresh the
 // cached denominators, kick a due alias rebuild), the chunk pass, then the
-// sweep's record and checkpoint boundary. A failed pass joins any
-// in-flight rebuild before returning, so it cannot outlive the run.
+// sweep's record and checkpoint boundary. The MH core joins a pending
+// rebuild in the pass's end hook, before the deltas merge into the
+// globals the rebuild reads. A failed pass joins any in-flight rebuild
+// before returning, so it cannot outlive the run.
 func (f *fit) sweep(sweep int, kernel docKernel) error {
 	var endPass func() error
 	if f.mh != nil {
