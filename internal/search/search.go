@@ -81,8 +81,8 @@ type Source struct {
 
 // SourceFromSnapshot extracts everything a snapshot knows by name:
 // vocabulary words, phrase displays (the roles section when present,
-// otherwise the hierarchy's attached phrase lists — the same precedence
-// the phrase-search route uses), and the advisor network's authors,
+// otherwise the hierarchy's attached phrase lists, node by node in
+// pre-order), and the advisor network's authors,
 // labeled through the hierarchy's author-type entities when it carries
 // any (an entity type named "author" or "person"; first display per id in
 // pre-order wins). The extraction order is fully determined by the
@@ -275,6 +275,35 @@ func (ix *Index) Postings() int {
 
 // Entry returns indexed entry i.
 func (ix *Index) Entry(i int) Entry { return ix.entries[i] }
+
+// PhraseRange returns the ids [lo, hi) of the phrase entries; lo == hi
+// when there are none. Build numbers entries by kind (words, phrases,
+// authors) and within a kind in Source order, so ascending ids read the
+// Source's phrase list in order.
+func (ix *Index) PhraseRange() (lo, hi int) {
+	lo = sort.Search(len(ix.entries), func(i int) bool { return ix.entries[i].Kind >= KindPhrase })
+	hi = sort.Search(len(ix.entries), func(i int) bool { return ix.entries[i].Kind > KindPhrase })
+	return lo, hi
+}
+
+// FoldedName returns Fold(Entry(i).Name).
+func (ix *Index) FoldedName(i int) string { return ix.foldedName[i] }
+
+// WithToken returns the ids of the entries whose name tokenizes to token
+// among others, ascending; nil when none does. token is matched as given,
+// so it must be folded (a Tokenize output). The slice is the index's own
+// and must not be modified.
+func (ix *Index) WithToken(token string) []int32 {
+	if i := sort.SearchStrings(ix.terms, token); i < len(ix.terms) && ix.terms[i] == token {
+		return ix.postings[i]
+	}
+	return nil
+}
+
+// WithName returns the ids of the entries whose folded name equals
+// Fold(name), ascending. The slice is the index's own and must not be
+// modified.
+func (ix *Index) WithName(name string) []int32 { return ix.byName[textkit.Fold(name)] }
 
 // Checksum is an FNV-1a digest over the index's canonical serialization
 // (entries in id order, then the sorted term dictionary with its posting

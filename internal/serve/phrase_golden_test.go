@@ -12,11 +12,15 @@ import (
 	"fmt"
 	"net/http"
 	"net/url"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
 	"lesm/internal/core"
+	"lesm/internal/search"
 	"lesm/internal/store"
+	"lesm/internal/textkit"
 )
 
 // phraseGoldenRequests is the fixed request list every fixture answers.
@@ -169,5 +173,105 @@ func TestPhraseLookupGolden(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// scanPhrasesWithToken is the per-request scan /entity/<word> ran before
+// it read the search index's postings: every phrase of the snapshot's
+// list, re-tokenized, kept when one of its tokens equals token, ranked by
+// score, display and path and capped at profileCap. It stays here as the
+// oracle for phrasesWithToken.
+func scanPhrasesWithToken(phrases []search.Phrase, token string) []phraseHit {
+	var out []phraseHit
+	for _, p := range phrases {
+		for _, t := range textkit.Tokenize(textkit.Fold(p.Display)) {
+			if t == token {
+				out = append(out, phraseHit{Path: p.Path, Display: p.Display, Score: p.Score})
+				break
+			}
+		}
+	}
+	sort.SliceStable(out, func(a, b int) bool {
+		if out[a].Score != out[b].Score {
+			return out[a].Score > out[b].Score
+		}
+		if out[a].Display != out[b].Display {
+			return out[a].Display < out[b].Display
+		}
+		return out[a].Path < out[b].Path
+	})
+	if len(out) > profileCap {
+		out = out[:profileCap]
+	}
+	return out
+}
+
+// TestPhrasesWithTokenOracle checks the postings lookup against the scan
+// for every vocabulary word and every phrase token of every golden
+// fixture, and the folded-name lookup of /entity/<phrase> against a scan
+// for every phrase display.
+func TestPhrasesWithTokenOracle(t *testing.T) {
+	for name, snap := range phraseGoldenFixtures(t) {
+		s, err := New(snap, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := s.cur.Load()
+		phrases := search.SourceFromSnapshot(snap).Phrases
+		tokens := map[string]bool{"": true, "zzz": true}
+		for _, w := range snap.Vocab {
+			tokens[textkit.Fold(w)] = true
+		}
+		for _, p := range phrases {
+			for _, tok := range textkit.Tokenize(p.Display) {
+				tokens[tok] = true
+			}
+		}
+		for tok := range tokens {
+			got, want := phrasesWithToken(a, tok), scanPhrasesWithToken(phrases, tok)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: phrasesWithToken(%q) = %v, scan = %v", name, tok, got, want)
+			}
+		}
+		for _, p := range phrases {
+			var want []phraseHit
+			for _, q := range phrases {
+				if textkit.Fold(q.Display) == textkit.Fold(p.Display) {
+					want = append(want, phraseHit{Path: q.Path, Display: q.Display, Score: q.Score})
+				}
+			}
+			if got := phraseHits(a.index, a.index.WithName(p.Display)); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: occurrences of %q = %v, scan = %v", name, p.Display, got, want)
+			}
+		}
+		s.Close()
+	}
+}
+
+// TestPhraseLookupDuplicatePaths serves a hierarchy whose two children
+// share a path. Each node's own phrases are listed once: the lookups
+// read the index, which walks the nodes, not a path-keyed node map (that
+// listed the last such node's phrases twice and the first's never).
+func TestPhraseLookupDuplicatePaths(t *testing.T) {
+	snap := testSnapshot(t)
+	snap.RolePhrases = nil
+	snap.Hierarchy.Root.Children[1].Path = "o/1"
+	s, err := New(snap, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for _, c := range []struct{ target, want string }{
+		{"/phrases/search?q=n",
+			`{"hits":[{"path":"o/1","display":"query processing","score":3},{"path":"o/1","display":"network learning","score":2}],"query":"n"}`},
+		{"/entity/learning", `"phrases":[{"path":"o/1","display":"network learning","score":2}]`},
+		{"/entity/query", `"phrases":[{"path":"o/1","display":"query processing","score":3}]`},
+		{"/entity/" + url.PathEscape("network learning"), `"occurrences":[{"path":"o/1","display":"network learning","score":2}]`},
+		{"/entity/" + url.PathEscape("query processing"), `"occurrences":[{"path":"o/1","display":"query processing","score":3}]`},
+	} {
+		rec := s.serveOnce(t, http.MethodGet, c.target, nil)
+		if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), c.want) {
+			t.Errorf("%s = %d %s, want it to hold %s", c.target, rec.Code, rec.Body, c.want)
+		}
 	}
 }

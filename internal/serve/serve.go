@@ -113,15 +113,16 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// phraseHit is one prepared entry of the phrase search index. folded is
-// the display case-folded through textkit.Fold — the same fold queries go
-// through, so non-ASCII case variants match (strings.ToLower kept e.g.
-// the Greek final sigma distinct from the medial form Tokenize produces).
+// phraseHit is a phrase entry of the search index as the phrase lookups
+// render it.
 type phraseHit struct {
 	Path    string  `json:"path"`
 	Display string  `json:"display"`
 	Score   float64 `json:"score"`
-	folded  string
+}
+
+func toPhraseHit(e search.Entry) phraseHit {
+	return phraseHit{Path: e.Path, Display: e.Name, Score: e.Weight}
 }
 
 // authorNode is one hierarchy placement of an author entity.
@@ -143,7 +144,6 @@ type artifact struct {
 	foldIn  *lda.FoldInModel
 	nodes   map[string]*core.TopicNode
 	paths   []string // hierarchy pre-order
-	phrases []phraseHit
 	advisor *tpfg.Result
 	// predicted[i] is advisor.Predict()[i], computed once at build so
 	// /advisor lookups don't re-run the all-authors argmax per request;
@@ -159,7 +159,8 @@ type artifact struct {
 	advisees map[int][]int
 	// index is the generation's entity search index (always built, possibly
 	// empty); it is immutable and rides the same atomic swap as the rest of
-	// the artifact, so /search and /entity reads are lock-free.
+	// the artifact, so /search, /entity and /phrases/search reads are
+	// lock-free. It is also the generation's one phrase list.
 	index *search.Index
 	// authorNodes[id] lists the hierarchy placements of author id — the
 	// nodes carrying an author-typed entity with that id (search.AuthorTypes
@@ -205,21 +206,6 @@ func buildArtifact(snap *store.Snapshot, opt Options, gen uint64, closer io.Clos
 			a.paths = append(a.paths, n.Path)
 			a.nodes[n.Path] = n
 		})
-	}
-	// Phrase search index: the roles section when present (the analyzer's
-	// per-topic view), otherwise the hierarchy's attached phrase lists.
-	if snap.RolePhrases != nil {
-		for _, tp := range snap.RolePhrases {
-			for _, p := range tp.Phrases {
-				a.phrases = append(a.phrases, phraseHit{Path: tp.Path, Display: p.Display, Score: p.Score, folded: textkit.Fold(p.Display)})
-			}
-		}
-	} else if snap.Hierarchy != nil {
-		for _, path := range a.paths {
-			for _, p := range a.nodes[path].Phrases {
-				a.phrases = append(a.phrases, phraseHit{Path: path, Display: p.Display, Score: p.Score, folded: textkit.Fold(p.Display)})
-			}
-		}
 	}
 	if adv := snap.Advisor; adv != nil {
 		a.advisor = &tpfg.Result{Net: adv.Net, Rank: adv.Rank}
@@ -451,6 +437,27 @@ func queryInt(r *http.Request, name string, def int) (int, error) {
 		return 0, fmt.Errorf("parameter %q: %v", name, err)
 	}
 	return v, nil
+}
+
+// searchParams reads the parameters of /search and /phrases/search: q,
+// trimmed and required, and limit, a positive integer (default 20). On a
+// bad one it writes the 400 and reports false.
+func searchParams(w http.ResponseWriter, r *http.Request) (q string, limit int, ok bool) {
+	q = strings.TrimSpace(r.URL.Query().Get("q"))
+	if q == "" {
+		writeErr(w, http.StatusBadRequest, "missing query parameter q")
+		return "", 0, false
+	}
+	limit, err := queryInt(r, "limit", 20)
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, "%v", err)
+		return "", 0, false
+	}
+	if limit <= 0 {
+		writeErr(w, http.StatusBadRequest, "parameter \"limit\" must be positive, got %d", limit)
+		return "", 0, false
+	}
+	return q, limit, true
 }
 
 // --- conditional GET (ETag = snapshot generation) ---
@@ -685,38 +692,40 @@ func (s *Server) handleHierarchyNode(w http.ResponseWriter, r *http.Request) {
 
 // --- /phrases/search ---
 
+// handlePhraseSearch is GET /phrases/search?q=&limit= — the phrase entries
+// of the search index whose folded display contains the folded q as a
+// substring, ranked by rankPhrases.
 func (s *Server) handlePhraseSearch(w http.ResponseWriter, r *http.Request) {
 	if !requireGet(w, r) {
 		return
 	}
 	a := s.cur.Load()
-	if a.phrases == nil {
+	lo, hi := a.index.PhraseRange()
+	if lo == hi {
 		writeErr(w, http.StatusNotFound, "snapshot has no phrases (roles or hierarchy section required)")
 		return
 	}
-	q := textkit.Fold(strings.TrimSpace(r.URL.Query().Get("q")))
-	if q == "" {
-		writeErr(w, http.StatusBadRequest, "missing query parameter q")
+	q, limit, ok := searchParams(w, r)
+	if !ok {
 		return
 	}
-	limit, err := queryInt(r, "limit", 20)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if limit <= 0 {
-		writeErr(w, http.StatusBadRequest, "parameter \"limit\" must be positive, got %d", limit)
-		return
-	}
+	q = textkit.Fold(q)
 	if condGET(w, r, a) {
 		return
 	}
-	var hits []phraseHit
-	for _, p := range a.phrases {
-		if strings.Contains(p.folded, q) {
-			hits = append(hits, p)
+	hits := []phraseHit{}
+	for i := lo; i < hi; i++ {
+		if strings.Contains(a.index.FoldedName(i), q) {
+			hits = append(hits, toPhraseHit(a.index.Entry(i)))
 		}
 	}
+	writeJSON(w, http.StatusOK, map[string]any{"query": q, "hits": rankPhrases(hits, limit)})
+}
+
+// rankPhrases orders phrase hits by descending score, then display and
+// path ascending, keeping the input order of full ties, and caps them at
+// limit.
+func rankPhrases(hits []phraseHit, limit int) []phraseHit {
 	sort.SliceStable(hits, func(a, b int) bool {
 		if hits[a].Score != hits[b].Score {
 			return hits[a].Score > hits[b].Score
@@ -729,10 +738,19 @@ func (s *Server) handlePhraseSearch(w http.ResponseWriter, r *http.Request) {
 	if len(hits) > limit {
 		hits = hits[:limit]
 	}
-	if hits == nil {
-		hits = []phraseHit{}
+	return hits
+}
+
+// phraseHits renders the phrase entries among the index entries ids, in
+// id order, which is the snapshot's phrase order.
+func phraseHits(ix *search.Index, ids []int32) []phraseHit {
+	var out []phraseHit
+	for _, id := range ids {
+		if e := ix.Entry(int(id)); e.Kind == search.KindPhrase {
+			out = append(out, toPhraseHit(e))
+		}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"query": q, "hits": hits})
+	return out
 }
 
 // --- /advisor/:author ---
@@ -818,18 +836,8 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	a := s.cur.Load()
-	q := strings.TrimSpace(r.URL.Query().Get("q"))
-	if q == "" {
-		writeErr(w, http.StatusBadRequest, "missing query parameter q")
-		return
-	}
-	limit, err := queryInt(r, "limit", 20)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if limit <= 0 {
-		writeErr(w, http.StatusBadRequest, "parameter \"limit\" must be positive, got %d", limit)
+	q, limit, ok := searchParams(w, r)
+	if !ok {
 		return
 	}
 	if condGET(w, r, a) {
@@ -949,31 +957,11 @@ func wordNodes(a *artifact, w int) []nodeShare {
 	return out
 }
 
-// phrasesWithToken collects the phrase hits whose folded display contains
-// token as a whole token, best score first, capped at profileCap.
+// phrasesWithToken returns the phrases whose display holds token (a
+// folded token) as a whole token, read from the token's postings, ranked
+// by rankPhrases and capped at profileCap.
 func phrasesWithToken(a *artifact, token string) []phraseHit {
-	var out []phraseHit
-	for _, p := range a.phrases {
-		for _, t := range textkit.Tokenize(p.folded) {
-			if t == token {
-				out = append(out, p)
-				break
-			}
-		}
-	}
-	sort.SliceStable(out, func(a, b int) bool {
-		if out[a].Score != out[b].Score {
-			return out[a].Score > out[b].Score
-		}
-		if out[a].Display != out[b].Display {
-			return out[a].Display < out[b].Display
-		}
-		return out[a].Path < out[b].Path
-	})
-	if len(out) > profileCap {
-		out = out[:profileCap]
-	}
-	return out
+	return rankPhrases(phraseHits(a.index, a.index.WithToken(token)), profileCap)
 }
 
 func (s *Server) profileWord(a *artifact, w int, resp map[string]any) {
@@ -991,14 +979,9 @@ func (s *Server) profileWord(a *artifact, w int, resp map[string]any) {
 }
 
 func (s *Server) profilePhrase(a *artifact, display string, resp map[string]any) {
-	folded := textkit.Fold(display)
-	occ := []phraseHit{}
-	for _, p := range a.phrases {
-		if p.folded == folded {
-			occ = append(occ, p)
-		}
-	}
-	resp["occurrences"] = occ
+	// Every phrase entry whose folded display equals this one's, in the
+	// snapshot's phrase order; the resolved entry itself is among them.
+	resp["occurrences"] = phraseHits(a.index, a.index.WithName(display))
 	// The phrase's constituent words, resolved to vocabulary ids where the
 	// snapshot knows them, and the composed topic mixture over those ids.
 	type wordRef struct {
