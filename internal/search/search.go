@@ -81,10 +81,10 @@ type Source struct {
 
 // SourceFromSnapshot extracts everything a snapshot knows by name:
 // vocabulary words, phrase displays (the roles section when present,
-// otherwise the hierarchy's attached phrase lists, node by node in
-// pre-order), and the advisor network's authors,
-// labeled through the hierarchy's author-type entities when it carries
-// any (an entity type named "author" or "person"; first display per id in
+// otherwise each hierarchy node's phrases in pre-order; the serving tier
+// keeps no other phrase list), and the advisor network's authors, labeled
+// through the hierarchy's author-type entities when it carries any (an
+// entity type named "author" or "person"; first display per id in
 // pre-order wins). The extraction order is fully determined by the
 // snapshot content, so two calls over one snapshot yield identical
 // sources.
@@ -276,23 +276,17 @@ func (ix *Index) Postings() int {
 // Entry returns indexed entry i.
 func (ix *Index) Entry(i int) Entry { return ix.entries[i] }
 
-// PhraseRange returns the ids [lo, hi) of the phrase entries; lo == hi
-// when there are none. Build numbers entries by kind (words, phrases,
-// authors) and within a kind in Source order, so ascending ids read the
-// Source's phrase list in order.
-func (ix *Index) PhraseRange() (lo, hi int) {
+// Phrases returns the first phrase entry's id and the folded names of all
+// phrase entries. Build numbers entries by kind, so the phrase entries are
+// the ids lo, lo+1, ... in Source order. The slice is the index's own.
+func (ix *Index) Phrases() (lo int, folded []string) {
 	lo = sort.Search(len(ix.entries), func(i int) bool { return ix.entries[i].Kind >= KindPhrase })
-	hi = sort.Search(len(ix.entries), func(i int) bool { return ix.entries[i].Kind > KindPhrase })
-	return lo, hi
+	hi := sort.Search(len(ix.entries), func(i int) bool { return ix.entries[i].Kind > KindPhrase })
+	return lo, ix.foldedName[lo:hi]
 }
 
-// FoldedName returns Fold(Entry(i).Name).
-func (ix *Index) FoldedName(i int) string { return ix.foldedName[i] }
-
-// WithToken returns the ids of the entries whose name tokenizes to token
-// among others, ascending; nil when none does. token is matched as given,
-// so it must be folded (a Tokenize output). The slice is the index's own
-// and must not be modified.
+// WithToken returns the ascending ids of the entries whose name holds the
+// folded token. The slice is the index's own.
 func (ix *Index) WithToken(token string) []int32 {
 	if i := sort.SearchStrings(ix.terms, token); i < len(ix.terms) && ix.terms[i] == token {
 		return ix.postings[i]
@@ -300,9 +294,8 @@ func (ix *Index) WithToken(token string) []int32 {
 	return nil
 }
 
-// WithName returns the ids of the entries whose folded name equals
-// Fold(name), ascending. The slice is the index's own and must not be
-// modified.
+// WithName returns the ascending ids of the entries whose folded name is
+// Fold(name). The slice is the index's own.
 func (ix *Index) WithName(name string) []int32 { return ix.byName[textkit.Fold(name)] }
 
 // Checksum is an FNV-1a digest over the index's canonical serialization

@@ -1,9 +1,10 @@
 // Package serve is the read side of the framework: an HTTP/JSON query
 // server over model snapshots (internal/store). It answers structure
-// lookups (topic top-words, hierarchy nodes, phrase search, advisor
-// rankings) from immutable in-memory state, and runs fold-in Gibbs
-// inference (internal/lda.FoldIn) for unseen documents on the shared
-// parallel runtime.
+// lookups (topic top-words, hierarchy nodes, advisor rankings) from
+// immutable in-memory state, entity, profile and phrase lookups from the
+// generation's internal/search index, and runs fold-in Gibbs inference
+// (internal/lda.FoldIn) for unseen documents on the shared parallel
+// runtime.
 //
 // Concurrency model: everything the handlers read hangs off one immutable
 // artifact value behind an atomic pointer. Handlers load the pointer once

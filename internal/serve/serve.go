@@ -121,10 +121,6 @@ type phraseHit struct {
 	Score   float64 `json:"score"`
 }
 
-func toPhraseHit(e search.Entry) phraseHit {
-	return phraseHit{Path: e.Path, Display: e.Name, Score: e.Weight}
-}
-
 // authorNode is one hierarchy placement of an author entity.
 type authorNode struct {
 	Path  string  `json:"path"`
@@ -159,8 +155,8 @@ type artifact struct {
 	advisees map[int][]int
 	// index is the generation's entity search index (always built, possibly
 	// empty); it is immutable and rides the same atomic swap as the rest of
-	// the artifact, so /search, /entity and /phrases/search reads are
-	// lock-free. It is also the generation's one phrase list.
+	// the artifact, so its readers are lock-free. It holds the generation's
+	// one phrase list.
 	index *search.Index
 	// authorNodes[id] lists the hierarchy placements of author id — the
 	// nodes carrying an author-typed entity with that id (search.AuthorTypes
@@ -692,16 +688,15 @@ func (s *Server) handleHierarchyNode(w http.ResponseWriter, r *http.Request) {
 
 // --- /phrases/search ---
 
-// handlePhraseSearch is GET /phrases/search?q=&limit= — the phrase entries
-// of the search index whose folded display contains the folded q as a
-// substring, ranked by rankPhrases.
+// handlePhraseSearch is GET /phrases/search?q=&limit= — the phrases whose
+// folded display contains the folded q, ranked by rankPhrases.
 func (s *Server) handlePhraseSearch(w http.ResponseWriter, r *http.Request) {
 	if !requireGet(w, r) {
 		return
 	}
 	a := s.cur.Load()
-	lo, hi := a.index.PhraseRange()
-	if lo == hi {
+	lo, folded := a.index.Phrases()
+	if len(folded) == 0 {
 		writeErr(w, http.StatusNotFound, "snapshot has no phrases (roles or hierarchy section required)")
 		return
 	}
@@ -713,13 +708,13 @@ func (s *Server) handlePhraseSearch(w http.ResponseWriter, r *http.Request) {
 	if condGET(w, r, a) {
 		return
 	}
-	hits := []phraseHit{}
-	for i := lo; i < hi; i++ {
-		if strings.Contains(a.index.FoldedName(i), q) {
-			hits = append(hits, toPhraseHit(a.index.Entry(i)))
+	var ids []int32
+	for i, f := range folded {
+		if strings.Contains(f, q) {
+			ids = append(ids, int32(lo+i))
 		}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"query": q, "hits": rankPhrases(hits, limit)})
+	writeJSON(w, http.StatusOK, map[string]any{"query": q, "hits": rankPhrases(phraseHits(a.index, ids), limit)})
 }
 
 // rankPhrases orders phrase hits by descending score, then display and
@@ -742,12 +737,12 @@ func rankPhrases(hits []phraseHit, limit int) []phraseHit {
 }
 
 // phraseHits renders the phrase entries among the index entries ids, in
-// id order, which is the snapshot's phrase order.
+// id order, which is the snapshot's phrase order; never nil.
 func phraseHits(ix *search.Index, ids []int32) []phraseHit {
-	var out []phraseHit
+	out := []phraseHit{}
 	for _, id := range ids {
 		if e := ix.Entry(int(id)); e.Kind == search.KindPhrase {
-			out = append(out, toPhraseHit(e))
+			out = append(out, phraseHit{Path: e.Path, Display: e.Name, Score: e.Weight})
 		}
 	}
 	return out
@@ -957,13 +952,6 @@ func wordNodes(a *artifact, w int) []nodeShare {
 	return out
 }
 
-// phrasesWithToken returns the phrases whose display holds token (a
-// folded token) as a whole token, read from the token's postings, ranked
-// by rankPhrases and capped at profileCap.
-func phrasesWithToken(a *artifact, token string) []phraseHit {
-	return rankPhrases(phraseHits(a.index, a.index.WithToken(token)), profileCap)
-}
-
 func (s *Server) profileWord(a *artifact, w int, resp map[string]any) {
 	if m := mixtureOf(a.snap.Topics, []int{w}); m != nil {
 		resp["topic_mixture"] = m
@@ -972,7 +960,9 @@ func (s *Server) profileWord(a *artifact, w int, resp map[string]any) {
 		resp["nodes"] = nodes
 	}
 	if a.vocab != nil && w < a.vocab.Size() {
-		if ph := phrasesWithToken(a, textkit.Fold(a.vocab.Word(w))); ph != nil {
+		// The phrases holding the word as a whole token: its postings.
+		ids := a.index.WithToken(textkit.Fold(a.vocab.Word(w)))
+		if ph := rankPhrases(phraseHits(a.index, ids), profileCap); len(ph) > 0 {
 			resp["phrases"] = ph
 		}
 	}
