@@ -5,7 +5,7 @@
 // and relation-mining accuracy metrics.
 //
 // Human annotators are replaced by oracle judges that score items from the
-// synthetic generator's ground truth with configurable noise (see DESIGN.md
-// §2); the comparative signal between methods — what every table reports —
-// is preserved.
+// synthetic generator's ground truth with configurable noise (see
+// "Stand-ins" in docs/ARCHITECTURE.md); the comparative signal between
+// methods — what every table reports — is preserved.
 package eval

@@ -115,7 +115,7 @@ func Table32(scale float64) *Table {
 	t.Rows = append(t.Rows, []string{"-- DBLP (Database area) --"})
 	t.Rows = append(t.Rows, rows2...)
 	t.Notes = append(t.Notes,
-		"synthetic DBLP stand-in (DESIGN.md §2); expected shape: CATHYHIN > NetClus > TopK, learned weights best overall")
+		"synthetic DBLP stand-in (docs/ARCHITECTURE.md, Stand-ins); expected shape: CATHYHIN > NetClus > TopK, learned weights best overall")
 	return t
 }
 

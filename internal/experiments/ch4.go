@@ -432,7 +432,7 @@ func Table45(scale float64) *Table {
 	}
 	t.Notes = append(t.Notes,
 		"PDLDA* is TNG with a Pitman-Yor-style discount on its bigram counts, a stand-in for PD-LDA without its hierarchical Pitman-Yor seating: its runtime is a lower bound on PD-LDA's",
-		"Turbo is a simplified stand-in (DESIGN.md §2): its paper runtime is orders of magnitude worse; treat its row as a lower bound",
+		"Turbo is a simplified stand-in (docs/ARCHITECTURE.md, Stand-ins): its paper runtime is orders of magnitude worse; treat its row as a lower bound",
 		"KERT's word-set mining blows up combinatorially on long documents, reproducing the paper's NA entries for KERT on abstracts")
 	return t
 }

@@ -28,7 +28,8 @@ func genealogyCase(seedFaculty int, years int, seed int64) (*synth.Genealogy, []
 
 // Table61 reproduces the Section 6.1.6 comparison: advisor prediction
 // accuracy of RULE, the supervised linear baseline, IndMAX and TPFG on
-// three network sizes (the paper's TEST1-3; reconstructed, see DESIGN.md).
+// three network sizes (the paper's TEST1-3, reconstructed; see "Stand-ins"
+// in docs/ARCHITECTURE.md).
 func Table61(scale float64) *Table {
 	t := &Table{ID: "table6.1", Title: "advisor mining accuracy",
 		Header: []string{"dataset", "#authors", "#advised", "RULE", "logit", "IndMAX", "TPFG"}}

@@ -19,7 +19,7 @@ func TestRegistryComplete(t *testing.T) {
 			t.Fatalf("experiment %q has no Run", e.ID)
 		}
 	}
-	// Every chapter 3-7 artifact named in DESIGN.md must be present.
+	// Every chapter 3-7 table and figure the paper reports must be present.
 	for _, want := range []string{
 		"table3.2", "table3.3", "table3.4", "table3.5", "table3.6", "table3.7",
 		"fig3.4", "fig3.8",

@@ -139,9 +139,10 @@ func PairFeatures(papers []Paper, numAuthors int, net *Network) map[[2]int][]flo
 }
 
 // LogitBaseline is the linear-classifier stand-in for the paper's SVM
-// comparison (both are linear margin models; DESIGN.md §2): a logistic
-// regression over PairFeatures trained on labeled authors, predicting each
-// test author's advisor as the highest-scoring candidate.
+// comparison (both are linear margin models; "Stand-ins" in
+// docs/ARCHITECTURE.md): a logistic regression over PairFeatures trained on
+// labeled authors, predicting each test author's advisor as the
+// highest-scoring candidate.
 type LogitBaseline struct {
 	W []float64
 }
