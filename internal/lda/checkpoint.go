@@ -73,11 +73,11 @@ type Checkpoint struct {
 	// model reports the same Model.AliasRebuilds as the uninterrupted fit.
 	AliasRebuilds int
 	// MHStale is the MH rebuild schedule's staleness counter at the
-	// boundary: how many sweeps the active tables have aged since they
-	// were swapped in. 0 for the dense core.
+	// boundary: how many sweeps the alias tables have aged since they
+	// were built. 0 for the dense core.
 	MHStale int
 	// MHSourceKV is the frozen topic-word count table the MH core's
-	// active alias tables were built from — generally *older* than the
+	// alias tables were built from — generally *older* than the
 	// counts implied by Z (tables rebuild every AliasRefresh sweeps), so
 	// it must travel with the checkpoint to reproduce the proposal
 	// distributions exactly. nil for the dense core.
@@ -254,9 +254,9 @@ type ckptState struct {
 	// snapshot deep-copies them at the boundary, after the sweep's deltas
 	// have merged, so the copy is a consistent end-of-sweep state.
 	z [][]int
-	// mh is the MH run's rebuild schedule (nil for the dense core), the
+	// mh is the MH run's word proposal (nil for the dense core), the
 	// source of the alias-state fields of a checkpoint.
-	mh *mhRebuildSchedule
+	mh *mhProposal
 	// rec receives one RecordCheckpoint per delivered checkpoint when the
 	// run's Recorder implements the optional obs.CheckpointRecorder.
 	rec obs.CheckpointRecorder
@@ -308,7 +308,7 @@ func (c *ckptState) snapshot(sweep int) *Checkpoint {
 	if c.mh != nil {
 		cp.AliasRebuilds = c.mh.Rebuilds
 		cp.MHStale = c.mh.stale
-		cp.MHSourceKV = c.mh.prop.activeSource()
+		cp.MHSourceKV = c.mh.source()
 	}
 	return cp
 }

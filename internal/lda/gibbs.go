@@ -179,9 +179,9 @@ type fit struct {
 	sw *par.Sweeper[chunk]
 	rr *runRecorder
 	ck *ckptState
-	// mh is the MH core's alias rebuild schedule; nil for the dense core
-	// and for an empty corpus.
-	mh *mhRebuildSchedule
+	// mh is the MH core's word proposal and its rebuild schedule; nil for
+	// the dense core and for an empty corpus.
+	mh *mhProposal
 }
 
 // newFit validates the run, allocates the count tables, restores them
@@ -277,23 +277,19 @@ func (f *fit) run(kernel docKernel) error {
 	return nil
 }
 
-// sweep runs one Gibbs sweep: the MH core's pre-sweep hooks (refresh the
-// cached denominators, kick a due alias rebuild), the chunk pass, then the
-// sweep's record and checkpoint boundary. The MH core joins a pending
-// rebuild in the pass's end hook, before the deltas merge into the
-// globals the rebuild reads. A failed pass joins any in-flight rebuild
-// before returning, so it cannot outlive the run.
+// sweep runs one Gibbs sweep: the MH core's pre-sweep hook (refresh the
+// cached denominators), the chunk pass, then the sweep's record and
+// checkpoint boundary. The MH core rebuilds due alias tables in the
+// pass's end hook, before the deltas merge into the globals it reads.
 func (f *fit) sweep(sweep int, kernel docKernel) error {
 	var endPass func() error
 	if f.mh != nil {
 		for c := range f.sw.Slots {
 			f.sw.Slots[c].V.State.mh.refreshDen()
 		}
-		f.mh.beginSweep(f.o, f.nKV)
-		endPass = f.mh.endPass
+		endPass = func() error { return f.mh.endPass(f.o, f.nKV) }
 	}
 	if err := f.sw.Pass(uint64(sweep), kernel, endPass); err != nil {
-		f.mh.drain()
 		return err
 	}
 	// Diffed against the previous sweep's totals inside the recorder, so

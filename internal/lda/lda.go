@@ -103,11 +103,10 @@ type Config struct {
 	Sampler Sampler
 	// AliasRefresh is the MH core's alias-table rebuild cadence in sweeps
 	// (0 = DefaultAliasRefresh; negative is a validation error): the
-	// word-proposal tables rebuild from the global counts every
-	// AliasRefresh sweeps, double-buffered so sweeps never block on the
-	// build. Larger values amortize the O(K·V) rebuild further at the
-	// price of staler proposals (lower acceptance, never bias). The dense
-	// core ignores it.
+	// word-proposal tables rebuild in place from the global counts every
+	// AliasRefresh sweeps, at the end of a sweep's pass. Larger values
+	// amortize the O(K·V) rebuild further at the price of staler
+	// proposals (lower acceptance, never bias). The dense core ignores it.
 	AliasRefresh int
 	// Ctx cancels sampling between work chunks (nil = background); a
 	// cancelled run returns the context error and no model.

@@ -40,18 +40,18 @@ import (
 // the acceptance rate). See TestMHKernelMatchesExactConditional for the
 // chi-square check against deliberately stale tables.
 //
-// Alias tables rebuild every Config.AliasRefresh sweeps on the shared pool
-// — double-buffered: the rebuild reads the sweep-start globals (frozen for
-// the duration of the pass) and fills the inactive buffer concurrently
-// with the sweep, swapping in at the pass boundary before the chunk deltas
-// merge. A fit therefore performs 1 + ⌊(Iters−1)/AliasRefresh⌋ builds
-// (Model.AliasRebuilds) instead of one per sweep.
+// Alias tables rebuild every Config.AliasRefresh sweeps on the shared pool,
+// in place, at the pass boundary: after the sweep's chunks finish and
+// before their deltas merge, so the build reads the sweep-start globals
+// (frozen for the duration of the pass) and the next sweep samples from
+// the new tables. A fit therefore performs 1 + ⌊(Iters−1)/AliasRefresh⌋
+// builds (Model.AliasRebuilds) instead of one per sweep.
 //
-// Each buffer also keeps a word-major copy of the counts it was built
-// from, filled in the same row scan as the build. The acceptance ratio's
-// proposal density n̂_kw + β is then one load from the active copy, and
+// The proposal also keeps a word-major copy of the counts its tables were
+// built from, filled in the same row scan as the build. The acceptance
+// ratio's proposal density n̂_kw + β is then one load from that copy, and
 // the same copy is the source table a checkpoint carries. The price is
-// 2·V·K retained ints.
+// V·K retained ints.
 //
 // Determinism: chunk boundaries, per-document (Seed, doc, sweep) streams
 // and the rebuild schedule are all P-independent, so MH models are
@@ -65,52 +65,47 @@ import (
 // acceptance step absorbs the added staleness.
 const DefaultAliasRefresh = 8
 
-// mhProposal is the double-buffered word-proposal state: two AliasSets
-// over the global topic-word counts, one active for sampling while the
-// other absorbs a background rebuild, each with the word-major counts it
-// was built from (src). Only the pass boundary calls swap, so sampling
-// always reads a complete, immutable buffer and its matching src.
+// mhProposal is the MH core's word-proposal state and its rebuild
+// schedule: one AliasSet over the global topic-word counts, the
+// word-major counts it was built from (src), and the staleness clock
+// that decides when endPass rebuilds both. nil for the dense core, which
+// makes the sweep driver's endSweep accounting a no-op.
 type mhProposal struct {
 	v, kTotal int
 	beta      float64
 	// betaMass is the uniform smoothing mass Kβ every word's proposal
 	// carries next to its alias mass.
 	betaMass float64
-	bufs     [2]linalg.AliasSet
-	src      [2][]int // [v*kTotal] word-major n̂, one per buffer
-	active   int
+	tab      linalg.AliasSet
+	src      []int // [v*kTotal] word-major n̂
+	// refresh is Config.AliasRefresh; stale counts the sweeps the tables
+	// have served since their last build.
+	refresh, stale int
+	// Rebuilds counts builds, including the initial one.
+	Rebuilds int
+	// BuildTime accumulates the builds' wall time.
+	BuildTime time.Duration
 }
 
 func newMHProposal(v, kTotal int, beta float64) *mhProposal {
-	m := &mhProposal{v: v, kTotal: kTotal, beta: beta, betaMass: float64(kTotal) * beta}
-	for i := range m.bufs {
-		m.bufs[i].Reset(v)
-		m.src[i] = make([]int, v*kTotal)
-	}
-	return m
+	return &mhProposal{v: v, kTotal: kTotal, beta: beta, betaMass: float64(kTotal) * beta, src: make([]int, v*kTotal)}
 }
 
-func (m *mhProposal) cur() *linalg.AliasSet { return &m.bufs[m.active] }
-
-// activeSource returns the counts the active tables were built from in
-// the [kTotal][v] form of Checkpoint.MHSourceKV.
-func (m *mhProposal) activeSource() [][]int {
-	return topicMajor(m.src[m.active], m.kTotal, m.v)
+// source returns the counts the tables were built from in the
+// [kTotal][v] form of Checkpoint.MHSourceKV.
+func (m *mhProposal) source() [][]int {
+	return topicMajor(m.src, m.kTotal, m.v)
 }
 
-// swap activates the most recently built buffer. Must not run while a
-// pass is sampling.
-func (m *mhProposal) swap() { m.active = 1 - m.active }
-
-// buildInactive rebuilds the inactive buffer from the word-major counts
-// nKV: one row scan per word copies the row into the buffer's src and
-// appends its nonzeros, topics ascending, as the word's column (weights
-// are the raw counts n̂_kw; the β smoothing mass is handled by the
-// uniform arm of the draw); then per-word table builds on the pool. The
-// caller must guarantee nKV is not mutated until the build completes —
-// during a sweep the globals are frozen, which is exactly that guarantee.
-func (m *mhProposal) buildInactive(o par.Opts, nKV []int) error {
-	s, src, kt := &m.bufs[1-m.active], m.src[1-m.active], m.kTotal
+// build rebuilds the tables in place from the word-major counts nKV: one
+// row scan per word copies the row into src and appends its nonzeros,
+// topics ascending, as the word's column (weights are the raw counts
+// n̂_kw; the β smoothing mass is handled by the uniform arm of the draw);
+// then per-word table builds on the pool. The build's wall time is added
+// to BuildTime.
+func (m *mhProposal) build(o par.Opts, nKV []int) error {
+	t0 := time.Now()
+	s, src, kt := &m.tab, m.src, m.kTotal
 	s.Reset(m.v)
 	for w := 0; w < m.v; w++ {
 		row := nKV[w*kt : (w+1)*kt]
@@ -121,24 +116,11 @@ func (m *mhProposal) buildInactive(o par.Opts, nKV []int) error {
 			}
 		}
 	}
-	return s.Build(o)
-}
-
-// buildAsync runs buildInactive on its own goroutine, overlapping the
-// rebuild with the sweep that still samples from the active buffer. The
-// caller must receive from the channel before merging chunk deltas into
-// nKV (the build reads it) and before calling swap. The build's wall
-// time is written to took before the channel send, so the receive
-// orders the write for the joining goroutine.
-func (m *mhProposal) buildAsync(o par.Opts, nKV []int, took *time.Duration) chan error {
-	done := make(chan error, 1)
-	go func() {
-		t0 := time.Now()
-		err := m.buildInactive(o, nKV)
-		*took = time.Since(t0)
-		done <- err
-	}()
-	return done
+	if err := s.Build(o); err != nil {
+		return err
+	}
+	m.BuildTime += time.Since(t0)
+	return nil
 }
 
 // propose draws one topic from the word proposal q_w(k) ∝ n̂_kw + β: the
@@ -146,7 +128,7 @@ func (m *mhProposal) buildAsync(o par.Opts, nKV []int, took *time.Duration) chan
 // otherwise. One uniform variate drives both the arm choice and the draw
 // inside the arm.
 func (m *mhProposal) propose(w int, u float64) int {
-	s := m.cur()
+	s := &m.tab
 	mass := s.Mass[w]
 	u *= mass + m.betaMass
 	if u < mass {
@@ -161,9 +143,9 @@ func (m *mhProposal) propose(w int, u float64) int {
 
 // density returns the word proposal's unnormalized density n̂_kw + β at
 // topic k — the factor the acceptance ratio needs at the incumbent and
-// proposed topics. One load from the active buffer's retained counts.
+// proposed topics. One load from the retained counts.
 func (m *mhProposal) density(w, k int) float64 {
-	return float64(m.src[m.active][w*m.kTotal+k]) + m.beta
+	return float64(m.src[w*m.kTotal+k]) + m.beta
 }
 
 // mhChunk is one chunk's MH sampling state. It keeps no incremental
@@ -342,86 +324,30 @@ func (s *mhChunk) sampleToken(w int, zDoc []int, posCnt []int, i int, rng *strea
 	return k
 }
 
-// mhRebuildSchedule owns the amortized, double-buffered rebuild loop of
-// the MH core: kick an async rebuild when the active tables are
-// AliasRefresh sweeps stale, join it at the pass boundary (before the
-// sweep's deltas merge into the globals the rebuild is reading), swap. A
-// nil schedule (the dense core) makes the sweep driver's drain, endSweep
-// and accounting calls no-ops.
-type mhRebuildSchedule struct {
-	prop    *mhProposal
-	refresh int
-	stale   int
-	pending chan error
-	// Rebuilds counts completed builds, including the initial one.
-	Rebuilds int
-	// BuildTime accumulates the wall time of completed builds (the
-	// async builds' concurrent wall time, not kick-to-join). lastBuild
-	// is the in-flight build's landing slot, synchronized by the
-	// pending-channel receive.
-	BuildTime time.Duration
-	lastBuild time.Duration
-}
-
-// start performs the synchronous build of the first active tables from
-// the word-major src: the post-init counts of a fresh fit (rebuilds 1,
-// stale 0), or a checkpoint's source counts with its stored rebuild
-// counter and staleness clock. The build is deterministic in its input,
-// so a resumed fit holds bitwise the tables the uninterrupted run held,
-// and every later rebuild fires on the same sweep it would have.
-func (r *mhRebuildSchedule) start(o par.Opts, src []int, rebuilds, stale int) error {
-	t0 := time.Now()
-	if err := r.prop.buildInactive(o, src); err != nil {
-		return err
-	}
-	r.BuildTime += time.Since(t0)
-	r.prop.swap()
-	r.Rebuilds, r.stale = rebuilds, stale
-	return nil
-}
-
-// beginSweep kicks a background rebuild when the tables are stale enough.
-func (r *mhRebuildSchedule) beginSweep(o par.Opts, nKV []int) {
-	if r.stale >= r.refresh && r.pending == nil {
-		r.pending = r.prop.buildAsync(o, nKV, &r.lastBuild)
-	}
-}
-
-// endPass joins a pending rebuild and swaps the fresh tables in; the
-// chunk pass calls it after the chunks finish and before the deltas merge.
-func (r *mhRebuildSchedule) endPass() error {
-	if r.pending == nil {
+// endPass rebuilds the tables once they have served AliasRefresh sweeps.
+// The chunk pass calls it after the chunks finish and before the deltas
+// merge, so the build reads the globals as they stood at the start of
+// the sweep, and the next sweep samples from the new tables.
+func (m *mhProposal) endPass(o par.Opts, nKV []int) error {
+	if m.stale < m.refresh {
 		return nil
 	}
-	err := <-r.pending
-	r.pending = nil
-	if err != nil {
+	if err := m.build(o, nKV); err != nil {
 		return err
 	}
-	r.BuildTime += r.lastBuild
-	r.prop.swap()
-	r.Rebuilds++
-	r.stale = 0
+	m.Rebuilds++
+	m.stale = 0
 	return nil
 }
 
-// endSweep ages the active tables by one sweep and returns the
-// cumulative rebuild accounting (zeros for a nil schedule).
-func (r *mhRebuildSchedule) endSweep() (rebuilds int, buildTime time.Duration) {
-	if r == nil {
+// endSweep ages the tables by one sweep and returns the cumulative
+// rebuild accounting (zeros for the dense core's nil proposal).
+func (m *mhProposal) endSweep() (rebuilds int, buildTime time.Duration) {
+	if m == nil {
 		return 0, 0
 	}
-	r.stale++
-	return r.Rebuilds, r.BuildTime
-}
-
-// drain joins a pending rebuild on an error exit so the goroutine (which
-// reads the count tables) cannot outlive the run.
-func (r *mhRebuildSchedule) drain() {
-	if r != nil && r.pending != nil {
-		<-r.pending
-		r.pending = nil
-	}
+	m.stale++
+	return m.Rebuilds, m.BuildTime
 }
 
 // startMH attaches the MH core to a fit: the word-proposal tables built
@@ -430,29 +356,36 @@ func (r *mhRebuildSchedule) drain() {
 // phrases selects the phrase-slot doc proposal of RunPhrases.
 func (f *fit) startMH(phrases bool) error {
 	prop := newMHProposal(f.v, f.kTotal, f.cfg.Beta)
-	sched := &mhRebuildSchedule{prop: prop, refresh: f.cfg.AliasRefresh}
+	prop.refresh = f.cfg.AliasRefresh
 	if f.ck != nil {
-		f.ck.mh = sched
+		f.ck.mh = prop
 	}
+	// The first tables come from the post-init counts of a fresh fit
+	// (rebuilds 1, stale 0), or from a checkpoint's source counts with its
+	// stored rebuild counter and staleness clock. The build is
+	// deterministic in its input, so a resumed fit holds bitwise the tables
+	// the uninterrupted run held, and every later rebuild fires on the same
+	// sweep it would have.
 	src, rebuilds, stale := f.nKV, 1, 0
 	if cp := f.cfg.Resume; cp != nil {
 		src, rebuilds, stale = wordMajor(cp.MHSourceKV, f.kTotal, f.v), cp.AliasRebuilds, cp.MHStale
 	}
-	if err := sched.start(f.o, src, rebuilds, stale); err != nil {
+	if err := prop.build(f.o, src); err != nil {
 		return err
 	}
+	prop.Rebuilds, prop.stale = rebuilds, stale
 	if f.cfg.Resume != nil {
 		// The cumulative rebuild totals count from the trajectory's start;
 		// prime the recorder so the first resumed sweep is not charged
 		// with the skipped sweeps' rebuilds (or the restoring build).
-		f.rr.prime(sched.Rebuilds, sched.BuildTime)
+		f.rr.prime(prop.Rebuilds, prop.BuildTime)
 	}
 	alphaTab := linalg.NewAlias(f.alpha)
 	for c := range f.sw.Slots {
 		ch := &f.sw.Slots[c].V.State
 		ch.mh = newMHChunk(f.alpha, f.cfg.Beta, f.v, f.nKV, f.nK, &ch.dl, prop, alphaTab, phrases)
 	}
-	f.mh = sched
+	f.mh = prop
 	return nil
 }
 

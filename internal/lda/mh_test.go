@@ -61,10 +61,9 @@ func TestMHKernelMatchesExactConditional(t *testing.T) {
 	}
 
 	prop := newMHProposal(v, kTotal, beta)
-	if err := prop.buildInactive(par.Opts{}, wordMajor(stale, kTotal, v)); err != nil {
+	if err := prop.build(par.Opts{}, wordMajor(stale, kTotal, v)); err != nil {
 		t.Fatal(err)
 	}
-	prop.swap()
 
 	// Document state: topic tallies of the *other* tokens; zDoc mirrors
 	// them slot by slot, with slot i appended for the token under test at
@@ -228,9 +227,8 @@ func TestMHFoldInMatchesDenseQuality(t *testing.T) {
 }
 
 // TestMHCancelledContextReturnsError pins that the MH loop propagates
-// cancellation and joins its background rebuild goroutine on the way out
-// (the drain path — run under -race this would flag a leaked rebuild
-// reading merged counts).
+// cancellation, both before the first sweep and mid-sampling with an
+// alias rebuild due at every pass boundary.
 func TestMHCancelledContextReturnsError(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -270,14 +268,13 @@ func TestMHAliasStalenessStress(t *testing.T) {
 }
 
 // TestMHRetainedCountsMatchTables steps an MH fit sweep by sweep at P=2
-// with a rebuild every third sweep (so most sweeps overlap a background
-// build of the inactive buffer) and checks, after every sweep, that the
-// active buffer's retained counts are the ones its tables were built from:
-// every word's Mass is the float sum of its retained row, density is the
-// row plus β at every topic, and the row equals the global counts at the
-// start of the sweep that kicked the build. A buffer index that swaps
-// separately from its tables, or a copy taken from the wrong counts,
-// fails here; TestMHKernelMatchesExactConditional builds only once.
+// with a rebuild every third sweep and checks, after every sweep, that
+// the retained counts are the ones the tables were built from: every
+// word's Mass is the float sum of its retained row, density is the row
+// plus β at every topic, and the row equals the global counts at the
+// start of the sweep whose pass boundary rebuilt the tables. A copy taken
+// from the wrong counts (after the merge, say) fails here;
+// TestMHKernelMatchesExactConditional builds only once.
 func TestMHRetainedCountsMatchTables(t *testing.T) {
 	docs := goldenCorpus()
 	cfg := Config{K: 12, Iters: 14, Seed: 906, Sampler: SamplerMH, AliasRefresh: 3, Background: true, P: 2}
@@ -286,7 +283,7 @@ func TestMHRetainedCountsMatchTables(t *testing.T) {
 		t.Fatal(err)
 	}
 	kernel := f.mhTokenKernel(docs)
-	prop, kt := f.mh.prop, f.kTotal
+	prop, kt := f.mh, f.kTotal
 	source := append([]int(nil), f.nKV...) // the initial build's input
 	for sweep := 1; sweep <= cfg.Iters; sweep++ {
 		if f.mh.stale >= f.mh.refresh {
@@ -295,7 +292,7 @@ func TestMHRetainedCountsMatchTables(t *testing.T) {
 		if err := f.sweep(sweep, kernel); err != nil {
 			t.Fatal(err)
 		}
-		tabs, src := prop.cur(), prop.src[prop.active]
+		tabs, src := &prop.tab, prop.src
 		for w := 0; w < goldenV; w++ {
 			row := src[w*kt : (w+1)*kt]
 			mass := 0.0
