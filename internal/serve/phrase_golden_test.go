@@ -9,6 +9,7 @@ package serve
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/url"
@@ -151,7 +152,7 @@ func TestPhraseLookupGolden(t *testing.T) {
 		{"roles", "9a5a4d2b56a718ebb278809c423d62f1c012b013b9852a1d25040d084f42a9cf"},
 		{"hierarchy", "d6351d0df2c71f020df0e93fba025b28de10b8c16bd2d032441b16ed96466d5e"},
 		{"tied", "9232815c20ff9be1f0aa19f767644f807a1c37ee97dc880e70d36133014dd4c0"},
-		{"fold", "0e255fd03a57b1aa3f5847b01ed76fb17548d3ff4ab26d3871801f7f8a12c4c5"},
+		{"fold", "b9315e67870704aaf789cfb7529a422f694c65c31075504e789e078ef728de83"},
 		{"phraseless", "a47c342cbebb1e87842ae348e2a3267b9cb0c25c8e23adfe180375a741fdfcd9"},
 		{"empty-roles", "1acffb3a48800907e75d2dc917022e88e8b28c21ff100d474a1f9c8f18b08478"},
 	} {
@@ -249,9 +250,10 @@ func TestPhrasesWithTokenOracle(t *testing.T) {
 }
 
 // TestPhraseLookupDuplicatePaths serves a hierarchy whose two children
-// share a path. Each node's own phrases are listed once: the lookups
-// read the index, which walks the nodes, not a path-keyed node map (that
-// listed the last such node's phrases twice and the first's never).
+// share a path. Each node's own phrases are listed once, and a word
+// profile's nodes carry each node's own φ: the lookups walk the nodes,
+// not a path-keyed node map (that listed the last such node twice and
+// the first never).
 func TestPhraseLookupDuplicatePaths(t *testing.T) {
 	snap := testSnapshot(t)
 	snap.RolePhrases = nil
@@ -273,5 +275,45 @@ func TestPhraseLookupDuplicatePaths(t *testing.T) {
 		if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), c.want) {
 			t.Errorf("%s = %d %s, want it to hold %s", c.target, rec.Code, rec.Body, c.want)
 		}
+	}
+
+	const learning = 7
+	rec := s.serveOnce(t, http.MethodGet, "/entity/learning", nil)
+	var prof struct{ Nodes []nodeShare }
+	if err := json.Unmarshal(rec.Body.Bytes(), &prof); err != nil {
+		t.Fatal(err)
+	}
+	var got []float64
+	for _, n := range prof.Nodes {
+		if n.Path == "o/1" {
+			got = append(got, n.P)
+		}
+	}
+	sort.Float64s(got)
+	var want []float64
+	for _, n := range snap.Hierarchy.Root.Children {
+		want = append(want, n.Phi[core.TermType][learning])
+	}
+	sort.Float64s(want)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("/entity/learning o/1 node shares = %v, want each node's own φ %v (body %s)", got, want, rec.Body)
+	}
+}
+
+// TestPhraseProfileUnfoldedVocab serves a vocabulary holding an unfolded
+// word ("Σίσυφος"). A phrase profile folds its tokens, so each must
+// resolve through the index's folded names, not by exact vocabulary
+// lookup, to keep the word's id.
+func TestPhraseProfileUnfoldedVocab(t *testing.T) {
+	s, err := New(phraseGoldenFixtures(t)["fold"], Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	target := "/entity/" + url.PathEscape("σίσυφος learning")
+	rec := s.serveOnce(t, http.MethodGet, target, nil)
+	want := `"words":[{"word":"σίσυφοσ","id":10},{"word":"learning","id":7}]`
+	if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), want) {
+		t.Errorf("%s = %d %s, want it to hold %s", target, rec.Code, rec.Body, want)
 	}
 }

@@ -134,13 +134,17 @@ type authorNode struct {
 // started with. All fields are initialized in buildArtifact and never
 // written afterwards; reads need no locking.
 type artifact struct {
-	gen     uint64
-	snap    *store.Snapshot
-	vocab   *textkit.Vocabulary
-	foldIn  *lda.FoldInModel
-	nodes   map[string]*core.TopicNode
-	paths   []string // hierarchy pre-order
-	advisor *tpfg.Result
+	gen    uint64
+	snap   *store.Snapshot
+	vocab  *textkit.Vocabulary
+	foldIn *lda.FoldInModel
+	// preorder lists the hierarchy's nodes in pre-order; nodes maps a
+	// path to its node for /hierarchy/node lookups. A decoded hierarchy
+	// may repeat a path, and the map keeps only the last such node, so
+	// everything that walks the hierarchy walks preorder.
+	preorder []*core.TopicNode
+	nodes    map[string]*core.TopicNode
+	advisor  *tpfg.Result
 	// predicted[i] is advisor.Predict()[i], computed once at build so
 	// /advisor lookups don't re-run the all-authors argmax per request;
 	// predictedScore[i] is the rank mass of that prediction — the argmax
@@ -199,7 +203,7 @@ func buildArtifact(snap *store.Snapshot, opt Options, gen uint64, closer io.Clos
 	if h := snap.Hierarchy; h != nil {
 		a.nodes = map[string]*core.TopicNode{}
 		h.Root.Walk(func(n *core.TopicNode) {
-			a.paths = append(a.paths, n.Path)
+			a.preorder = append(a.preorder, n)
 			a.nodes[n.Path] = n
 		})
 	}
@@ -232,10 +236,10 @@ func buildArtifact(snap *store.Snapshot, opt Options, gen uint64, closer io.Clos
 	if h := snap.Hierarchy; h != nil {
 		a.authorNodes = map[int][]authorNode{}
 		authorTypes := search.AuthorTypes(h)
-		for _, path := range a.paths {
+		for _, n := range a.preorder {
 			for _, x := range authorTypes {
-				for _, e := range a.nodes[path].Entities[x] {
-					a.authorNodes[e.ID] = append(a.authorNodes[e.ID], authorNode{Path: path, Score: e.Score})
+				for _, e := range n.Entities[x] {
+					a.authorNodes[e.ID] = append(a.authorNodes[e.ID], authorNode{Path: n.Path, Score: e.Score})
 				}
 			}
 		}
@@ -524,7 +528,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		resp["vocab"] = a.vocab.Size()
 	}
 	if a.snap.Hierarchy != nil {
-		resp["hierarchy_nodes"] = len(a.paths)
+		resp["hierarchy_nodes"] = len(a.preorder)
 	}
 	if s.opt.SnapshotPath != "" {
 		resp["snapshot_path"] = s.opt.SnapshotPath
@@ -939,10 +943,10 @@ func mixtureOf(t *store.Topics, words []int) []topicShare {
 // distribution, descending, capped at profileCap.
 func wordNodes(a *artifact, w int) []nodeShare {
 	var out []nodeShare
-	for _, path := range a.paths {
-		phi := a.nodes[path].Phi[core.TermType]
+	for _, n := range a.preorder {
+		phi := n.Phi[core.TermType]
 		if w >= 0 && w < len(phi) && phi[w] > 0 {
-			out = append(out, nodeShare{Path: path, P: phi[w]})
+			out = append(out, nodeShare{Path: n.Path, P: phi[w]})
 		}
 	}
 	sort.SliceStable(out, func(a, b int) bool { return out[a].P > out[b].P })
@@ -974,6 +978,8 @@ func (s *Server) profilePhrase(a *artifact, display string, resp map[string]any)
 	resp["occurrences"] = phraseHits(a.index, a.index.WithName(display))
 	// The phrase's constituent words, resolved to vocabulary ids where the
 	// snapshot knows them, and the composed topic mixture over those ids.
+	// Tokens are folded and a vocabulary need not be, so a token resolves
+	// to the first word entry whose folded name it is.
 	type wordRef struct {
 		Word string `json:"word"`
 		ID   int    `json:"id"`
@@ -982,10 +988,11 @@ func (s *Server) profilePhrase(a *artifact, display string, resp map[string]any)
 	var ids []int
 	for _, tok := range textkit.Tokenize(display) {
 		ref := wordRef{Word: tok, ID: -1}
-		if a.vocab != nil {
-			if id, ok := a.vocab.ID(tok); ok {
-				ref.ID = id
-				ids = append(ids, id)
+		for _, i := range a.index.WithName(tok) {
+			if e := a.index.Entry(int(i)); e.Kind == search.KindWord {
+				ref.ID = e.ID
+				ids = append(ids, e.ID)
+				break
 			}
 		}
 		words = append(words, ref)
