@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -162,17 +161,6 @@ func (t *TopicNode) TopEntities(x TypeID, k int) []string {
 		out = append(out, e.Display)
 	}
 	return out
-}
-
-// SortPhrases orders the topic's phrase list by descending score,
-// breaking ties by display string for determinism.
-func (t *TopicNode) SortPhrases() {
-	sort.SliceStable(t.Phrases, func(i, j int) bool {
-		if t.Phrases[i].Score != t.Phrases[j].Score {
-			return t.Phrases[i].Score > t.Phrases[j].Score
-		}
-		return t.Phrases[i].Display < t.Phrases[j].Display
-	})
 }
 
 // String renders the hierarchy as an indented tree of topic paths and top

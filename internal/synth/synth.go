@@ -51,15 +51,6 @@ func (t *Truth) NumLeaves() int { return len(t.LeafIdx) }
 // LeafName returns the name of ground-truth leaf l.
 func (t *Truth) LeafName(l int) string { return t.Nodes[t.LeafIdx[l]].Name }
 
-// TopLevelNames returns the names of the root's children.
-func (t *Truth) TopLevelNames() []string {
-	out := make([]string, len(t.Root.Children))
-	for i, c := range t.Root.Children {
-		out[i] = c.Name
-	}
-	return out
-}
-
 // WordAffinity returns the generator's distribution over leaf topics for a
 // word; unknown words get a uniform distribution.
 func (t *Truth) WordAffinity(word string) []float64 {
