@@ -5,9 +5,9 @@ import "lesm/internal/par"
 // AliasSet is a family of Walker alias tables over the columns of a sparse
 // nonnegative matrix held in CSC form — one table per column, all backed by
 // four shared arrays sized to the matrix's nonzeros. The MH Gibbs core
-// uses it over the vocabulary (column = word, entry id = topic) and keeps
-// two instances double-buffered so a background rebuild never blocks a
-// sweep (see internal/lda/mh.go).
+// uses it over the vocabulary (column = word, entry id = topic) and
+// rebuilds one instance in place at a pass boundary every AliasRefresh
+// sweeps (see internal/lda/mh.go).
 //
 // A build is one pass over the owner's nonzeros, column by column:
 //

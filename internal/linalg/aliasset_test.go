@@ -67,7 +67,7 @@ func TestAliasSetBuild(t *testing.T) {
 	}
 }
 
-// TestAliasSetReuseAcrossBuilds pins the double-buffer contract the MH
+// TestAliasSetReuseAcrossBuilds pins the in-place rebuild contract the MH
 // sampler relies on: a rebuild with different contents (including a
 // different column count) must fully supersede the previous build, with
 // the backing storage reused.

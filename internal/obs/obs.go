@@ -32,8 +32,12 @@ type SweepStats struct {
 	DocProposals  int64
 	DocAccepts    int64
 
-	AliasRebuilds int           // alias-table rebuilds attributed to this sweep
-	RebuildTime   time.Duration // wall time of those rebuilds
+	AliasRebuilds int // alias-table rebuilds attributed to this sweep
+	// RebuildTime is the wall time of those rebuilds. A rebuild runs
+	// inside the sweep, between its chunk pass and the merge, so it is
+	// part of the sweep's wall time; the fit's initial build, made before
+	// sweep 1, is charged to sweep 1.
+	RebuildTime time.Duration
 
 	Chunks     int           // parallel chunks the sweep was split into
 	DeltaCells int64         // touched (k,v) delta-table cells merged
