@@ -244,11 +244,11 @@ func TestMHCancelledContextReturnsError(t *testing.T) {
 	}
 }
 
-// TestMHAliasStalenessStress hammers the double-buffered rebuild under the
-// tightest cadence (a rebuild in flight on almost every sweep) at P=8 and
-// checks the result is still bit-identical to P=1 — the test -race runs in
-// CI to prove sweeps never observe a half-built buffer. Skipped under
-// -short; the two 60-sweep fits dominate its runtime.
+// TestMHAliasStalenessStress runs the tightest rebuild cadence (the one
+// alias buffer rebuilt in place at every pass boundary) at P=8 and checks
+// the result is still bit-identical to P=1 — the test -race runs in CI to
+// prove no sweep reads the tables while the boundary build writes them.
+// Skipped under -short; the two 60-sweep fits dominate its runtime.
 func TestMHAliasStalenessStress(t *testing.T) {
 	if testing.Short() {
 		t.Skip("staleness stress is slow; skipped under -short")

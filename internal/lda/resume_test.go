@@ -89,7 +89,7 @@ func TestResumeBitIdentical(t *testing.T) {
 			// Iters=20 with CheckpointEvery=7 puts the resume point at
 			// sweep 14 — deliberately NOT a multiple of AliasRefresh=3, so
 			// the MH cases resume with mid-staleness alias tables (the
-			// hard case: the active tables were built from counts three
+			// hard case: the alias tables were built from counts three
 			// sweeps older than the checkpointed Z).
 			cfg := Config{
 				K: 2, Iters: 20, Seed: 42, Sampler: tc.sampler,
