@@ -50,6 +50,11 @@ type emState struct {
 	// accs is the pool of per-chunk E-step accumulators, reused across
 	// sweeps (the per-worker scratch of the parallel runtime).
 	accs []*sweepAcc
+	// rows[c] lists, ascending, the table rows (one node of one type, its
+	// k+1 values) that chunk c's links touch: the only rows its
+	// accumulator's phi ever holds nonzero. Built with the first accs,
+	// since the links and the chunking are fixed.
+	rows [][]int
 	// genericOnly runs every E pass through the generic per-link loop,
 	// bypassing the small-k kernels (the differential test's reference).
 	genericOnly bool
@@ -349,6 +354,9 @@ func (st *emState) sweep(final bool, o par.Opts) error {
 	}
 	if st.accs == nil {
 		st.accs = make([]*sweepAcc, sweepChunks(nLinks))
+	}
+	if st.rows == nil {
+		st.rows = st.chunkRows(len(st.accs))
 	}
 	rho, phi, parentPhi := st.rho, st.phi.byType, st.parentPhi
 	kernel := st.kernel(final)
@@ -781,27 +789,72 @@ func (sp *eSpan) pass4(rho, arho []float64) {
 	arho[0], arho[1], arho[2], arho[3], arho[4] = h0, h1, h2, h3, h4
 }
 
-// mergeRanges is the number of element ranges the phi merge is split into.
+// chunkRows returns, for each of the nc chunks of the E pass, the
+// ascending table rows its links touch: both ends of every link.
+func (st *emState) chunkRows(nc int) [][]int {
+	g := st.g
+	// first[x] is the row of type x's node 0 in the flat table.
+	first := make([]int, len(g.NumNodes)+1)
+	for x, c := range g.NumNodes {
+		first[x+1] = first[x] + c
+	}
+	seen := make([]int, first[len(g.NumNodes)]) // chunk c+1 listed the row
+	nLinks := st.linkOff[len(st.pairs)]
+	rows := make([][]int, nc)
+	for c := range rows {
+		var list []int
+		add := func(r int) {
+			if seen[r] != c+1 {
+				seen[r] = c + 1
+				list = append(list, r)
+			}
+		}
+		lo, hi := par.ChunkBoundsN(nLinks, nc, c)
+		for pi, idx := st.pairAt(lo), lo; idx < hi; pi++ {
+			p := st.pairs[pi]
+			links := g.Links[p]
+			end := min(hi-st.linkOff[pi], len(links))
+			for _, l := range links[idx-st.linkOff[pi] : end] {
+				add(first[p.X] + l.I)
+				add(first[p.Y] + l.J)
+			}
+			idx = st.linkOff[pi] + end
+		}
+		sort.Ints(list)
+		rows[c] = list
+	}
+	return rows
+}
+
+// mergeRanges is the number of row ranges the phi merge is split into.
 // Every element still sums its chunks in chunk order, so the split cannot
 // change a bit; it only bounds each worker's destination range (one eighth
 // of the table stays cache-resident while the chunks stream past it).
 const mergeRanges = 8
 
 // mergePhi sums the chunk accumulators' phi tables into st.next in chunk
-// order and clears them for the next sweep, on up to p workers. It runs
+// order and clears them for the next sweep, on up to p workers. A chunk
+// adds and clears only the rows its links touch (st.rows); its other rows
+// hold +0.0, whose sum into a non-negative value changes no bit. It runs
 // without the caller's context (so the scratch is never left half-cleared)
 // and without its pool observer (the E pass is the sweep's reported pass).
 func (st *emState) mergePhi(p int) {
 	dst := st.next.flat
-	par.ForChunksN(par.Opts{P: p}, len(dst), mergeRanges, func(_, lo, hi int) {
-		d := dst[lo:hi]
-		clear(d)
-		for _, acc := range st.accs {
-			src := acc.phi.flat[lo:hi]
-			for i := range d {
-				d[i] += src[i]
+	nz := st.k + 1
+	par.ForChunksN(par.Opts{P: p}, len(dst)/nz, mergeRanges, func(_, lo, hi int) {
+		clear(dst[lo*nz : hi*nz])
+		for c, acc := range st.accs {
+			rows := st.rows[c]
+			for _, r := range rows[sort.SearchInts(rows, lo):] {
+				if r >= hi {
+					break
+				}
+				d, src := dst[r*nz:(r+1)*nz], acc.phi.flat[r*nz:(r+1)*nz]
+				for i := range d {
+					d[i] += src[i]
+				}
+				clear(src)
 			}
-			clear(src)
 		}
 	})
 }

@@ -112,3 +112,67 @@ func sameBits(t *testing.T, name string, got, want []float64) {
 		}
 	}
 }
+
+// TestMergePhiSkipsUntouchedRows runs EM on a network where most nodes
+// touch no link, once with the merge over each chunk's touched rows and
+// once with every chunk listing every row (the full-table merge). Phi, rho
+// and the log-likelihood must agree bit for bit at P=1 and P=2, the
+// linkless nodes must be in no chunk's list, and the merge must leave
+// every accumulator cleared.
+func TestMergePhiSkipsUntouchedRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(83))
+	sizes := []int{40, 16}
+	net := hin.NewNetwork([]string{"term", "author"}, sizes)
+	for _, p := range []hin.TypePair{hin.Pair(0, 0), hin.Pair(0, 1)} {
+		for i := 0; i < 25; i++ {
+			for j := 0; j < 10; j++ {
+				if rng.Float64() < 0.4 {
+					net.Links[p] = append(net.Links[p], hin.Link{I: i, J: j, W: 0.5 + 3*rng.Float64()})
+				}
+			}
+		}
+	}
+	root := core.NewHierarchy().Root
+	opt := Options{K: 3, EMIters: 10, Restarts: 1, Levels: 1, Background: true}.withDefaults()
+	for _, p := range []int{1, 2} {
+		run := func(allRows bool) *emState {
+			st := newEMState(net, root, opt.K, opt, rand.New(rand.NewSource(84)))
+			nLinks := st.linkOff[len(st.pairs)]
+			if allRows {
+				all := make([]int, sizes[0]+sizes[1])
+				for r := range all {
+					all[r] = r
+				}
+				st.rows = make([][]int, sweepChunks(nLinks))
+				for c := range st.rows {
+					st.rows[c] = all
+				}
+			}
+			if err := st.run(opt, par.Opts{P: p}, ""); err != nil {
+				t.Fatal(err)
+			}
+			return st
+		}
+		want, got := run(true), run(false)
+		if len(got.rows) < 2 {
+			t.Fatalf("%d chunks, the check needs at least 2", len(got.rows))
+		}
+		for c, rows := range got.rows {
+			for _, r := range rows {
+				if r >= 25 && r < sizes[0] || r >= sizes[0]+10 {
+					t.Fatalf("chunk %d lists row %d of a linkless node", c, r)
+				}
+			}
+		}
+		sameBits(t, "phi", got.phi.flat, want.phi.flat)
+		sameBits(t, "rho", got.rho, want.rho)
+		sameBits(t, "logL", []float64{got.logL}, []float64{want.logL})
+		for c, acc := range got.accs {
+			for i, v := range acc.phi.flat {
+				if v != 0 {
+					t.Fatalf("P=%d: chunk %d accumulator holds %v at %d after the merge", p, c, v, i)
+				}
+			}
+		}
+	}
+}

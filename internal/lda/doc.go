@@ -13,9 +13,10 @@
 // Both samplers are deterministically parallel: sweeps run as chunked
 // document passes on the shared runtime (internal/par), every document
 // draws from its own counter-based PRNG stream keyed by (seed, doc,
-// sweep), and per-chunk count deltas merge in chunk order, so a fitted
-// model is a pure function of the seed at any Config.P (see gibbs.go for
-// the design and its AD-LDA-style staleness trade).
+// sweep), and the integer count deltas reach the global tables whole,
+// whichever worker folded them, so a fitted model is a pure function of
+// the seed at any Config.P (see gibbs.go for the design and its
+// AD-LDA-style staleness trade).
 //
 // Two sampling cores implement the per-token draw (Config.Sampler /
 // FoldInConfig.Sampler): the classic dense O(K) core, and the MH core —

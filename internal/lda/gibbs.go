@@ -10,22 +10,25 @@ import (
 //
 // A sweep is one chunked pass over the documents on the shared pass
 // driver (par.Sweeper). The global count tables nKV/nK are frozen for the
-// duration of the pass; every chunk records its count changes in a private
-// delta table, and sampling inside a chunk reads global + own-chunk delta.
-// After the pass, deltas merge into the global tables in chunk order.
-// Chunk boundaries and per-document PRNG streams depend only on
-// (seed, n, sweep) — never on the worker count — so the sampled trajectory
-// is bit-identical at any parallelism level. Across chunks the counts are
-// one pass stale, the standard approximate-distributed-Gibbs trade
-// (AD-LDA, Newman et al. 2009); within a chunk sampling remains fully
-// collapsed. internal/tng runs on the same driver.
+// duration of the pass; every chunk records its count changes in its
+// worker's live delta table, and sampling inside a chunk reads global +
+// own-chunk delta. At the chunk's end the worker folds the live delta into
+// its pass accumulator and resets it; after the pass, the workers'
+// accumulators merge into the global tables in parallel, one stripe of
+// words per worker. Chunk boundaries and per-document PRNG streams depend
+// only on (seed, n, sweep) — never on the worker count — and the counts
+// are integers, so the sampled trajectory is bit-identical at any
+// parallelism level. Across chunks the counts are one pass stale, the
+// standard approximate-distributed-Gibbs trade (AD-LDA, Newman et al.
+// 2009); within a chunk sampling remains fully collapsed. internal/tng
+// runs on the same driver.
 
-// delta is one chunk's private count-table diff against the sweep-start
+// delta is one chunk's live count-table diff against the sweep-start
 // global tables. kv is word-major like them (cell w*kTotal+k): a token
 // reads several topics of one word, and in this layout they share one row
 // instead of sitting a vocabulary apart. Reads during sampling index
 // kv.Cells directly; writes go through add, whose dirty tracking makes
-// folding a delta back into the globals cost O(cells touched) — on
+// folding the delta into its worker's accum cost O(cells touched) — on
 // realistic vocabularies a chunk's documents touch a tiny fraction of the
 // table.
 type delta struct {
@@ -33,19 +36,27 @@ type delta struct {
 	kv     par.Delta // [v*kTotal] word-major topic-word count changes
 	k      []int     // [kTotal] topic total changes
 	// ctr tallies sampling events for observability. The cores bump
-	// these unconditionally (plain int adds on chunk-private state, far
+	// these unconditionally (plain int adds on worker-private state, far
 	// cheaper than a branch per token); they are harvested and reset by
-	// runRecorder only when a Recorder is attached, and are never read
-	// by the sampling math, so they cannot perturb the trajectory.
+	// runRecorder only when a Recorder is attached, and are never read by
+	// the sampling math, so they cannot perturb the trajectory.
 	ctr sweepCounters
 }
 
 // newDelta allocates a zeroed delta. Its arrays come from par.PadSlice:
-// the chunk writes them on every count move, and at small K·V they would
-// otherwise share cache lines with a neighbouring chunk's arrays of the
+// the worker writes them on every count move, and at small K·V they would
+// otherwise share cache lines with a neighbouring worker's arrays of the
 // same size class.
 func newDelta(kTotal, v int) delta {
 	return delta{kTotal: kTotal, kv: par.NewDelta(v * kTotal), k: par.PadSlice[int](kTotal)}
+}
+
+// accum is a worker's pass accumulator: the kv changes of the chunks it
+// ran, listed by stripe (a stripe of word-major cells is a range of
+// words), and their topic totals.
+type accum struct {
+	kv par.Acc
+	k  []int
 }
 
 // add applies a count change for (topic k, word w).
@@ -54,28 +65,48 @@ func (dl *delta) add(k, w, c int) {
 	dl.k[k] += c
 }
 
-// applyTo folds the delta into the global tables, resets it for the next
-// pass and returns the number of kv cells merged.
-func (dl *delta) applyTo(nKV []int, nK []int) int {
-	n := dl.kv.MergeInto(nKV)
+// foldInto adds the chunk's changes into the pass accumulator acc and
+// resets them.
+func (dl *delta) foldInto(acc *accum) {
+	dl.kv.FoldInto(&acc.kv)
 	for k, c := range dl.k {
-		nK[k] += c
+		acc.k[k] += c
 		dl.k[k] = 0
+	}
+}
+
+// mergeStripe adds stripe s of the accumulator into the global tables
+// (the topic totals with stripe 0), empties it and returns the number of
+// kv changes it visited; with discard set it only empties.
+func (a *accum) mergeStripe(nKV, nK []int, s int, discard bool) int {
+	if discard {
+		nKV = nil
+	}
+	n := a.kv.MergeStripe(nKV, s)
+	if s == 0 {
+		for k, c := range a.k {
+			if !discard {
+				nK[k] += c
+			}
+			a.k[k] = 0
+		}
 	}
 	return n
 }
 
-// chunk is one chunk's mutable sampler state besides its PRNG stream,
-// which the pass driver keeps next to it in the chunk's par.Slot: the
-// count delta, the probability scratch and, when the MH core runs, its
-// sampling state. The chunk's worker writes all of it during a pass, so
-// its arrays come from par.PadSlice: no cache line holds words of two
-// chunks (TestChunkStateCacheLinePrivate).
+// chunk is one worker slot's mutable sampler state besides its PRNG
+// stream, which the pass driver keeps next to it in the slot's par.Slot:
+// the live count delta of the running chunk, the pass accumulator, the
+// probability scratch and, when the MH core runs, its sampling state. The
+// worker writes all of it during a pass, so its arrays come from
+// par.PadSlice: no cache line holds words of two workers
+// (TestChunkStateCacheLinePrivate).
 type chunk struct {
 	dl    delta
+	acc   accum     // the chunks this slot ran in the pass, folded
 	probs []float64 // [kTotal]
 	// mh is the Metropolis–Hastings state; zero unless the MH core runs
-	// (see enableMH / mh.go).
+	// (see startMH / mh.go).
 	mh mhChunk
 }
 
@@ -174,8 +205,8 @@ type fit struct {
 	nK  []int
 	// z[d][s] is the topic of assignment slot s of document d.
 	z [][]int
-	// sw drives the chunked passes; each chunk's state is a chunk,
-	// allocated once per fit (the deltas are O(topics x vocabulary) each).
+	// sw drives the chunked passes; each worker slot's state is a chunk,
+	// allocated once per fit (its live delta is O(topics x vocabulary)).
 	sw *par.Sweeper[chunk]
 	rr *runRecorder
 	ck *ckptState
@@ -209,8 +240,15 @@ func newFit(engine string, c corpus, v int, cfg Config) (*fit, error) {
 		z: make([][]int, d),
 	}
 	f.sw = par.NewSweeper(f.o, d, kTotal*v, cfg.Seed,
-		func() chunk { return chunk{dl: newDelta(kTotal, v), probs: par.PadSlice[float64](kTotal)} },
-		func(ch *chunk) int { return ch.dl.applyTo(f.nKV, f.nK) })
+		func(stripes int) chunk {
+			return chunk{dl: newDelta(kTotal, v), acc: accum{kv: par.NewAcc(v*kTotal, stripes), k: par.PadSlice[int](kTotal)},
+				probs: par.PadSlice[float64](kTotal)}
+		},
+		func(ch *chunk) {
+			ch.dl.foldInto(&ch.acc)
+			ch.mh.refreshDen() // a no-op unless the MH core runs
+		},
+		func(ch *chunk, s int, discard bool) int { return ch.acc.mergeStripe(f.nKV, f.nK, s, discard) })
 	tokens := countTokens(c)
 
 	// The fingerprint binds checkpoints to this exact fit; computing it
@@ -278,9 +316,10 @@ func (f *fit) run(kernel docKernel) error {
 }
 
 // sweep runs one Gibbs sweep: the MH core's pre-sweep hook (refresh the
-// cached denominators), the chunk pass, then the sweep's record and
-// checkpoint boundary. The MH core rebuilds due alias tables in the
-// pass's end hook, before the deltas merge into the globals it reads.
+// cached denominators of each slot's first chunk), the chunk pass, then
+// the sweep's record and checkpoint boundary. The MH core rebuilds due
+// alias tables in the pass's end hook, before the accumulators merge into
+// the globals it reads.
 func (f *fit) sweep(sweep int, kernel docKernel) error {
 	var endPass func() error
 	if f.mh != nil {

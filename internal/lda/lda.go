@@ -267,7 +267,8 @@ type Model struct {
 // Sweeps execute as chunked passes over the documents on the shared
 // parallel runtime: every document samples from its own (Seed, doc, sweep)
 // PRNG stream against the sweep-start counts plus its chunk's running
-// delta, and chunk deltas merge in chunk order afterwards (see gibbs.go).
+// delta, and the workers' accumulated deltas merge afterwards (see
+// gibbs.go).
 // The fitted model is therefore bit-identical at any Config.P. Run returns
 // an error when the config or a token id is invalid, or when Config.Ctx is
 // cancelled.

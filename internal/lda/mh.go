@@ -42,7 +42,8 @@ import (
 //
 // Alias tables rebuild every Config.AliasRefresh sweeps on the shared pool,
 // in place, at the pass boundary: after the sweep's chunks finish and
-// before their deltas merge, so the build reads the sweep-start globals
+// before the workers' accumulators merge, so the build reads the
+// sweep-start globals
 // (frozen for the duration of the pass) and the next sweep samples from
 // the new tables. A fit therefore performs 1 + ⌊(Iters−1)/AliasRefresh⌋
 // builds (Model.AliasRebuilds) instead of one per sweep.
@@ -148,7 +149,7 @@ func (m *mhProposal) density(w, k int) float64 {
 	return float64(m.src[w*m.kTotal+k]) + m.beta
 }
 
-// mhChunk is one chunk's MH sampling state. It keeps no incremental
+// mhChunk is one worker slot's MH sampling state. It keeps no incremental
 // bucket masses — acceptance ratios read the handful of counts they need
 // directly — so adjust is two array updates plus the delta bookkeeping.
 type mhChunk struct {
@@ -164,7 +165,8 @@ type mhChunk struct {
 
 	// den caches the per-topic conditional denominators
 	// float64(nK[k]+dl.k[k]) + Vβ, the hottest loads in the acceptance
-	// ratio. Rebuilt at sweep start (refreshDen) and maintained by adjust;
+	// ratio. Rebuilt at each chunk start (refreshDen) and maintained by
+	// adjust;
 	// counts are far below 2^52, so every cached value is the exactly
 	// rounded float of the integer sum.
 	den []float64
@@ -177,7 +179,7 @@ type mhChunk struct {
 	pDK []int
 }
 
-// newMHChunk returns the MH state of the chunk whose delta is dl. Its
+// newMHChunk returns the MH state of the slot whose live delta is dl. Its
 // per-topic arrays are written on every count move (den) or document
 // (pDK), so they come from par.PadSlice like the delta's.
 func newMHChunk(alpha []float64, beta float64, v int, nKV []int, nK []int, dl *delta,
@@ -198,8 +200,13 @@ func newMHChunk(alpha []float64, beta float64, v int, nKV []int, nK []int, dl *d
 }
 
 // refreshDen recomputes the cached denominators from the chunk's current
-// view of the topic totals. The sweep driver calls it at every sweep
-// start, after the previous sweep's deltas merged into nK.
+// view of the topic totals. It runs before every chunk, when that view is
+// the globals plus a zeroed delta: the sweep driver calls it for each
+// slot's first chunk, after the previous sweep's accumulators merged into
+// nK, and the slot's chunk-end fold for the next one, after it reset the
+// live delta. A den carried over from the slot's previous chunk would hold
+// that chunk's moves, which the next chunk must not see. It is a no-op on
+// the zero mhChunk of the dense core.
 func (s *mhChunk) refreshDen() {
 	for k := range s.den {
 		s.den[k] = float64(s.nK[k]+s.dl.k[k]) + s.vb
@@ -325,8 +332,8 @@ func (s *mhChunk) sampleToken(w int, zDoc []int, posCnt []int, i int, rng *strea
 }
 
 // endPass rebuilds the tables once they have served AliasRefresh sweeps.
-// The chunk pass calls it after the chunks finish and before the deltas
-// merge, so the build reads the globals as they stood at the start of
+// The chunk pass calls it after the chunks finish and before the
+// accumulators merge, so the build reads the globals as they stood at the start of
 // the sweep, and the next sweep samples from the new tables.
 func (m *mhProposal) endPass(o par.Opts, nKV []int) error {
 	if m.stale < m.refresh {

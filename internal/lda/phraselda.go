@@ -15,7 +15,7 @@ type PhraseDoc [][]int
 //
 // Like Run, sweeps execute as chunked document passes on the shared
 // parallel runtime with per-document (Seed, doc, sweep) PRNG streams and
-// chunk-ordered delta merging, so the model is bit-identical at any
+// integer delta merging, so the model is bit-identical at any
 // Config.P. The MH core applies to single-word phrases — for those the
 // conditional is exactly token LDA's, so they go through the alias
 // proposals at O(1) per phrase; multi-word phrases keep the dense

@@ -114,7 +114,7 @@ func (r *runRecorder) endSweep(o par.Opts, sweep, rebuildsTotal int, rebuildTime
 		DocProposals: c.docProp, DocAccepts: c.docAcc,
 		AliasRebuilds: rebuildsTotal - r.rebuilds,
 		RebuildTime:   rebuildTime - r.rebuildT,
-		Chunks:        len(r.sw.Slots),
+		Chunks:        r.sw.Chunks(),
 		DeltaCells:    ps.Cells,
 		MergeTime:     ps.Merge,
 		SweepTime:     ps.Wall,

@@ -40,8 +40,8 @@ type SweepStats struct {
 	RebuildTime time.Duration
 
 	Chunks     int           // parallel chunks the sweep was split into
-	DeltaCells int64         // touched (k,v) delta-table cells merged
-	MergeTime  time.Duration // chunk-ordered delta merge wall time
+	DeltaCells int64         // touched accumulator cells merged
+	MergeTime  time.Duration // striped accumulator merge wall time
 	SweepTime  time.Duration // whole-sweep wall time
 
 	// LogLikelihood is the read-only convergence probe's corpus

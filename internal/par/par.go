@@ -167,8 +167,8 @@ func ForChunks(o Opts, n int, fn func(c, lo, hi int)) error {
 }
 
 // ForChunksN is ForChunks with an explicit chunk count nc, for callers
-// whose per-chunk accumulators are too large for the default policy (the
-// Gibbs samplers cap nc to bound their delta count tables). nc is clamped
+// whose per-chunk accumulators are too large for the default policy
+// (CATHY's E-step scratch, STROD's moment accumulators). nc is clamped
 // to [1, n]; it must be a pure function of n (never of P) or determinism
 // is lost.
 func ForChunksN(o Opts, n, nc int, fn func(c, lo, hi int)) error {
@@ -181,16 +181,20 @@ func ForChunksN(o Opts, n, nc int, fn func(c, lo, hi int)) error {
 	if nc < 1 {
 		nc = 1
 	}
+	return runChunks(o, n, nc, min(o.Workers(), nc), func(_, c, lo, hi int) { fn(c, lo, hi) })
+}
+
+// runChunks runs fn over the nc chunks of [0, n) on w workers, w in
+// [1, nc]: worker g calls fn(g, c, lo, hi) for each chunk c = [lo, hi)
+// it dequeues. The Sweeper indexes its worker slots by g.
+func runChunks(o Opts, n, nc, w int, fn func(g, c, lo, hi int)) error {
 	ctx := o.Context()
-	w := o.Workers()
-	if w > nc {
-		w = nc
-	}
 	// The observed path lives in its own function: forChunksRun's fn must
 	// stay single-assignment, because a variable that is both reassigned and
 	// captured by the worker closures is forced into a heap cell on every
 	// call — charging even the unobserved serial path one allocation per
-	// pass (the Gibbs sweep loops are gated to zero by
+	// pass (the Gibbs sweep loops, which pass their closures built once
+	// straight to runChunks, are gated to zero by
 	// TestNilRecorderSweepAllocFree).
 	if o.Obs != nil {
 		return forChunksObserved(o, ctx, n, nc, w, fn)
@@ -204,7 +208,7 @@ func ForChunksN(o Opts, n, nc int, fn func(c, lo, hi int)) error {
 // start to a chunk's dequeue — on the serial path that degenerates to
 // cumulative position, which is exactly the head-of-line delay a chunk
 // experienced.
-func forChunksObserved(o Opts, ctx context.Context, n, nc, w int, fn func(c, lo, hi int)) error {
+func forChunksObserved(o Opts, ctx context.Context, n, nc, w int, fn func(g, c, lo, hi int)) error {
 	start := time.Now()
 	var waitNS, execNS atomic.Int64
 	defer func() {
@@ -215,10 +219,10 @@ func forChunksObserved(o Opts, ctx context.Context, n, nc, w int, fn func(c, lo,
 			Wall: time.Since(start),
 		})
 	}()
-	return forChunksRun(ctx, n, nc, w, func(c, lo, hi int) {
+	return forChunksRun(ctx, n, nc, w, func(g, c, lo, hi int) {
 		t0 := time.Now()
 		waitNS.Add(int64(t0.Sub(start)))
-		fn(c, lo, hi)
+		fn(g, c, lo, hi)
 		execNS.Add(int64(time.Since(t0)))
 	})
 }
@@ -226,14 +230,14 @@ func forChunksObserved(o Opts, ctx context.Context, n, nc, w int, fn func(c, lo,
 // forChunksRun executes the pass. fn is deliberately a parameter and never
 // reassigned, so the worker closures capture it by value and the serial
 // path performs no allocation.
-func forChunksRun(ctx context.Context, n, nc, w int, fn func(c, lo, hi int)) error {
+func forChunksRun(ctx context.Context, n, nc, w int, fn func(g, c, lo, hi int)) error {
 	if w <= 1 {
 		for c := 0; c < nc; c++ {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
 			lo, hi := ChunkBoundsN(n, nc, c)
-			fn(c, lo, hi)
+			fn(0, c, lo, hi)
 		}
 		return nil
 	}
@@ -241,7 +245,7 @@ func forChunksRun(ctx context.Context, n, nc, w int, fn func(c, lo, hi int)) err
 	var wg sync.WaitGroup
 	for g := 0; g < w; g++ {
 		wg.Add(1)
-		go func() {
+		go func(g int) {
 			defer wg.Done()
 			for ctx.Err() == nil {
 				c := int(next.Add(1)) - 1
@@ -249,9 +253,9 @@ func forChunksRun(ctx context.Context, n, nc, w int, fn func(c, lo, hi int)) err
 					return
 				}
 				lo, hi := ChunkBoundsN(n, nc, c)
-				fn(c, lo, hi)
+				fn(g, c, lo, hi)
 			}
-		}()
+		}(g)
 	}
 	wg.Wait()
 	return ctx.Err()

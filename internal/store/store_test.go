@@ -302,3 +302,41 @@ func TestWriteReadFile(t *testing.T) {
 		t.Fatalf("sections = %v", got.Sections())
 	}
 }
+
+// TestValidateVocabMatchesTopics: a snapshot whose vocab section and
+// topic section disagree on the word count is CRC-valid but would index
+// past one of them, so Validate rejects it, through the file too. Either
+// section alone, or both agreeing, passes.
+func TestValidateVocabMatchesTopics(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		vocab []string
+		ok    bool
+	}{
+		{"same", []string{"query", "processing", "index"}, true},
+		{"longer", []string{"query", "processing", "index", "storage"}, false},
+		{"shorter", []string{"query", "processing"}, false},
+		{"absent", nil, true},
+	} {
+		s := sampleSnapshot()
+		s.Vocab = c.vocab
+		b, err := Encode(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Decode(b)
+		if err != nil {
+			t.Fatalf("%s: decode: %v", c.name, err)
+		}
+		err = got.Validate()
+		if c.ok && err != nil || !c.ok && (err == nil || !strings.Contains(err.Error(), "vocab has")) {
+			t.Fatalf("%s: Validate = %v, want ok=%v", c.name, err, c.ok)
+		}
+	}
+	s := sampleSnapshot()
+	s.Topics = nil
+	s.Vocab = append(s.Vocab, "storage")
+	if err := s.Validate(); err != nil {
+		t.Fatalf("vocab without topics: Validate = %v", err)
+	}
+}

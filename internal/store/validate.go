@@ -64,11 +64,16 @@ func (a *Advisor) Validate() error {
 	return nil
 }
 
-// Validate checks every present section's shape invariants.
+// Validate checks every present section's shape invariants, and that a
+// vocabulary and a topic section, when both are present, name the same
+// number of words.
 func (s *Snapshot) Validate() error {
 	if s.Topics != nil {
 		if err := s.Topics.Validate(); err != nil {
 			return err
+		}
+		if s.Vocab != nil && len(s.Vocab) != s.Topics.V {
+			return fmt.Errorf("store: vocab has %d words, topics V = %d", len(s.Vocab), s.Topics.V)
 		}
 	}
 	if s.FoldIn != nil {

@@ -14,6 +14,7 @@
 //
 // Run is a kernel pair, initialization and sweep, on the Gibbs pass
 // driver internal/lda also uses (par.Sweeper): chunked passes against
-// frozen global counts plus chunk-private deltas, merged in chunk order,
-// so the fitted model is bit-identical at any parallelism.
+// frozen global counts plus chunk-private deltas, folded per worker and
+// merged after the pass, so the fitted model is bit-identical at any
+// parallelism.
 package tng

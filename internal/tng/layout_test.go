@@ -9,17 +9,18 @@ import (
 	"lesm/internal/synth"
 )
 
-// TestChunkStateCacheLinePrivate pins the chunk-private layout by address,
-// without timing: after the initialization pass of fits at small K (where
-// the per-chunk arrays are a few dozen bytes and would share a size
-// class), no par.CacheGuard-aligned block may hold mutable words of two
-// chunks. A shared block means two workers write one cache-line pair and
-// P=2 sweeps stall on false sharing.
+// TestChunkStateCacheLinePrivate pins the worker-private layout by
+// address, without timing: after the initialization pass of fits at small
+// K (where the per-slot arrays are a few dozen bytes and would share a
+// size class), no par.CacheGuard-aligned block may hold mutable words of
+// two worker slots. A shared block means two workers write one cache-line
+// pair and P=2 sweeps stall on false sharing.
 //
-// The walk covers each chunk's padded slot (its PRNG stream and state
+// The walk covers each slot's padded value (its PRNG stream and state
 // header) and every array reachable from it through slices and structs:
-// the delta tables and their touched flags, the probability scratch and
-// the bigram count tables' keys, values and occupancy flags. It leaves
+// the live delta and the pass accumulator, each with its tables, touched
+// flags and bigram count tables' keys, values and occupancy flags, and
+// the probability scratch. It leaves
 // out arrays that several slots reference, which are the frozen global
 // tables the chunks only read; arrays of slice headers, written once when
 // allocated; and the append-grown dirty lists, written once per first
@@ -32,15 +33,25 @@ func TestChunkStateCacheLinePrivate(t *testing.T) {
 	}
 	v := ds.Corpus.Vocab.Size()
 	for _, cfg := range []Config{
-		{K: 3, Iters: 1, Seed: 48},
-		{K: 2, Iters: 1, Seed: 49, Discount: 0.5},
+		{K: 3, Iters: 1, Seed: 48, P: 4},
+		{K: 2, Iters: 1, Seed: 49, Discount: 0.5, P: 4},
 	} {
 		s, err := newSampler(docs, v, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(s.Slots) < 2 {
-			t.Fatalf("K=%d: %d chunks, the check needs at least 2", cfg.K, len(s.Slots))
+			t.Fatalf("K=%d: %d worker slots, the check needs at least 2", cfg.K, len(s.Slots))
+		}
+		// A bigram table allocates its arrays on its first entry, an
+		// accumulator's pair list holds pairs only between a fold and the
+		// merge, and the init pass may have dealt every chunk to one
+		// worker: give each slot's live delta and accumulator entries.
+		for c := range s.Slots {
+			ws := &s.Slots[c].V.State
+			ws.dl.add(0, 0, 0, 0, 1)
+			ws.dl.add(0, 1, 0, 0, 1)
+			ws.dl.foldInto(&ws.acc)
 		}
 		var regions []stateRegion
 		for c := range s.Slots {
@@ -94,10 +105,10 @@ func walkChunkState(out []stateRegion, c int, path string, v reflect.Value) []st
 	return out
 }
 
-// checkChunkRegions drops the arrays two chunks share, checks that the
+// checkChunkRegions drops the arrays two slots share, checks that the
 // rest covers the delta tables, probability scratch and bigram tables of
-// every chunk, and reports every CacheGuard-aligned block that holds
-// words of two chunks.
+// every slot, live delta and accumulator alike, and reports every
+// CacheGuard-aligned block that holds words of two slots.
 func checkChunkRegions(t *testing.T, k, chunks int, regions []stateRegion) {
 	t.Helper()
 	owners := map[uintptr]map[int]bool{}
@@ -131,7 +142,7 @@ func checkChunkRegions(t *testing.T, k, chunks int, regions []stateRegion) {
 			blocks[b] = owner{r.chunk, r.path}
 		}
 	}
-	for _, name := range []string{"kv", "k", "n0", "n1", "touched", "probs", "big", "bigTot", "keys", "vals", "full"} {
+	for _, name := range []string{"dl", "acc", "kv", "k", "n0", "n1", "touched", "probs", "big", "bigTot", "keys", "vals", "full"} {
 		if len(covered[name]) != chunks {
 			t.Errorf("K=%d: %q arrays found in %d of %d chunks", k, name, len(covered[name]), chunks)
 		}

@@ -112,31 +112,46 @@ type counts struct {
 	bigTot countTable[bigramKey]
 }
 
-// tngDelta is one chunk's private state: its diffs against the
-// sweep-start global counts — dirty-tracked deltas for the topic-word and
-// status tables, a dense one for the topic totals and count tables for
-// the sparse bigram cells (integer adds, so the merge order cannot change
-// the result) — plus the sampling scratch. The chunk's worker writes it
-// on every token, so its arrays come from par.PadSlice (see
-// internal/par's chunk-private state rule).
+// tngDelta is one chunk's live diff against the sweep-start global
+// counts: dirty-tracked deltas for the topic-word and status tables, a
+// dense one for the topic totals and count tables for the sparse bigram
+// cells (integer adds, so the merge order cannot change the result). The
+// worker writes it on every token, so its arrays come from par.PadSlice
+// (see internal/par's private state rule).
 type tngDelta struct {
 	kv, n0, n1 par.Delta
 	k          []int
 	big        countTable[trigramKey]
 	bigTot     countTable[bigramKey]
-	probs      []float64 // [2k] sampling scratch, reused across the chunk's docs
-	// changed tallies (z, x) assignment changes for observability;
-	// harvested per sweep only when a Recorder is attached and never
-	// read by the sampling math.
-	changed int64
 }
 
 func newTngDelta(k, v int) tngDelta {
 	return tngDelta{
 		kv: par.NewDelta(v * k), k: par.PadSlice[int](k),
 		n0: par.NewDelta(v), n1: par.NewDelta(v),
-		probs: par.PadSlice[float64](2 * k),
 	}
+}
+
+// tngAcc is a worker's pass accumulator: the changes of the chunks it
+// ran, the table cells listed by stripe and the bigram cells in count
+// tables.
+type tngAcc struct {
+	kv, n0, n1 par.Acc
+	k          []int
+	big        countTable[trigramKey]
+	bigTot     countTable[bigramKey]
+}
+
+// slot is one worker slot's state: the live delta of the running chunk,
+// the pass accumulator and the sampling scratch.
+type slot struct {
+	dl    tngDelta
+	acc   tngAcc
+	probs []float64 // [2k] sampling scratch, reused across the chunk's docs
+	// changed tallies (z, x) assignment changes for observability;
+	// harvested per sweep only when a Recorder is attached and never
+	// read by the sampling math.
+	changed int64
 }
 
 // add moves c tokens of word w with topic t and status x into (c > 0) or
@@ -159,21 +174,50 @@ func (d *tngDelta) add(t, x, prev, w, c int) {
 	}
 }
 
-// merge folds chunk delta d into the global counts, resets it and
-// returns the number of cells and bigram entries merged.
-func (g *counts) merge(d *tngDelta) int {
-	n := d.kv.MergeInto(g.kv) + d.n0.MergeInto(g.n0) + d.n1.MergeInto(g.n1)
+// foldInto adds the chunk's changes into the pass accumulator acc and
+// resets them.
+func (d *tngDelta) foldInto(acc *tngAcc) {
+	d.kv.FoldInto(&acc.kv)
+	d.n0.FoldInto(&acc.n0)
+	d.n1.FoldInto(&acc.n1)
 	for t, c := range d.k {
-		g.k[t] += c
+		acc.k[t] += c
 		d.k[t] = 0
 	}
-	return n + d.big.mergeInto(&g.big) + d.bigTot.mergeInto(&g.bigTot)
+	d.big.mergeInto(&acc.big)
+	d.bigTot.mergeInto(&acc.bigTot)
+}
+
+// mergeStripe adds stripe s of accumulator a into the global counts (the
+// topic totals and bigram tables with stripe 0), empties it and returns
+// the number of changes and bigram entries it visited; with discard set it
+// only empties.
+func (g *counts) mergeStripe(a *tngAcc, s int, discard bool) int {
+	kv, n0, n1 := g.kv, g.n0, g.n1
+	if discard {
+		kv, n0, n1 = nil, nil, nil
+	}
+	n := a.kv.MergeStripe(kv, s) + a.n0.MergeStripe(n0, s) + a.n1.MergeStripe(n1, s)
+	if s != 0 {
+		return n
+	}
+	if discard {
+		clear(a.k)
+		a.big.reset()
+		a.bigTot.reset()
+		return n
+	}
+	for t, c := range a.k {
+		g.k[t] += c
+		a.k[t] = 0
+	}
+	return n + a.big.mergeInto(&g.big) + a.bigTot.mergeInto(&g.bigTot)
 }
 
 // sampler is one fit's state after the initialization pass: the global
-// counts, the assignments and the pass driver holding the chunk state.
+// counts, the assignments and the pass driver holding the worker slots.
 type sampler struct {
-	*par.Sweeper[tngDelta]
+	*par.Sweeper[slot]
 	cfg  Config // defaulted
 	docs [][]int
 	v    int
@@ -182,15 +226,16 @@ type sampler struct {
 	z, x [][]int
 }
 
-// kernel samples one document with its chunk's delta and stream.
-type kernel = func(dl *tngDelta, st *rng.Stream, di int)
+// kernel samples one document with its worker slot's state and stream.
+type kernel = func(ws *slot, st *rng.Stream, di int)
 
 // Run fits the model to id-encoded documents.
 //
 // Sweeps run on the Gibbs pass driver internal/lda also uses
 // (par.Sweeper): the global count tables (topic-word, bigram and status
 // tables alike) are frozen for a pass, each chunk samples against global
-// + own-chunk delta, and the deltas merge in chunk order afterwards.
+// + own-chunk delta, folded at its end into its worker's accumulator, and
+// the accumulators merge afterwards.
 // Every document draws from its own (Seed, doc, sweep) SplitMix64 stream,
 // so the fitted model is bit-identical at any Config.P. Run returns an
 // error when the config or a token id is invalid, or when Config.Ctx is
@@ -247,8 +292,16 @@ func newSampler(docs [][]int, v int, cfg Config) (*sampler, error) {
 		g:   counts{kv: make([]int, v*k), k: make([]int, k), n0: make([]int, v), n1: make([]int, v)},
 		nDK: make([][]int, d), z: make([][]int, d), x: make([][]int, d),
 	}
-	// Each chunk's dense topic-word delta holds k*v cells.
-	s.Sweeper = par.NewSweeper(o, d, k*v, cfg.Seed, func() tngDelta { return newTngDelta(k, v) }, s.g.merge)
+	// Each dense topic-word delta holds k*v cells.
+	s.Sweeper = par.NewSweeper(o, d, k*v, cfg.Seed,
+		func(stripes int) slot {
+			return slot{dl: newTngDelta(k, v), probs: par.PadSlice[float64](2 * k), acc: tngAcc{
+				kv: par.NewAcc(v*k, stripes), n0: par.NewAcc(v, stripes), n1: par.NewAcc(v, stripes),
+				k: par.PadSlice[int](k),
+			}}
+		},
+		func(ws *slot) { ws.dl.foldInto(&ws.acc) },
+		func(ws *slot, st int, discard bool) int { return s.g.mergeStripe(&ws.acc, st, discard) })
 	if err := s.Pass(0, s.initKernel(), nil); err != nil {
 		return nil, err
 	}
@@ -259,7 +312,8 @@ func newSampler(docs [][]int, v int, cfg Config) (*sampler, error) {
 // continuation status with probability 0.2 (sharing the previous topic).
 func (s *sampler) initKernel() kernel {
 	docs, k, nDK, z, x := s.docs, s.cfg.K, s.nDK, s.z, s.x
-	return func(dl *tngDelta, st *rng.Stream, di int) {
+	return func(ws *slot, st *rng.Stream, di int) {
+		dl := &ws.dl
 		doc := docs[di]
 		z[di] = make([]int, len(doc))
 		x[di] = make([]int, len(doc))
@@ -287,8 +341,8 @@ func (s *sampler) sweepKernel() kernel {
 	k := cfg.K
 	vb := float64(s.v) * cfg.Beta
 	vd := float64(s.v) * cfg.Delta
-	return func(dl *tngDelta, st *rng.Stream, di int) {
-		doc, probs := docs[di], dl.probs
+	return func(ws *slot, st *rng.Stream, di int) {
+		dl, doc, probs := &ws.dl, docs[di], ws.probs
 		zd, xd, nd := z[di], x[di], nDK[di]
 		prev := -1
 		for i, w := range doc {
@@ -344,7 +398,7 @@ func (s *sampler) sweepKernel() kernel {
 				zi, xi = pick-k, 1
 			}
 			if zi != zOld || xi != xOld {
-				dl.changed++
+				ws.changed++
 			}
 			zd[i], xd[i] = zi, xi
 			nd[zi]++
@@ -358,10 +412,10 @@ func (s *sampler) sweepKernel() kernel {
 // harvests.
 func (s *sampler) record(sweep int, tokens int64) {
 	var changed int64
-	for c := range s.Slots {
-		dl := &s.Slots[c].V.State
-		changed += dl.changed
-		dl.changed = 0
+	for g := range s.Slots {
+		ws := &s.Slots[g].V.State
+		changed += ws.changed
+		ws.changed = 0
 	}
 	ps := *s.Stats
 	*s.Stats = par.PassStats{}
@@ -372,7 +426,7 @@ func (s *sampler) record(sweep int, tokens int64) {
 		Docs:          len(s.docs),
 		Tokens:        tokens,
 		Changed:       changed,
-		Chunks:        len(s.Slots),
+		Chunks:        s.Chunks(),
 		DeltaCells:    ps.Cells,
 		MergeTime:     ps.Merge,
 		SweepTime:     ps.Wall,
