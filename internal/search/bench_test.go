@@ -102,3 +102,41 @@ func BenchmarkSearchTypo(b *testing.B) { benchmarkSearch(b, true) }
 
 // BenchmarkSearchExact times exact word queries, a dictionary binary search.
 func BenchmarkSearchExact(b *testing.B) { benchmarkSearch(b, false) }
+
+// benchSource is a served-model-shaped source: benchTerms syllable words,
+// a third as many two- and three-word phrases over them, and a tenth as
+// many authors, nine in ten labeled with a two-word name.
+func benchSource() Source {
+	rng := rand.New(rand.NewSource(1))
+	words := syllableWords(rng, benchTerms)
+	src := Source{Words: words}
+	for i := 0; i < benchTerms/3; i++ {
+		p := words[rng.Intn(len(words))] + " " + words[rng.Intn(len(words))]
+		if rng.Intn(2) == 0 {
+			p += " " + words[rng.Intn(len(words))]
+		}
+		src.Phrases = append(src.Phrases, Phrase{Display: p, Path: "o/1", Score: rng.Float64()})
+	}
+	for id := 0; id < benchTerms/10; id++ {
+		a := Author{ID: id}
+		if rng.Intn(10) != 0 {
+			a.Label = strings.ToUpper(words[rng.Intn(len(words))][:1]) + words[rng.Intn(len(words))][1:] + " " + words[rng.Intn(len(words))]
+		}
+		src.Authors = append(src.Authors, a)
+	}
+	return src
+}
+
+// benchIndexes keeps the benchmarked builds live.
+var benchIndexes *Index
+
+// BenchmarkBuild times one index build over benchSource, the work a
+// server does per generation on top of decoding the snapshot.
+func BenchmarkBuild(b *testing.B) {
+	src := benchSource()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchIndexes = Build(src)
+	}
+}

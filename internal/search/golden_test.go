@@ -2,7 +2,10 @@ package search
 
 import (
 	"reflect"
+	"slices"
 	"testing"
+
+	"lesm/internal/textkit"
 )
 
 // goldenSource mixes every case the index build treats specially: mixed
@@ -59,4 +62,40 @@ func TestBuildChecksumGolden(t *testing.T) {
 			t.Errorf("entry %d (%q) does not resolve by its own name", i, e.Name)
 		}
 	}
+}
+
+// wordTokenCases are words on both sides of wordTokens' shortcut: whole
+// tokens (ASCII, other scripts, digits, runes that fold beyond lowercasing)
+// and words Tokenize must split or drop (punctuation, marks, spaces,
+// invalid UTF-8, the empty word).
+var wordTokenCases = []string{
+	"query", "Query", "DATABASE", "k200", "2014", "\u212Aelvin", "ſtate", "Σίσυφος",
+	"ΣΊΣΥΦΟΣ", "ΐota", "东京", "straße", "İstanbul", "١٢٣",
+	"", " ", "e-mail", "o'neil", "abͅc", "caf\xe9", "\xff", "a\xe2\x82", "--", "x y", "a_b", "½",
+}
+
+// TestWordTokensMatchTokenize checks that the vocabulary-word path of
+// Build, which takes a whole-token word's folded form as its one token,
+// yields exactly textkit.Tokenize(word).
+func TestWordTokensMatchTokenize(t *testing.T) {
+	for _, w := range wordTokenCases {
+		var one [1]string
+		got := wordTokens(&one, w, textkit.Fold(w))
+		if want := textkit.Tokenize(w); !slices.Equal(got, want) {
+			t.Errorf("wordTokens(%q) = %q, Tokenize = %q", w, got, want)
+		}
+	}
+}
+
+func FuzzWordTokens(f *testing.F) {
+	for _, w := range wordTokenCases {
+		f.Add(w)
+	}
+	f.Fuzz(func(t *testing.T, w string) {
+		var one [1]string
+		got := wordTokens(&one, w, textkit.Fold(w))
+		if want := textkit.Tokenize(w); !slices.Equal(got, want) {
+			t.Fatalf("wordTokens(%q) = %q, Tokenize = %q", w, got, want)
+		}
+	})
 }

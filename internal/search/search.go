@@ -128,8 +128,11 @@ func SourceFromSnapshot(snap *store.Snapshot) Source {
 	if snap.Advisor != nil && snap.Advisor.Net != nil && snap.Advisor.Net.NumAuthors-1 > maxID {
 		maxID = snap.Advisor.Net.NumAuthors - 1
 	}
-	for id := 0; id <= maxID; id++ {
-		src.Authors = append(src.Authors, Author{ID: id, Label: labels[id]})
+	if maxID >= 0 {
+		src.Authors = make([]Author, maxID+1)
+		for id := range src.Authors {
+			src.Authors[id] = Author{ID: id, Label: labels[id]}
+		}
 	}
 	return src
 }
@@ -191,33 +194,42 @@ type Index struct {
 // equality), because entries are numbered in Source order and the term
 // dictionary is sorted.
 func Build(src Source) *Index {
-	ix := &Index{byName: map[string][]int32{}}
-	terms := map[string][]int32{}
-	add := func(e Entry, tokens []string) {
+	n := len(src.Words) + len(src.Phrases) + len(src.Authors)
+	ix := &Index{
+		entries:    make([]Entry, 0, n),
+		foldedName: make([]string, 0, n),
+		nameTokens: make([]int, 0, n),
+		byName:     make(map[string][]int32, n),
+	}
+	terms := make(map[string][]int32, n)
+	add := func(e Entry, fn string, tokens []string) {
 		id := int32(len(ix.entries))
 		ix.entries = append(ix.entries, e)
-		ix.foldedName = append(ix.foldedName, textkit.Fold(e.Name))
-		fn := ix.foldedName[id]
+		ix.foldedName = append(ix.foldedName, fn)
 		ix.byName[fn] = append(ix.byName[fn], id)
-		seen := map[string]bool{}
+		distinct := 0
 		for _, t := range tokens {
-			if t == "" || seen[t] {
+			if t == "" {
 				continue
 			}
-			seen[t] = true
-			terms[t] = append(terms[t], id)
+			// Entries are added in id order, so a token this entry already
+			// listed ends its posting list.
+			p := terms[t]
+			if len(p) > 0 && p[len(p)-1] == id {
+				continue
+			}
+			terms[t] = append(p, id)
+			distinct++
 		}
-		n := len(seen)
-		if n == 0 {
-			n = 1
-		}
-		ix.nameTokens = append(ix.nameTokens, n)
+		ix.nameTokens = append(ix.nameTokens, max(distinct, 1))
 	}
+	var one [1]string
 	for w, word := range src.Words {
-		add(Entry{Kind: KindWord, Name: word, ID: w}, textkit.Tokenize(word))
+		fn := textkit.Fold(word)
+		add(Entry{Kind: KindWord, Name: word, ID: w}, fn, wordTokens(&one, word, fn))
 	}
 	for i, p := range src.Phrases {
-		add(Entry{Kind: KindPhrase, Name: p.Display, ID: i, Path: p.Path, Weight: p.Score}, textkit.Tokenize(p.Display))
+		add(Entry{Kind: KindPhrase, Name: p.Display, ID: i, Path: p.Path, Weight: p.Score}, textkit.Fold(p.Display), textkit.Tokenize(p.Display))
 	}
 	for _, a := range src.Authors {
 		name := a.Label
@@ -226,14 +238,14 @@ func Build(src Source) *Index {
 			name = digits
 		}
 		toks := append(textkit.Tokenize(a.Label), digits)
-		add(Entry{Kind: KindAuthor, Name: name, ID: a.ID}, toks)
+		add(Entry{Kind: KindAuthor, Name: name, ID: a.ID}, textkit.Fold(name), toks)
 	}
 
 	ix.terms = make([]string, 0, len(terms))
 	for t := range terms {
 		ix.terms = append(ix.terms, t)
 	}
-	sort.Strings(ix.terms)
+	slices.Sort(ix.terms)
 	ix.postings = make([][]int32, len(ix.terms))
 	ix.lcp = make([]int32, len(ix.terms))
 	for i, t := range ix.terms {
@@ -243,6 +255,17 @@ func Build(src Source) *Index {
 		}
 	}
 	return ix
+}
+
+// wordTokens is textkit.Tokenize(word) for a word whose folded form is
+// folded. Most vocabulary words are one whole token, which is their folded
+// form: it is returned in one, with no tokenizing and no allocation.
+func wordTokens(one *[1]string, word, folded string) []string {
+	if textkit.IsToken(word) {
+		one[0] = folded
+		return one[:]
+	}
+	return textkit.Tokenize(word)
 }
 
 // sharedRunes counts the runes of the longest common prefix of a and b,

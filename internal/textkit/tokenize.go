@@ -44,6 +44,28 @@ func FoldRune(r rune) rune {
 // isWordRune reports whether r belongs in a token: a letter or a digit.
 func isWordRune(r rune) bool { return unicode.IsLetter(r) || unicode.IsDigit(r) }
 
+// IsToken reports whether s is one whole token: non-empty, valid UTF-8 and
+// made of letters and digits only. Tokenize(s) is then exactly
+// []string{Fold(s)}, so a caller holding Fold(s) already can skip
+// Tokenize.
+func IsToken(s string) bool {
+	for i := 0; i < len(s); {
+		if c := s[i]; c < utf8.RuneSelf {
+			if !('a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9') {
+				return false
+			}
+			i++
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		if !isWordRune(r) {
+			return false // an invalid byte decodes to RuneError, not a letter
+		}
+		i += size
+	}
+	return s != ""
+}
+
 // Fold case-folds every rune of s through FoldRune. It is the string-level
 // companion of FoldRune for callers that compare whole strings (phrase
 // display vs. query) rather than building tokens.

@@ -19,8 +19,7 @@ func NewVocabulary() *Vocabulary {
 // id, matching Add's semantics, so VocabularyFromWords(v.Words()) always
 // reproduces v.
 func VocabularyFromWords(words []string) *Vocabulary {
-	v := NewVocabulary()
-	v.words = make([]string, 0, len(words))
+	v := &Vocabulary{ids: make(map[string]int, len(words)), words: make([]string, 0, len(words))}
 	for _, w := range words {
 		v.words = append(v.words, w)
 		if _, ok := v.ids[w]; !ok {
