@@ -129,22 +129,41 @@ func smoothed(nkw, nk int, beta, vb float64) float64 {
 // distribution FoldInModelFromCounts(nKV, nK, _, beta) would derive. A
 // Gibbs model's own Phi always does, so a caller holding both can freeze
 // phi itself (NewFoldInModel) instead of a derived copy and sample
-// identically. It allocates nothing; a shape mismatch reports false.
+// identically. The rows are compared on the pool, a range of topics per
+// task; a shape mismatch reports false.
 func PhiMatchesCounts(phi [][]float64, nKV [][]int, nK []int, beta float64) bool {
 	if len(phi) != len(nKV) || len(nK) != len(nKV) {
 		return false
 	}
 	beta = foldInBeta(beta)
-	for t, counts := range nKV {
-		row := phi[t]
-		if len(row) != len(counts) {
-			return false
-		}
-		vb := float64(len(counts)) * beta
-		for w, c := range counts {
-			if math.Float64bits(row[w]) != math.Float64bits(smoothed(c, nK[t], beta, vb)) {
-				return false
+	var differ atomic.Bool
+	par.For(par.Opts{}, len(nKV), func(lo, hi int) {
+		for t := lo; t < hi && !differ.Load(); t++ {
+			if !rowMatchesCounts(phi[t], nKV[t], nK[t], beta) {
+				differ.Store(true)
 			}
+		}
+	})
+	return !differ.Load()
+}
+
+// rowMatchesCounts reports whether row holds, bit for bit, the smoothed
+// distribution of one topic's counts. Most counts are zero, and a zero
+// count's cell is the same quotient in every column, so it is computed
+// once per row.
+func rowMatchesCounts(row []float64, counts []int, nk int, beta float64) bool {
+	if len(row) != len(counts) {
+		return false
+	}
+	vb := float64(len(counts)) * beta
+	zero := math.Float64bits(smoothed(0, nk, beta, vb))
+	for w, c := range counts {
+		want := zero
+		if c != 0 {
+			want = math.Float64bits(smoothed(c, nk, beta, vb))
+		}
+		if math.Float64bits(row[w]) != want {
+			return false
 		}
 	}
 	return true

@@ -254,3 +254,38 @@ func TestPhiIsFoldInPhi(t *testing.T) {
 		}
 	}
 }
+
+// TestPhiMatchesCountsFlippedCell: one flipped bit in any cell of a
+// mostly-zero count table, in a zero-count or a counted cell, in the first
+// or the last row, turns PhiMatchesCounts false, whatever the pool width.
+func TestPhiMatchesCountsFlippedCell(t *testing.T) {
+	const k, v, beta = 40, 300, 0.01
+	nKV, nK := make([][]int, k), make([]int, k)
+	for topic := range nKV {
+		nKV[topic] = make([]int, v)
+		for w := topic % 7; w < v; w += 7 {
+			nKV[topic][w] = 1 + (w+topic)%5
+			nK[topic] += nKV[topic][w]
+		}
+	}
+	phi := FoldInModelFromCounts(nKV, nK, DefaultFoldInAlpha, beta).PhiLike
+	cells := [][2]int{{0, 0}, {0, 1}, {k - 1, v - 1}, {17, 150}, {17, 17 % 7}, {k - 1, (k - 1) % 7}}
+	for _, p := range []int{1, 2} {
+		t.Run(fmt.Sprintf("P=%d", p), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(p))
+			if !PhiMatchesCounts(phi, nKV, nK, beta) {
+				t.Fatal("PhiMatchesCounts rejects the counts' own smoothing")
+			}
+			for _, c := range cells {
+				row := phi[c[0]]
+				flipped := append([]float64(nil), row...)
+				flipped[c[1]] = math.Float64frombits(math.Float64bits(flipped[c[1]]) ^ 1)
+				phi[c[0]] = flipped
+				if PhiMatchesCounts(phi, nKV, nK, beta) {
+					t.Errorf("cell (%d, %d), count %d: a one-bit difference passes", c[0], c[1], nKV[c[0]][c[1]])
+				}
+				phi[c[0]] = row
+			}
+		})
+	}
+}

@@ -3,8 +3,10 @@ package store
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"lesm/internal/lda"
+	"lesm/internal/par"
 )
 
 // FoldIn is the optional `foldin` section: the MH fold-in core's per-word
@@ -114,13 +116,25 @@ func (f *FoldIn) Validate(t *Topics) error {
 	if !(f.Alpha > 0) || math.IsInf(f.Alpha, 0) {
 		return fmt.Errorf("store: foldin alpha = %v, need a positive finite prior", f.Alpha)
 	}
+	// The value scans read all three arrays, so they run on the pool, a
+	// range of words per task. Only a failed scan is repeated serially, to
+	// name the first bad value in the order below.
+	var bad atomic.Bool
+	par.For(par.Opts{}, f.V, func(lo, hi int) {
+		if !f.rowsValid(lo, hi) {
+			bad.Store(true)
+		}
+	})
+	if !bad.Load() {
+		return nil
+	}
 	for w, m := range f.Mass {
-		if !(m >= 0) || math.IsInf(m, 0) {
+		if !massValid(m) {
 			return fmt.Errorf("store: foldin mass[%d] = %v, need finite and >= 0", w, m)
 		}
 	}
 	for i, p := range f.Prob {
-		if !(p >= 0 && p <= 1) {
+		if !probValid(p) {
 			return fmt.Errorf("store: foldin prob[%d] = %v, need [0, 1]", i, p)
 		}
 	}
@@ -131,6 +145,31 @@ func (f *FoldIn) Validate(t *Topics) error {
 	}
 	return nil
 }
+
+// rowsValid reports whether the masses of words [lo, hi) and their table
+// entries are all in range.
+func (f *FoldIn) rowsValid(lo, hi int) bool {
+	for _, m := range f.Mass[lo:hi] {
+		if !massValid(m) {
+			return false
+		}
+	}
+	for _, p := range f.Prob[lo*f.K : hi*f.K] {
+		if !probValid(p) {
+			return false
+		}
+	}
+	for _, a := range f.Alias[lo*f.K : hi*f.K] {
+		if a < 0 || int(a) >= f.K {
+			return false
+		}
+	}
+	return true
+}
+
+func massValid(m float64) bool { return m >= 0 && !math.IsInf(m, 0) }
+
+func probValid(p float64) bool { return p >= 0 && p <= 1 }
 
 // fitsTable reports whether n == k·v for non-negative k and v, without
 // overflowing on corrupt shapes.

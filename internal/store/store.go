@@ -8,6 +8,7 @@ import (
 	"sort"
 
 	"lesm/internal/core"
+	"lesm/internal/par"
 	"lesm/internal/tpfg"
 )
 
@@ -233,16 +234,27 @@ func decode(b []byte, zeroCopy bool) (*Snapshot, error) {
 	if d.err != nil {
 		return nil, d.err
 	}
+	inBounds := func(en entry) bool {
+		return en.off <= uint64(len(b)) && en.length <= uint64(len(b))-en.off
+	}
+	// The checksums read every byte of the file, so they run on the pool,
+	// one section per task. The checks below still go in table order, so a
+	// file with several faults reports the first, as a serial pass would.
+	crcs := make([]uint32, len(entries))
+	par.ForChunksN(par.Opts{}, len(entries), len(entries), func(i, _, _ int) {
+		if en := entries[i]; inBounds(en) {
+			crcs[i] = crc32.ChecksumIEEE(b[en.off : en.off+en.length])
+		}
+	})
 	s := &Snapshot{}
-	for _, en := range entries {
-		if en.off > uint64(len(b)) || en.length > uint64(len(b))-en.off {
+	for i, en := range entries {
+		if !inBounds(en) {
 			return nil, fmt.Errorf("store: section %q out of bounds", en.name)
 		}
-		payload := b[en.off : en.off+en.length]
-		if got := crc32.ChecksumIEEE(payload); got != en.crc {
+		if got := crcs[i]; got != en.crc {
 			return nil, fmt.Errorf("store: section %q CRC mismatch (file %08x, computed %08x)", en.name, en.crc, got)
 		}
-		pd := &dec{buf: payload, zc: zeroCopy}
+		pd := &dec{buf: b[en.off : en.off+en.length], zc: zeroCopy}
 		switch en.name {
 		case SecVocab:
 			s.Vocab = decodeVocab(pd)
