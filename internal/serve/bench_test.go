@@ -7,10 +7,12 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"lesm/internal/core"
 	"lesm/internal/lda"
 	"lesm/internal/store"
 )
@@ -101,10 +103,25 @@ func BenchmarkInferSaturated(b *testing.B) {
 	benchInferConcurrent(b, Options{MaxInFlight: 1})
 }
 
+// syllableWord is the i-th of a run of distinct pronounceable words, two
+// or more consonant-vowel syllables: the digits of i+90 in base 90, one
+// syllable per digit.
+func syllableWord(i int) string {
+	const cons, vows = "bcdfghjklmnprstvwz", "aeiou"
+	var w []byte
+	for n := i + 90; n > 0; n /= 90 {
+		w = append(w, cons[n%90/5], vows[n%5])
+	}
+	return string(w)
+}
+
 // k200Snapshot is a K=200, V=2000 Gibbs topics section (Phi equal to the
 // counts' smoothing, as a fit writes it) with or without the foldin
-// section lesm.Save adds, written to dir and opened through the mmap path
-// as lesmd -mmap opens it.
+// section lesm.Save adds, plus what the entity index is built from: a
+// vocabulary of V syllable words, V/3 two-word phrases on a two-level
+// hierarchy and V/10 authors, labeled through an author entity type. It
+// is written to dir and opened through the mmap path as lesmd -mmap opens
+// it.
 func k200Snapshot(b *testing.B, dir string, section bool) *store.Snapshot {
 	const k, v = 200, 2000
 	t := &store.Topics{K: k, V: v, Alpha: 0.25, Beta: 0.01, Weight: make([]float64, k), NK: make([]int, k)}
@@ -121,7 +138,27 @@ func k200Snapshot(b *testing.B, dir string, section bool) *store.Snapshot {
 		t.Weight[topic] = 1 / float64(k)
 	}
 	t.Phi = lda.FoldInModelFromCounts(t.NKV, t.NK, 0, t.Beta).PhiLike
-	snap := &store.Snapshot{Topics: t}
+	vocab := make([]string, v)
+	for w := range vocab {
+		vocab[w] = syllableWord(w)
+	}
+	h := core.NewHierarchy()
+	const authorType = core.TypeID(1)
+	h.TypeNames[authorType] = "author"
+	for c := 0; c < 4; c++ {
+		h.Root.AddChild()
+	}
+	for i := 0; i < v/3; i++ {
+		n := h.Root.Children[i%len(h.Root.Children)]
+		w1, w2 := (i*7)%v, (i*13+5)%v
+		n.Phrases = append(n.Phrases, core.RankedPhrase{Words: []int{w1, w2}, Display: vocab[w1] + " " + vocab[w2], Score: float64(v - i)})
+	}
+	var authors []core.RankedEntity
+	for id := 0; id < v/10; id++ {
+		authors = append(authors, core.RankedEntity{ID: id, Display: strings.ToUpper(vocab[id][:1]) + vocab[id][1:] + " " + vocab[v-1-id], Score: 1})
+	}
+	h.Root.Entities[authorType] = authors
+	snap := &store.Snapshot{Vocab: vocab, Topics: t, Hierarchy: h}
 	if section {
 		snap.FoldIn = store.NewFoldIn(snap.FoldInModel(lda.DefaultFoldInAlpha), lda.DefaultFoldInAlpha)
 	}
@@ -166,6 +203,9 @@ func BenchmarkBuildArtifact(b *testing.B) {
 				}
 			}
 			b.StopTimer()
+			if v := len(snap.Vocab); a.index.Entries() != v+v/3+v/10 {
+				b.Fatalf("index holds %d entries, want V + V/3 + V/10 = %d", a.index.Entries(), v+v/3+v/10)
+			}
 			b.ReportMetric(float64(int64(heapNow())-int64(base)), "heap-B/artifact")
 			runtime.KeepAlive(a)
 		})
