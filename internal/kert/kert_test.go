@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"lesm/internal/core"
 	"lesm/internal/lda"
 	"lesm/internal/synth"
 	"lesm/internal/textkit"
@@ -119,8 +120,15 @@ func TestVariantsChangeRanking(t *testing.T) {
 		lda.Config{K: 6, Iters: 80, Seed: 22, Background: true}))
 	topics := TopicsFromLDA(m)
 	res := Mine(corpusDocs(ds), topics, Config{MinSupport: 5, MaxLen: 4, Background: true})
-	full := res.RankAll(FullKERT, ds.Corpus.Vocab, 10)
-	pur := res.RankAll(Variant{UsePopularity: true, UseConcordance: true, UseCompleteness: true}, ds.Corpus.Vocab, 10)
+	rankAll := func(v Variant) [][]core.RankedPhrase {
+		out := make([][]core.RankedPhrase, res.ContentTopics())
+		for t := range out {
+			out[t] = res.Rank(t, v, ds.Corpus.Vocab, 10)
+		}
+		return out
+	}
+	full := rankAll(FullKERT)
+	pur := rankAll(Variant{UsePopularity: true, UseConcordance: true, UseCompleteness: true})
 	if len(full) != 6 {
 		t.Fatalf("topics = %d", len(full))
 	}

@@ -167,15 +167,6 @@ func (r *Result) Rank(t int, v Variant, vocab *textkit.Vocabulary, topN int) []c
 	return out
 }
 
-// RankAll ranks every content topic.
-func (r *Result) RankAll(v Variant, vocab *textkit.Vocabulary, topN int) [][]core.RankedPhrase {
-	out := make([][]core.RankedPhrase, r.ContentTopics())
-	for t := range out {
-		out[t] = r.Rank(t, v, vocab, topN)
-	}
-	return out
-}
-
 func renderWords(words []int, vocab *textkit.Vocabulary) string {
 	s := ""
 	for i, w := range words {

@@ -26,12 +26,6 @@ type Alias struct {
 	Total float64
 }
 
-// N returns the number of outcomes.
-func (a *Alias) N() int { return a.n }
-
-// Empty reports whether the table has no drawable mass.
-func (a *Alias) Empty() bool { return a.n == 0 || a.Total <= 0 }
-
 // Draw maps one uniform variate u in [0, 1) to an outcome id. A single
 // variate drives both the column choice and the accept/redirect test (the
 // standard one-uniform trick), so callers consume exactly one PRNG step

@@ -126,15 +126,18 @@ func TestAliasOutcomeMapping(t *testing.T) {
 	}
 }
 
+// TestAliasEmpty: a table over no weights, or over zero weights, has no
+// drawable mass (Total 0), which is how callers tell it from a table they
+// may draw from.
 func TestAliasEmpty(t *testing.T) {
-	if a := NewAlias(nil); !a.Empty() {
-		t.Fatal("nil-weight table not empty")
+	if a := NewAlias(nil); a.Total != 0 {
+		t.Fatalf("nil-weight table has Total %v", a.Total)
 	}
-	if a := NewAlias([]float64{0, 0}); !a.Empty() {
-		t.Fatal("zero-weight table not empty")
+	if a := NewAlias([]float64{0, 0}); a.Total != 0 {
+		t.Fatalf("zero-weight table has Total %v", a.Total)
 	}
 	var b AliasBuilder
-	if a := b.Build(nil, []float64{1}, nil, nil); a.Empty() {
-		t.Fatal("singleton table reported empty")
+	if a := b.Build(nil, []float64{1}, nil, nil); a.Total != 1 {
+		t.Fatalf("singleton table has Total %v, want 1", a.Total)
 	}
 }

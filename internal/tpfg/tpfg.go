@@ -3,7 +3,6 @@ package tpfg
 import (
 	"context"
 	"math"
-	"sort"
 
 	"lesm/internal/par"
 )
@@ -277,31 +276,6 @@ func (r *Result) Predict() []int {
 			out[i] = -1
 		} else {
 			out[i] = r.Net.Cands[i][best-1].Advisor
-		}
-	}
-	return out
-}
-
-// PredictTopK implements the paper's P@(k, theta) decision rule: author i's
-// advisor is predicted as j if j ranks within the top k candidates and
-// r_ij > max(theta, r_i0).
-func (r *Result) PredictTopK(i, k int, theta float64) []int {
-	type cv struct {
-		adv  int
-		rank float64
-	}
-	var cs []cv
-	for v := 1; v < len(r.Rank[i]); v++ {
-		cs = append(cs, cv{r.Net.Cands[i][v-1].Advisor, r.Rank[i][v]})
-	}
-	sort.SliceStable(cs, func(a, b int) bool { return cs[a].rank > cs[b].rank })
-	var out []int
-	for idx, c := range cs {
-		if idx >= k {
-			break
-		}
-		if c.rank > theta && c.rank > r.Rank[i][0] {
-			out = append(out, c.adv)
 		}
 	}
 	return out
