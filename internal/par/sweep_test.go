@@ -240,7 +240,12 @@ func TestSweeperEndAndCancel(t *testing.T) {
 	merged := 0
 	newSw := func(o Opts) *Sweeper[int] {
 		return NewSweeper(o, 100, 4, 1, func(int) int { return 0 }, func(*int) {},
-			func(s *int, _ int, discard bool) int {
+			func(s *int, stripe int, discard bool) int {
+				// The stripes merge concurrently over every slot: one of
+				// them does the toy's whole merge.
+				if stripe != 0 {
+					return 0
+				}
 				if !discard {
 					merged += *s
 				}
@@ -300,7 +305,7 @@ func TestSweeperCleanAfterAbort(t *testing.T) {
 			}
 			before := append([]int(nil), global...)
 			_, secondChunk := ChunkBoundsN(n, sw.Chunks(), 0)
-			visits := 0
+			var visits atomic.Int64 // the workers visit concurrently
 			var end func() error
 			boom := errors.New("end failed")
 			if abort == "cancel" {
@@ -309,7 +314,7 @@ func TestSweeperCleanAfterAbort(t *testing.T) {
 				end = func() error { return boom }
 			}
 			err := sw.Pass(1, func(s *toyState, st *rng.Stream, doc int) {
-				visits++
+				visits.Add(1)
 				if abort == "cancel" && doc == secondChunk {
 					ctx.off.Store(true)
 				}
@@ -318,8 +323,8 @@ func TestSweeperCleanAfterAbort(t *testing.T) {
 			if abort == "cancel" && !errors.Is(err, context.Canceled) || abort == "end" && !errors.Is(err, boom) {
 				t.Fatalf("P=%d %s: err = %v", p, abort, err)
 			}
-			if visits == 0 || !reflect.DeepEqual(global, before) {
-				t.Fatalf("P=%d %s: %d visits, globals %v, want some visits and the globals %v", p, abort, visits, global, before)
+			if visits.Load() == 0 || !reflect.DeepEqual(global, before) {
+				t.Fatalf("P=%d %s: %d visits, globals %v, want some visits and the globals %v", p, abort, visits.Load(), global, before)
 			}
 			ctx.off.Store(false)
 			for sweep := 1; sweep < 3; sweep++ {
