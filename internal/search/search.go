@@ -128,11 +128,8 @@ func SourceFromSnapshot(snap *store.Snapshot) Source {
 	if snap.Advisor != nil && snap.Advisor.Net != nil && snap.Advisor.Net.NumAuthors-1 > maxID {
 		maxID = snap.Advisor.Net.NumAuthors - 1
 	}
-	if maxID >= 0 {
-		src.Authors = make([]Author, maxID+1)
-		for id := range src.Authors {
-			src.Authors[id] = Author{ID: id, Label: labels[id]}
-		}
+	for id := 0; id <= maxID; id++ {
+		src.Authors = append(src.Authors, Author{ID: id, Label: labels[id]})
 	}
 	return src
 }

@@ -49,19 +49,10 @@ func isWordRune(r rune) bool { return unicode.IsLetter(r) || unicode.IsDigit(r) 
 // []string{Fold(s)}, so a caller holding Fold(s) already can skip
 // Tokenize.
 func IsToken(s string) bool {
-	for i := 0; i < len(s); {
-		if c := s[i]; c < utf8.RuneSelf {
-			if !('a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9') {
-				return false
-			}
-			i++
-			continue
+	for _, r := range s {
+		if !isWordRune(r) { // an invalid byte decodes to RuneError, a symbol
+			return false
 		}
-		r, size := utf8.DecodeRuneInString(s[i:])
-		if !isWordRune(r) {
-			return false // an invalid byte decodes to RuneError, not a letter
-		}
-		i += size
 	}
 	return s != ""
 }
