@@ -9,6 +9,9 @@
 //	cat corpus.txt | lesm -engine strod
 //	lesm -k 3 -topics 4 -save model.lesm corpus.txt   # fit & persist
 //
+// The -topics Gibbs fit picks its sampling core from the model's shape
+// (lda.Sampler.ResolveFor) and prints the choice; no flag overrides it.
+//
 // Observability (all observational — fitted models are bit-identical
 // with or without them):
 //
@@ -44,6 +47,7 @@ import (
 	"syscall"
 
 	"lesm"
+	"lesm/internal/lda"
 )
 
 func main() {
@@ -56,8 +60,6 @@ func main() {
 	par := flag.Int("p", 0, "parallel workers for the mining engines (0 = GOMAXPROCS)")
 	save := flag.String("save", "", "persist the fitted artifacts as a snapshot at this path (see cmd/lesmd)")
 	topics := flag.Int("topics", 0, "with -save: also fit a flat Gibbs topic model with this many topics for /infer")
-	sampler := flag.String("sampler", "", "Gibbs sampling core for the -topics flat model: empty for auto (resolved per workload), 'mh' for the Metropolis-Hastings alias core, 'dense' for the O(K)-per-token core")
-	aliasRefresh := flag.Int("alias-refresh", 0, "mh sampler: rebuild the alias proposal tables every this many sweeps (0 = default)")
 	progress := flag.Bool("progress", false, "paint a live per-sweep status line on stderr (throughput, changed fraction, accept rates, convergence)")
 	trace := flag.String("trace", "", "write per-sweep sampler statistics and pool telemetry as JSON lines to this file")
 	probe := flag.Int("probe", 0, "compute the read-only corpus log-likelihood convergence probe every this many Gibbs sweeps (0 = never; costs O(tokens x K) per evaluation)")
@@ -69,14 +71,6 @@ func main() {
 	eng, err := parseEngine(*engine)
 	if err != nil {
 		log.Fatalf("lesm: -engine: %v", err)
-	}
-	// Reject a bad -sampler up front, even when -topics is 0 and the flag
-	// would otherwise be silently unused.
-	if err := lesm.Sampler(*sampler).Validate(); err != nil {
-		log.Fatalf("lesm: -sampler: %v", err)
-	}
-	if *aliasRefresh < 0 {
-		log.Fatalf("lesm: -alias-refresh %d, need >= 0", *aliasRefresh)
 	}
 	if *probe < 0 {
 		log.Fatalf("lesm: -probe %d, need >= 0", *probe)
@@ -171,12 +165,9 @@ func main() {
 			RolePhrases: lesm.RolePhrasesOf(h),
 		}
 		if *topics > 0 {
-			resolved := lesm.Sampler(*sampler).ResolveFor(*topics, corpus.Vocab.Size())
+			resolved := lda.SamplerAuto.ResolveFor(*topics, corpus.Vocab.Size())
 			fmt.Printf("fitting %d flat topics with the %s sampler\n", *topics, resolved)
-			ro := lesm.RunOptions{
-				Parallelism: *par, Sampler: lesm.Sampler(*sampler), AliasRefresh: *aliasRefresh,
-				Recorder: rec, ProbeEvery: *probe,
-			}
+			ro := lesm.RunOptions{Parallelism: *par, Recorder: rec, ProbeEvery: *probe}
 			if *ckptPath != "" {
 				ro.CheckpointEvery = *ckptEvery
 				ro.CheckpointFunc = func(cp *lesm.Checkpoint) error {

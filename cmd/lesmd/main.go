@@ -7,6 +7,9 @@
 //	lesm -save model.lesm -topics 4 corpus.txt   # fit & persist
 //	lesmd -snapshot model.lesm -addr :8471       # serve
 //
+// /infer folds in on the sampling core the model's shape picks
+// (lda.Sampler.ResolveFor), logged at startup; no flag overrides it.
+//
 // Serving v2 knobs (see docs/ARCHITECTURE.md "Serving v2"):
 //
 //	-mmap                zero-copy decode: big sections serve straight
@@ -82,7 +85,6 @@ func main() {
 	inflight := flag.Int("max-inflight", 4, "max concurrent /infer fold-ins")
 	sweeps := flag.Int("sweeps", 30, "default fold-in Gibbs sweeps")
 	alpha := flag.Float64("alpha", 0, "fold-in document prior (0 = 0.1; the fitted 50/K prior swamps short documents — pass it explicitly for posterior-mean behavior)")
-	sampler := flag.String("sampler", "", "fold-in sampling core: empty for auto (resolved per model), 'mh' for Metropolis-Hastings alias proposals, 'dense' for the O(K)-per-token core")
 	mmap := flag.Bool("mmap", false, "decode snapshots zero-copy over a read-only memory map (large models: page tables instead of heap)")
 	reloadPoll := flag.Duration("reload-poll", 0, "poll the snapshot file at this interval and hot-reload on change (0 = admin-reload only)")
 	maxQueue := flag.Int("max-queue", 64, "max /infer requests waiting behind the in-flight slots before load shedding (503 + Retry-After)")
@@ -102,7 +104,6 @@ func main() {
 	}
 	srv, err := serve.New(snap, serve.Options{
 		P: *p, MaxInFlight: *inflight, Sweeps: *sweeps, Alpha: *alpha,
-		Sampler:      lda.Sampler(*sampler),
 		SnapshotPath: *snapshot,
 		ReloadPoll:   *reloadPoll,
 		MMap:         *mmap,
@@ -117,21 +118,7 @@ func main() {
 	log.Printf("lesmd: loaded %s (sections: %s; mmap=%v reload-poll=%s max-queue=%d route-timeout=%s), listening on %s",
 		*snapshot, strings.Join(snap.Sections(), ", "), *mmap, *reloadPoll, *maxQueue, *routeTimeout, *addr)
 	if t := snap.Topics; t != nil {
-		k, v := 0, 0
-		switch {
-		case t.NKV != nil:
-			k = len(t.NKV)
-			if k > 0 {
-				v = len(t.NKV[0])
-			}
-		case t.Phi != nil:
-			k = len(t.Phi)
-			if k > 0 {
-				v = len(t.Phi[0])
-			}
-		}
-		log.Printf("lesmd: /infer fold-in resolved to the %s sampler (K=%d, V=%d)",
-			lda.Sampler(*sampler).ResolveFor(k, v), k, v)
+		log.Printf("lesmd: /infer folds in with the %s sampler (K=%d, V=%d)", lda.SamplerAuto.ResolveFor(t.K, t.V), t.K, t.V)
 	}
 
 	hs := &http.Server{Addr: *addr, Handler: srv.Handler(), ReadHeaderTimeout: 10 * time.Second}

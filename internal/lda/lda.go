@@ -62,8 +62,8 @@ func (s Sampler) ResolveFor(kTotal, v int) Sampler {
 
 // Validate rejects names that select no sampling core. It is the one
 // check every consumer that accepts a sampler name shares (Config,
-// FoldInConfig, internal/serve, the CLIs, the checkpoint decoder), so a
-// core only has to be registered here.
+// FoldInConfig, the checkpoint decoder), so a core only has to be
+// registered here.
 func (s Sampler) Validate() error {
 	switch s {
 	case SamplerAuto, SamplerDense, SamplerMH:

@@ -74,8 +74,6 @@ func TestMetricsSamplerFamilies(t *testing.T) {
 		`lesmd_sampler_proposals_total{proposal="doc"}`,
 		`lesmd_sampler_accepts_total{proposal="word"}`,
 		`lesmd_sampler_accepts_total{proposal="doc"}`,
-		`lesmd_sampler_alias_rebuilds_total`,
-		`lesmd_sampler_alias_rebuild_seconds_total`,
 		`lesmd_pool_wait_seconds_total`,
 		`lesmd_pool_exec_seconds_total`,
 	} {

@@ -42,8 +42,6 @@ package serve
 //	lesmd_sampler_changed_total                 counter, visits that moved topic
 //	lesmd_sampler_proposals_total{proposal}     counter, non-trivial MH proposals (word|doc)
 //	lesmd_sampler_accepts_total{proposal}       counter, accepted MH proposals (word|doc)
-//	lesmd_sampler_alias_rebuilds_total          counter, alias-table rebuilds
-//	lesmd_sampler_alias_rebuild_seconds_total   counter, wall time in rebuilds
 //	lesmd_pool_passes_total                     counter, parallel passes observed
 //	lesmd_pool_wait_seconds_total               counter, sum of chunk dequeue waits
 //	lesmd_pool_exec_seconds_total               counter, sum of chunk body wall time
@@ -165,8 +163,6 @@ type metrics struct {
 	wordAccepts    atomic.Uint64
 	docProposals   atomic.Uint64
 	docAccepts     atomic.Uint64
-	aliasRebuilds  atomic.Uint64
-	rebuildSeconds atomicFloat64
 	poolPasses     atomic.Uint64
 	poolWait       atomicFloat64
 	poolExec       atomicFloat64
@@ -182,12 +178,6 @@ func (m *metrics) RecordSweep(s obs.SweepStats) {
 	m.wordAccepts.Add(uint64(s.WordAccepts))
 	m.docProposals.Add(uint64(s.DocProposals))
 	m.docAccepts.Add(uint64(s.DocAccepts))
-	if s.AliasRebuilds > 0 {
-		m.aliasRebuilds.Add(uint64(s.AliasRebuilds))
-	}
-	if s.RebuildTime > 0 {
-		m.rebuildSeconds.Add(s.RebuildTime.Seconds())
-	}
 }
 
 // RecordPool implements obs.PoolObserver for parallel-pass telemetry.
@@ -428,10 +418,6 @@ func (s *Server) renderMetrics() []byte {
 	p.family("lesmd_sampler_accepts_total", "Accepted Metropolis-Hastings proposals, by proposal kind.", "counter")
 	p.sample("lesmd_sampler_accepts_total", `proposal="word"`, float64(m.wordAccepts.Load()))
 	p.sample("lesmd_sampler_accepts_total", `proposal="doc"`, float64(m.docAccepts.Load()))
-	p.family("lesmd_sampler_alias_rebuilds_total", "Alias-table rebuilds performed by sampler work.", "counter")
-	p.sample("lesmd_sampler_alias_rebuilds_total", "", float64(m.aliasRebuilds.Load()))
-	p.family("lesmd_sampler_alias_rebuild_seconds_total", "Wall time spent rebuilding alias tables.", "counter")
-	p.sample("lesmd_sampler_alias_rebuild_seconds_total", "", m.rebuildSeconds.Load())
 
 	p.family("lesmd_pool_passes_total", "Parallel worker-pool passes observed.", "counter")
 	p.sample("lesmd_pool_passes_total", "", float64(m.poolPasses.Load()))

@@ -38,15 +38,6 @@ type Options struct {
 	// whole training documents and bounds a short query document's theta
 	// to near-uniform; pass it explicitly to get posterior-mean behavior.
 	Alpha float64
-	// Sampler selects the fold-in sampling core ("" = auto, resolved per
-	// model as in lda.Sampler.ResolveFor; "mh" = Metropolis–Hastings
-	// alias proposals; "dense" = the O(K)-per-token core). Both cores
-	// sample the same conditional through different deterministic
-	// trajectories. MH adopts the per-word alias tables of the snapshot's
-	// foldin section when they were stored at Alpha, and otherwise builds
-	// them at load (12 bytes of heap per topic-word cell). Any other
-	// name, including the removed "sparse", fails New.
-	Sampler lda.Sampler
 
 	// SnapshotPath is the on-disk snapshot backing hot reload: POST
 	// /admin/reload (and the ReloadPoll poller) re-reads it and swaps the
@@ -145,13 +136,8 @@ type artifact struct {
 	preorder []*core.TopicNode
 	nodes    map[string]*core.TopicNode
 	advisor  *tpfg.Result
-	// predicted[i] is advisor.Predict()[i], computed once at build so
-	// /advisor lookups don't re-run the all-authors argmax per request;
-	// predictedScore[i] is the rank mass of that prediction — the argmax
-	// entry of Rank[i] itself, never reconstructed by scanning the
-	// candidate list (duplicate candidates made that scan report the wrong
-	// entry, and a predicted advisor absent from the scan silently fell
-	// back to the no-advisor rank).
+	// predicted[i] and predictedScore[i] are advisor.Best(i), computed
+	// once at build so /advisor lookups don't redo the argmax per request.
 	predicted      []int
 	predictedScore []float64
 	// advisees[v] lists the authors whose predicted advisor is v,
@@ -194,10 +180,12 @@ func buildArtifact(snap *store.Snapshot, opt Options, gen uint64, closer io.Clos
 		a.vocab = textkit.VocabularyFromWords(snap.Vocab)
 	}
 	a.foldIn = snap.FoldInModel(opt.Alpha)
-	if a.foldIn != nil && opt.Sampler.ResolveFor(a.foldIn.K(), a.foldIn.V()) == lda.SamplerMH {
-		// Without tables adopted from the snapshot's foldin section, pay
-		// the O(K·V) alias build at load, not on the first /infer request
-		// against this artifact.
+	if a.foldIn != nil && lda.SamplerAuto.ResolveFor(a.foldIn.K(), a.foldIn.V()) == lda.SamplerMH {
+		// /infer folds in on the core the auto rule picks for the
+		// model's shape. For MH without tables adopted from the
+		// snapshot's foldin section (stored at Alpha), pay the O(K·V)
+		// alias build at load, not on the first /infer request against
+		// this artifact.
 		a.foldIn.PrecomputeSparse()
 	}
 	if h := snap.Hierarchy; h != nil {
@@ -209,27 +197,14 @@ func buildArtifact(snap *store.Snapshot, opt Options, gen uint64, closer io.Clos
 	}
 	if adv := snap.Advisor; adv != nil {
 		a.advisor = &tpfg.Result{Net: adv.Net, Rank: adv.Rank}
-		// One pass computes the prediction and its score together,
-		// mirroring Predict()'s strict-> argmax (first max wins): the score
-		// is the argmax rank entry itself, so it stays right when the
-		// candidate list carries duplicates or the prediction is the
-		// virtual no-advisor node.
 		a.predicted = make([]int, adv.Net.NumAuthors)
 		a.predictedScore = make([]float64, adv.Net.NumAuthors)
 		a.advisees = map[int][]int{}
 		for i := range a.predicted {
-			best, bestV := 0, adv.Rank[i][0]
-			for v := 1; v < len(adv.Rank[i]); v++ {
-				if adv.Rank[i][v] > bestV {
-					best, bestV = v, adv.Rank[i][v]
-				}
-			}
-			a.predictedScore[i] = bestV
-			if best == 0 {
-				a.predicted[i] = -1
-			} else {
-				a.predicted[i] = adv.Net.Cands[i][best-1].Advisor
-				a.advisees[a.predicted[i]] = append(a.advisees[a.predicted[i]], i)
+			best, score := a.advisor.Best(i)
+			a.predicted[i], a.predictedScore[i] = best, score
+			if best >= 0 {
+				a.advisees[best] = append(a.advisees[best], i)
 			}
 		}
 	}
@@ -300,9 +275,6 @@ type Server struct {
 // done serving; cancelling Options.Ctx stops the background goroutines
 // early but releases no mappings.
 func New(snap *store.Snapshot, opt Options) (*Server, error) {
-	if err := opt.Sampler.Validate(); err != nil {
-		return nil, fmt.Errorf("serve: fold-in sampler: %w", err)
-	}
 	opt = opt.withDefaults()
 	a, err := buildArtifact(snap, opt, 1, nil)
 	if err != nil {
@@ -1140,7 +1112,7 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	s.inferRequests.Add(1)
 	s.metrics.inferDocs.Observe(float64(len(docs)))
 	theta, err := lda.FoldIn(a.foldIn, docs, lda.FoldInConfig{
-		Seed: req.Seed, Sweeps: sweeps, P: s.opt.P, Sampler: s.opt.Sampler, Ctx: r.Context(),
+		Seed: req.Seed, Sweeps: sweeps, P: s.opt.P, Ctx: r.Context(),
 		Rec: s.metrics,
 	})
 	if err != nil {

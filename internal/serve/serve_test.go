@@ -613,74 +613,77 @@ func TestMissingSections(t *testing.T) {
 	}
 }
 
-// TestInferSamplerOptions pins the fold-in sampler plumbing so that every
-// assertion can fail: the two cores give different theta on this body
-// (checked first), which makes "auto serves the core ResolveFor picks" a
-// real identification; each explicit core is deterministic across two
-// independent servers; and the removed sparse core, like any unknown
-// name, is rejected at New rather than per request.
-func TestInferSamplerOptions(t *testing.T) {
+// TestInferFoldsInOnAutoCore: /infer theta is bit for bit in-process
+// lda.FoldIn with the default (auto) sampler on the model the snapshot
+// yields at the serving prior, both for a snapshot auto folds in with the
+// dense core and for one it folds in with MH. On each body the other core
+// gives a different theta (checked first), so the match identifies the
+// core the server ran.
+func TestInferFoldsInOnAutoCore(t *testing.T) {
 	// Words 3 and 8 get equal counts in both topics, so documents of them
 	// are genuinely ambiguous and each core's trajectory shows in theta.
-	snapshot := func() *store.Snapshot {
-		snap := testSnapshot(t)
-		tp := snap.Topics
-		for _, w := range []int{3, 8} {
-			n := tp.NKV[0][w] + tp.NKV[1][w]
-			tp.NKV[0][w], tp.NKV[1][w] = n/2, n-n/2
+	ambiguous := testSnapshot(t)
+	tp := ambiguous.Topics
+	for _, w := range []int{3, 8} {
+		n := tp.NKV[0][w] + tp.NKV[1][w]
+		tp.NKV[0][w], tp.NKV[1][w] = n/2, n-n/2
+	}
+	for k, row := range tp.NKV {
+		tp.NK[k] = 0
+		for _, c := range row {
+			tp.NK[k] += c
 		}
-		for k, row := range tp.NKV {
-			tp.NK[k] = 0
-			for _, c := range row {
-				tp.NK[k] += c
+	}
+	cases := []struct {
+		name string
+		snap *store.Snapshot
+		ids  [][]int
+		core lda.Sampler
+	}{
+		{"dense", ambiguous, [][]int{{3, 8, 3, 8, 3, 8, 0, 5}, {8, 3, 8, 3}}, lda.SamplerDense},
+		{"mh", mhSnapshot(t), [][]int{{3, 8, 3, 40, 41, 95, 8}, {17}, {60, 61, 62, 63, 64, 65, 66, 67, 68}}, lda.SamplerMH},
+	}
+	const seed, sweeps = 4, 3
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if got := lda.SamplerAuto.ResolveFor(c.snap.Topics.K, c.snap.Topics.V); got != c.core {
+				t.Fatalf("auto resolves K=%d V=%d to %s, want %s", c.snap.Topics.K, c.snap.Topics.V, got, c.core)
 			}
-		}
-		return snap
-	}
-	body := map[string]any{"seed": 4, "sweeps": 3,
-		"ids": [][]int{{3, 8, 3, 8, 3, 8, 0, 5}, {8, 3, 8, 3}}}
-	thetaOf := func(opt Options) [][]any {
-		s, err := New(snapshot(), opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ts := httptest.NewServer(s.Handler())
-		defer func() {
-			ts.Close()
-			s.Close()
-		}()
-		out := postJSON(t, ts.URL+"/infer", body, http.StatusOK)
-		rows := out["theta"].([]any)
-		got := make([][]any, len(rows))
-		for i, r := range rows {
-			got[i] = r.([]any)
-		}
-		return got
-	}
-	byCore := map[lda.Sampler][][]any{}
-	for _, core := range []lda.Sampler{lda.SamplerMH, lda.SamplerDense} {
-		first, second := thetaOf(Options{Sampler: core}), thetaOf(Options{Sampler: core})
-		if !reflect.DeepEqual(first, second) {
-			t.Fatalf("%s: two servers disagree on theta: %v vs %v", core, first, second)
-		}
-		byCore[core] = first
-	}
-	if reflect.DeepEqual(byCore[lda.SamplerMH], byCore[lda.SamplerDense]) {
-		t.Fatalf("mh and dense give identical theta %v; the body no longer tells the cores apart", byCore[lda.SamplerMH])
-	}
+			fm := c.snap.FoldInModel(lda.DefaultFoldInAlpha)
+			want, err := lda.FoldIn(fm, c.ids, lda.FoldInConfig{Seed: seed, Sweeps: sweeps})
+			if err != nil {
+				t.Fatal(err)
+			}
+			other := lda.SamplerDense
+			if c.core == lda.SamplerDense {
+				other = lda.SamplerMH
+			}
+			if alt, err := lda.FoldIn(fm, c.ids, lda.FoldInConfig{Seed: seed, Sweeps: sweeps, Sampler: other}); err != nil {
+				t.Fatal(err)
+			} else if reflect.DeepEqual(alt, want) {
+				t.Fatalf("%s and %s give identical theta %v; the body no longer tells the cores apart", c.core, other, want)
+			}
 
-	tp := snapshot().Topics
-	resolved := lda.SamplerAuto.ResolveFor(tp.K, tp.V)
-	if auto := thetaOf(Options{}); !reflect.DeepEqual(auto, byCore[resolved]) {
-		t.Fatalf("auto theta %v is not the resolved %s core's %v", auto, resolved, byCore[resolved])
-	}
-
-	for _, bad := range []lda.Sampler{"sparse", "metropolis"} {
-		if _, err := New(testSnapshot(t), Options{Sampler: bad}); err == nil {
-			t.Fatalf("sampler %q accepted at startup", bad)
-		}
-	}
-	if _, err := New(testSnapshot(t), Options{Sampler: "sparse"}); !strings.Contains(err.Error(), "removed") {
-		t.Fatalf("sparse rejection %q does not say the core was removed", err)
+			s, err := New(c.snap, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts := httptest.NewServer(s.Handler())
+			defer func() {
+				ts.Close()
+				s.Close()
+			}()
+			out := postJSON(t, ts.URL+"/infer", map[string]any{"seed": seed, "sweeps": sweeps, "ids": c.ids}, http.StatusOK)
+			rows := out["theta"].([]any)
+			got := make([][]float64, len(rows))
+			for d, r := range rows {
+				for _, v := range r.([]any) {
+					got[d] = append(got[d], v.(float64))
+				}
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("/infer theta %v, lda.FoldIn gives %v", got, want)
+			}
+		})
 	}
 }

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"lesm/internal/lda"
 )
 
 // TestRouteTimeoutQueuedInfer: a request parked behind the in-flight
@@ -36,14 +38,14 @@ func TestRouteTimeoutQueuedInfer(t *testing.T) {
 // work already sampling, not just queued waiters — the batch aborts at its
 // next inter-chunk cancellation check and answers 503.
 func TestRouteTimeoutAbortsRunningFoldIn(t *testing.T) {
-	ts, _ := newTestServerPair(t, Options{
-		RouteTimeout: 150 * time.Millisecond,
-		// P=1 pins the fold-in serial regardless of the host's core count,
-		// and the dense core is the slowest per token: the request below
-		// runs for seconds without the timeout on any machine, so a fast
-		// 503 proves the abort, not the workload finishing.
-		Sampler: "dense", P: 1,
-	})
+	// P=1 pins the fold-in serial regardless of the host's core count,
+	// and the fixture folds in on the dense core, the slowest per token:
+	// the request below runs for seconds without the timeout on any
+	// machine, so a fast 503 proves the abort, not the workload finishing.
+	ts, s := newTestServerPair(t, Options{RouteTimeout: 150 * time.Millisecond, P: 1})
+	if fm := s.cur.Load().foldIn; lda.SamplerAuto.ResolveFor(fm.K(), fm.V()) != lda.SamplerDense {
+		t.Fatalf("auto folds the fixture (K=%d, V=%d) in with %s, want dense", fm.K(), fm.V(), lda.SamplerAuto.ResolveFor(fm.K(), fm.V()))
+	}
 	// 256 documents × 400 tokens × 500 sweeps, split into 32 chunks with a
 	// cancellation check before each: completing inside 150ms is
 	// impossible, aborting within one chunk of the deadline is guaranteed.

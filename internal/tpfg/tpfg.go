@@ -266,17 +266,24 @@ func Infer(net *Network, cfg Config) *Result {
 func (r *Result) Predict() []int {
 	out := make([]int, r.Net.NumAuthors)
 	for i := range out {
-		best, bestV := 0, r.Rank[i][0]
-		for v := 1; v < len(r.Rank[i]); v++ {
-			if r.Rank[i][v] > bestV {
-				best, bestV = v, r.Rank[i][v]
-			}
-		}
-		if best == 0 {
-			out[i] = -1
-		} else {
-			out[i] = r.Net.Cands[i][best-1].Advisor
-		}
+		out[i], _ = r.Best(i)
 	}
 	return out
+}
+
+// Best returns author i's top-ranked advisor (-1 for the virtual
+// no-advisor node) and its rank mass. The argmax is strict (the first
+// maximum wins) and the score is that argmax entry of Rank[i] itself, so
+// it stays right when the candidate list repeats an advisor.
+func (r *Result) Best(i int) (int, float64) {
+	best, bestV := 0, r.Rank[i][0]
+	for v := 1; v < len(r.Rank[i]); v++ {
+		if r.Rank[i][v] > bestV {
+			best, bestV = v, r.Rank[i][v]
+		}
+	}
+	if best == 0 {
+		return -1, bestV
+	}
+	return r.Net.Cands[i][best-1].Advisor, bestV
 }

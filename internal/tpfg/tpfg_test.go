@@ -176,3 +176,25 @@ func min(a, b int) int {
 	}
 	return b
 }
+
+// TestBestTiesAndScore: Best keeps the first of tied maxima (the virtual
+// no-advisor node before any candidate, an earlier candidate before a
+// later one) and reports that entry's rank mass.
+func TestBestTiesAndScore(t *testing.T) {
+	r := &Result{
+		Net: &Network{NumAuthors: 3, Cands: [][]Candidate{
+			{{Advisor: 5}},
+			{{Advisor: 7}, {Advisor: 8}, {Advisor: 9}},
+			{{Advisor: 4}, {Advisor: 4}},
+		}},
+		Rank: [][]float64{{0.5, 0.5}, {0.1, 0.2, 0.35, 0.35}, {0.2, 0.3, 0.5}},
+	}
+	for i, want := range []struct {
+		adv   int
+		score float64
+	}{{-1, 0.5}, {8, 0.35}, {4, 0.5}} {
+		if adv, score := r.Best(i); adv != want.adv || score != want.score {
+			t.Errorf("Best(%d) = (%d, %v), want (%d, %v)", i, adv, score, want.adv, want.score)
+		}
+	}
+}

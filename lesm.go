@@ -105,26 +105,6 @@ const (
 	EngineSTROD
 )
 
-// Sampler selects the collapsed-Gibbs sampling core for Gibbs-backed
-// entry points (InferTopicsGibbs, Artifact.Infer/InferText). Both cores
-// are deterministic at any parallelism level; they follow different
-// trajectories.
-type Sampler = lda.Sampler
-
-const (
-	// SamplerAuto (the default) resolves per workload: dense below the
-	// topic/vocabulary thresholds where the constant factors dominate, MH
-	// above them. The resolved core is recorded on the fitted model.
-	SamplerAuto = lda.SamplerAuto
-	// SamplerMH is the Metropolis–Hastings core: LightLDA-style alias
-	// proposals from stale tables with an exact acceptance correction,
-	// amortizing the O(K·V) rebuild over RunOptions.AliasRefresh sweeps.
-	SamplerMH = lda.SamplerMH
-	// SamplerDense is the classic O(K)-per-token core, cheapest on small
-	// topic/vocabulary workloads.
-	SamplerDense = lda.SamplerDense
-)
-
 // --- Fit-side observability ---
 
 type (
@@ -167,15 +147,6 @@ type RunOptions struct {
 	// Parallelism bounds the worker count of the engines' parallel hot
 	// loops (0 = GOMAXPROCS). Results are bit-identical at any setting.
 	Parallelism int
-	// Sampler selects the Gibbs sampling core for Gibbs-backed entry
-	// points — InferTopicsGibbs, Artifact.Infer/InferText, and the
-	// PhraseLDA stage of TopicalPhrases; engines without a Gibbs stage
-	// ignore it. Empty = auto (resolved per workload); unknown values are
-	// a validation error.
-	Sampler Sampler
-	// AliasRefresh is the MH core's alias-table rebuild cadence in sweeps
-	// (0 = default; ignored by the dense core).
-	AliasRefresh int
 	// Recorder, when non-nil, receives per-sweep sampler statistics and
 	// pool telemetry from instrumented entry points (see NewTraceRecorder,
 	// NewProgressRecorder). Recording is observational only: results are
@@ -401,8 +372,8 @@ func TopicalPhrases(corpus *Corpus, k int, seed int64, opts ...RunOptions) ([][]
 	ro := firstRunOptions(opts)
 	res, err := topmine.Run(corpus, topmine.Config{P: ro.Parallelism, Ctx: ro.Ctx},
 		lda.Config{
-			K: k, Seed: seed, Background: true, Sampler: ro.Sampler,
-			AliasRefresh: ro.AliasRefresh, Rec: ro.Recorder, ProbeEvery: ro.ProbeEvery,
+			K: k, Seed: seed, Background: true,
+			Rec: ro.Recorder, ProbeEvery: ro.ProbeEvery,
 		}, topmine.RankConfig{})
 	if err != nil {
 		return nil, err
@@ -426,19 +397,7 @@ type AdvisorResult struct {
 
 // Advisor returns author i's top-ranked advisor (-1 = none) and its
 // normalized ranking score.
-func (r *AdvisorResult) Advisor(i int) (int, float64) {
-	pred := r.res.Predict()
-	best := pred[i]
-	score := r.res.Rank[i][0]
-	if best >= 0 {
-		for v, c := range r.res.Net.Cands[i] {
-			if c.Advisor == best {
-				score = r.res.Rank[i][v+1]
-			}
-		}
-	}
-	return best, score
-}
+func (r *AdvisorResult) Advisor(i int) (int, float64) { return r.res.Best(i) }
 
 // Candidates returns author i's candidate advisors with ranks and estimated
 // advising intervals.
@@ -604,8 +563,7 @@ func InferTopicsGibbs(corpus *Corpus, k int, seed int64, opts ...RunOptions) (*T
 		docs[i] = d.Tokens
 	}
 	m, err := lda.Run(docs, corpus.Vocab.Size(), lda.Config{
-		K: k, Seed: seed, P: ro.Parallelism, Sampler: ro.Sampler,
-		AliasRefresh: ro.AliasRefresh, Ctx: ro.Ctx,
+		K: k, Seed: seed, P: ro.Parallelism, Ctx: ro.Ctx,
 		Rec: ro.Recorder, ProbeEvery: ro.ProbeEvery,
 		CheckpointEvery: ro.CheckpointEvery, CheckpointFunc: ro.CheckpointFunc,
 		Resume: ro.Resume, Stop: ro.Stop,
@@ -769,8 +727,7 @@ func (a *Artifact) Infer(docs [][]int, seed int64, opts ...RunOptions) ([][]floa
 	}
 	ro := firstRunOptions(opts)
 	return lda.FoldIn(fm, docs, lda.FoldInConfig{
-		Seed: seed, P: ro.Parallelism, Sampler: ro.Sampler,
-		Rec: ro.Recorder, Ctx: ro.Ctx,
+		Seed: seed, P: ro.Parallelism, Rec: ro.Recorder, Ctx: ro.Ctx,
 	})
 }
 

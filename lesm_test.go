@@ -7,7 +7,9 @@ import (
 	"strings"
 	"testing"
 
+	"lesm/internal/lda"
 	"lesm/internal/synth"
+	"lesm/internal/tpfg"
 )
 
 func demoCorpus() *Corpus {
@@ -151,6 +153,31 @@ func TestMineAdvisorTree(t *testing.T) {
 				t.Fatalf("bad candidate %+v", c)
 			}
 		}
+	}
+}
+
+// TestAdvisorResultDuplicateCandidates: author 2 lists advisor 0 twice
+// with distinct intervals, and the score must be the argmax rank entry
+// (0.6), not the last duplicate's (0.3) a scan of the candidate list for
+// the predicted advisor would report.
+func TestAdvisorResultDuplicateCandidates(t *testing.T) {
+	r := &AdvisorResult{res: &tpfg.Result{
+		Net: &tpfg.Network{
+			NumAuthors: 3,
+			First:      []int{1995, 2003, 2004},
+			Cands: [][]tpfg.Candidate{
+				nil,
+				{{Advisor: 0, Start: 2003, End: 2007}},
+				{{Advisor: 0, Start: 2004, End: 2006}, {Advisor: 0, Start: 2006, End: 2008}},
+			},
+		},
+		Rank: [][]float64{{1}, {0.2, 0.8}, {0.1, 0.6, 0.3}},
+	}}
+	if adv, score := r.Advisor(2); adv != 0 || score != 0.6 {
+		t.Fatalf("Advisor(2) = (%d, %v), want (0, 0.6)", adv, score)
+	}
+	if adv, score := r.Advisor(0); adv != -1 || score != 1 {
+		t.Fatalf("Advisor(0) = (%d, %v), want the no-advisor node (-1, 1)", adv, score)
 	}
 }
 
@@ -480,7 +507,7 @@ func TestSaveWritesFoldInSection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s := SamplerAuto.ResolveFor(len(topics.Phi), corpus.Vocab.Size()); s != SamplerMH {
+	if s := lda.SamplerAuto.ResolveFor(len(topics.Phi), corpus.Vocab.Size()); s != lda.SamplerMH {
 		t.Fatalf("auto resolves the fixture to %s, want mh", s)
 	}
 	a := &Artifact{Topics: topics, Vocab: corpus.Vocab}
