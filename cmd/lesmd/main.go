@@ -7,8 +7,9 @@
 //	lesm -save model.lesm -topics 4 corpus.txt   # fit & persist
 //	lesmd -snapshot model.lesm -addr :8471       # serve
 //
-// /infer folds in on the sampling core the model's shape picks
-// (lda.Sampler.ResolveFor), logged at startup; no flag overrides it.
+// /infer folds in with lda.FoldIn's Metropolis-Hastings kernel, drawing
+// from the snapshot's foldin alias tables when it carries them at the
+// served prior.
 //
 // Serving v2 knobs (see docs/ARCHITECTURE.md "Serving v2"):
 //
@@ -74,7 +75,6 @@ import (
 	"syscall"
 	"time"
 
-	"lesm/internal/lda"
 	"lesm/internal/serve"
 )
 
@@ -117,9 +117,6 @@ func main() {
 	srv.AdoptCloser(closer)
 	log.Printf("lesmd: loaded %s (sections: %s; mmap=%v reload-poll=%s max-queue=%d route-timeout=%s), listening on %s",
 		*snapshot, strings.Join(snap.Sections(), ", "), *mmap, *reloadPoll, *maxQueue, *routeTimeout, *addr)
-	if t := snap.Topics; t != nil {
-		log.Printf("lesmd: /infer folds in with the %s sampler (K=%d, V=%d)", lda.SamplerAuto.ResolveFor(t.K, t.V), t.K, t.V)
-	}
 
 	hs := &http.Server{Addr: *addr, Handler: srv.Handler(), ReadHeaderTimeout: 10 * time.Second}
 	sig := make(chan os.Signal, 1)

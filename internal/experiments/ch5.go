@@ -8,7 +8,6 @@ import (
 	"lesm/internal/core"
 	"lesm/internal/roles"
 	"lesm/internal/synth"
-	"lesm/internal/topmine"
 )
 
 // rolesSetup builds the Chapter 5 pipeline: DBLP dataset, CATHYHIN
@@ -203,5 +202,3 @@ func Table53(scale float64) *Table {
 	t.Notes = append(t.Notes, "expected shape: pop lists share prolific authors across subtopics; pop+pur lists are disjoint")
 	return t
 }
-
-var _ = topmine.Config{}

@@ -141,7 +141,7 @@ func benchPhraseLDA(b *testing.B, p int, sampler Sampler) {
 	reportTokensPerSec(b, 2048*24*2*cfg.Iters)
 }
 
-func benchFoldIn(b *testing.B, sampler Sampler) {
+func BenchmarkFoldIn_MH(b *testing.B) {
 	// Frozen K=200 model over the wide corpus; 256 short query docs per
 	// op, the serving-shaped workload.
 	m := Must(Run(wideCorpus(512, 64, 77), 1000, Config{K: 200, Alpha: 0.25, Iters: 10, Seed: 78}))
@@ -156,7 +156,7 @@ func benchFoldIn(b *testing.B, sampler Sampler) {
 			docs[i][j] = top*30 + rng.Intn(30)
 		}
 	}
-	cfg := FoldInConfig{Seed: 80, Sweeps: 30, Sampler: sampler}
+	cfg := FoldInConfig{Seed: 80, Sweeps: 30}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := FoldIn(fm, docs, cfg); err != nil {
@@ -181,6 +181,3 @@ func BenchmarkPhraseLDA_Dense_P1(b *testing.B) { benchPhraseLDA(b, 1, SamplerDen
 func BenchmarkPhraseLDA_Dense_PN(b *testing.B) { benchPhraseLDA(b, runtime.NumCPU(), SamplerDense) }
 func BenchmarkPhraseLDA_MH_P1(b *testing.B)    { benchPhraseLDA(b, 1, SamplerMH) }
 func BenchmarkPhraseLDA_MH_PN(b *testing.B)    { benchPhraseLDA(b, runtime.NumCPU(), SamplerMH) }
-
-func BenchmarkFoldIn_Dense(b *testing.B) { benchFoldIn(b, SamplerDense) }
-func BenchmarkFoldIn_MH(b *testing.B)    { benchFoldIn(b, SamplerMH) }

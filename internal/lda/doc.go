@@ -18,12 +18,12 @@
 // the seed at any Config.P (see gibbs.go for the design and its
 // AD-LDA-style staleness trade).
 //
-// Two sampling cores implement the per-token draw (Config.Sampler /
-// FoldInConfig.Sampler): the classic dense O(K) core, and the MH core —
-// LightLDA-style Metropolis–Hastings over stale Walker alias proposals,
-// O(1) amortized per token (mh.go). SamplerAuto picks dense for small
-// topic/vocabulary workloads and MH above them. Every fit variant runs
-// through one sweep driver (gibbs.go). Fold-in inference against a frozen
-// model (foldin.go) shares the machinery and is what the serving daemon
-// runs per request.
+// Two sampling cores implement a fit's per-token draw (Config.Sampler):
+// the classic dense O(K) core, and the MH core — LightLDA-style
+// Metropolis–Hastings over stale Walker alias proposals, O(1) amortized
+// per token (mh.go). SamplerAuto picks dense for small topic/vocabulary
+// workloads and MH above them. Every fit variant runs through one sweep
+// driver (gibbs.go). Fold-in inference against a frozen model (foldin.go)
+// always runs an MH kernel, whose word proposal is exact because the
+// model never changes; it is what the serving daemon runs per request.
 package lda

@@ -22,13 +22,13 @@ import (
 // document's trajectory is a pure function of (Seed, doc index). This is
 // the inference mode the serving daemon (internal/serve) runs per request.
 //
-// The MH core's word proposal is the prior part α_k·φ_kw of the
-// conditional p(k) ∝ (n_dk + α_k)·φ_kw, served by one Walker alias table
-// per word (the model is immutable, so unlike the fitting side the tables
-// never go stale and the proposal is exact). The tables are a pure
-// function of φ and α: they are built once per model and cached, or
-// adopted ready-made from a snapshot (UseTables). FoldInConfig.Sampler
-// picks the core; auto resolves it per model exactly as fitting does.
+// Fold-in has one core, a Metropolis-Hastings kernel. Its word proposal
+// is the prior part α_k·φ_kw of the conditional p(k) ∝ (n_dk + α_k)·φ_kw,
+// served by one Walker alias table per word; the model is immutable, so
+// unlike the fitting side the tables never go stale and the proposal is
+// exact. The tables are a pure function of φ and α: they are built once
+// per model and cached, or adopted ready-made from a snapshot
+// (UseTables).
 
 // DefaultFoldInAlpha is the document prior fold-in consumers should reach
 // for when the caller doesn't supply one. The *fitting* default (50/K) is
@@ -40,8 +40,8 @@ const DefaultFoldInAlpha = 0.1
 
 // FoldInModel is the frozen topic side of fold-in: the per-topic word
 // likelihoods and the document prior. Treat a model as immutable once it
-// has served a FoldIn call (the MH core caches per-word alias tables
-// derived from it).
+// has served a FoldIn call (fold-in caches per-word alias tables derived
+// from it).
 type FoldInModel struct {
 	// PhiLike[k][w] is the fixed p(w | topic k) each token is scored
 	// against. Rows must share one length V; tokens with id >= V are
@@ -52,9 +52,9 @@ type FoldInModel struct {
 	// kept per-topic so a background topic's inflated prior survives).
 	Alpha []float64
 
-	// The MH machinery: the per-word tables over the prior part α_k·φ_kw
-	// of the conditional, plus one table over α alone (the doc proposal's
-	// prior arm). Set once, by the first of ensureAlias (a build: 12 bytes
+	// The sampler's proposals: the per-word tables over the prior part
+	// α_k·φ_kw of the conditional, plus one table over α alone (the doc
+	// proposal's prior arm). Set once, by the first of ensureAlias (a build: 12 bytes
 	// of heap per (topic, word) cell) and UseTables (adopted storage, e.g.
 	// a mapped snapshot section: no heap).
 	aliasOnce sync.Once
@@ -62,10 +62,10 @@ type FoldInModel struct {
 	alphaTab  *linalg.Alias
 }
 
-// FoldInTables are the MH fold-in core's word proposals: for each word w,
-// a Walker alias table over the K weights α_k·φ_kw, stored word-major in
-// flat arrays so a token's draw reads one contiguous row and no per-word
-// header exists.
+// FoldInTables are fold-in's word proposals: for each word w, a Walker
+// alias table over the K weights α_k·φ_kw, stored word-major in flat
+// arrays so a token's draw reads one contiguous row and no per-word header
+// exists.
 type FoldInTables struct {
 	// Mass[w] is Σ_k α_k·φ_kw (the table's Total); 0 marks a word whose
 	// weights are all zero, which the sampler proposes uniformly instead.
@@ -227,15 +227,15 @@ func (fm *FoldInModel) ensureAlias() {
 	})
 }
 
-// PrecomputeSparse eagerly builds the MH core's cached per-word alias
-// tables (otherwise built on the first MH FoldIn call), so a long-lived
+// PrecomputeSparse eagerly builds the model's cached per-word alias
+// tables (otherwise built by the first FoldIn call), so a long-lived
 // server pays the O(K·V) build at startup instead of on its first
 // request. Safe to call concurrently; a no-op once the tables exist,
-// built or adopted. (The name predates the MH core; it keeps it for
-// existing callers.)
+// built or adopted. (The name is that of a sampling core since deleted;
+// it stays because cmd/lesmbench calls it.)
 func (fm *FoldInModel) PrecomputeSparse() { fm.ensureAlias() }
 
-// Tables returns the model's MH word-proposal tables, building them first
+// Tables returns the model's word-proposal tables, building them first
 // if the model has none. The result is shared with the model and must
 // not be modified.
 func (fm *FoldInModel) Tables() FoldInTables {
@@ -273,13 +273,6 @@ type FoldInConfig struct {
 	Seed int64
 	// P bounds the worker count (0 = GOMAXPROCS).
 	P int
-	// Sampler selects the sampling core. SamplerAuto resolves per workload
-	// exactly as in fitting (dense below the K/V thresholds, MH above; see
-	// Sampler.ResolveFor). Both cores sample the same per-token conditional
-	// — the fold-in model is frozen, so the MH core's proposal tables are
-	// exact and acceptance only reshapes the trajectory, never the
-	// stationary distribution.
-	Sampler Sampler
 	// Ctx cancels the batch between document chunks (nil = background).
 	Ctx context.Context
 	// Rec, when non-nil, receives one aggregate obs.SweepStats per
@@ -312,19 +305,17 @@ func FoldIn(fm *FoldInModel, docs [][]int, cfg FoldInConfig) ([][]float64, error
 	return w.run(docs)
 }
 
-// foldInWorkload is the validated, core-resolved state one fold-in batch
-// shares across its workers; foldInScratch is the per-worker part.
+// foldInWorkload is the validated state one fold-in batch shares across
+// its workers; foldInScratch is the per-worker part.
 type foldInWorkload struct {
 	fm       *FoldInModel
 	cfg      FoldInConfig
-	core     Sampler
 	alphaSum float64
 	k, v     int
 }
 
 type foldInScratch struct {
-	nDK  []int
-	vals []float64
+	nDK []int
 	// ctr tallies this worker chunk's sampling events; absorbed into
 	// the batch aggregate (and only read at all) when a Recorder is
 	// attached to the batch.
@@ -410,17 +401,8 @@ func newFoldInWorkload(fm *FoldInModel, cfg FoldInConfig) (*foldInWorkload, erro
 	if err := fm.validate(); err != nil {
 		return nil, err
 	}
-	if err := cfg.Sampler.Validate(); err != nil {
-		return nil, err
-	}
-	cfg = cfg.withDefaults()
-	w := &foldInWorkload{
-		fm: fm, cfg: cfg, k: fm.K(), v: fm.V(),
-		core: cfg.Sampler.ResolveFor(fm.K(), fm.V()),
-	}
-	if w.core == SamplerMH {
-		fm.ensureAlias()
-	}
+	fm.ensureAlias()
+	w := &foldInWorkload{fm: fm, cfg: cfg.withDefaults(), k: fm.K(), v: fm.V()}
 	for _, a := range fm.Alpha {
 		w.alphaSum += a
 	}
@@ -428,13 +410,12 @@ func newFoldInWorkload(fm *FoldInModel, cfg FoldInConfig) (*foldInWorkload, erro
 }
 
 func (w *foldInWorkload) newScratch() *foldInScratch {
-	return &foldInScratch{nDK: make([]int, w.k), vals: make([]float64, w.k)}
+	return &foldInScratch{nDK: make([]int, w.k)}
 }
 
-// doc samples document index through the workload's core. Its tokens and
-// the (cfg.Seed, index, cfg.Sweeps) triple fully determine the trajectory.
-// Unknown token ids are dropped; a document without usable tokens gets the
-// normalized prior.
+// doc samples document index. Its tokens and the (cfg.Seed, index,
+// cfg.Sweeps) triple fully determine the trajectory. Unknown token ids are
+// dropped; a document without usable tokens gets the normalized prior.
 func (w *foldInWorkload) doc(sc *foldInScratch, doc []int, index uint64) []float64 {
 	seed, sweeps := w.cfg.Seed, w.cfg.Sweeps
 	for t := range sc.nDK {
@@ -447,51 +428,8 @@ func (w *foldInWorkload) doc(sc *foldInScratch, doc []int, index uint64) []float
 		}
 	}
 	sc.ctr.tokens += int64(len(toks)) * int64(sweeps+1)
-	if w.core == SamplerMH {
-		foldInDocMH(w.fm, toks, seed, index, sweeps, sc.nDK, w.alphaSum, &sc.ctr)
-	} else {
-		foldInDoc(w.fm, toks, seed, index, sweeps, sc.nDK, sc.vals, &sc.ctr)
-	}
+	foldInDocMH(w.fm, toks, seed, index, sweeps, sc.nDK, w.alphaSum, &sc.ctr)
 	return foldInTheta(w.fm, sc.nDK, len(toks), w.alphaSum)
-}
-
-// foldInDoc runs the dense per-document sampler over the usable tokens
-// toks, leaving the document's topic counts in nDK (zeroed by the
-// caller). probs is scratch of length K.
-func foldInDoc(fm *FoldInModel, toks []int, seed int64, di uint64, sweeps int, nDK []int, probs []float64, ctr *sweepCounters) {
-	k := len(nDK)
-	z := make([]int, len(toks))
-	// Initialization pass (sweep 0): sample from alpha * phi.
-	rng := newStream(seed, di, 0)
-	for i, w := range toks {
-		total := 0.0
-		for t := 0; t < k; t++ {
-			p := fm.Alpha[t] * fm.PhiLike[t][w]
-			probs[t] = p
-			total += p
-		}
-		z[i] = drawIndex(&rng, probs, total)
-		nDK[z[i]]++
-	}
-
-	for sweep := 1; sweep <= sweeps; sweep++ {
-		rng := newStream(seed, di, uint64(sweep))
-		for i, w := range toks {
-			told := z[i]
-			nDK[told]--
-			total := 0.0
-			for t := 0; t < k; t++ {
-				p := (float64(nDK[t]) + fm.Alpha[t]) * fm.PhiLike[t][w]
-				probs[t] = p
-				total += p
-			}
-			z[i] = drawIndex(&rng, probs, total)
-			if z[i] != told {
-				ctr.changed++
-			}
-			nDK[z[i]]++
-		}
-	}
 }
 
 // foldInDocMH runs the per-document sampler through the MH kernel: per
@@ -504,9 +442,9 @@ func foldInDoc(fm *FoldInModel, toks []int, seed int64, di uint64, sweeps int, n
 //	π = [(n_dt + α_t)·α_k] / [(n_dk + α_k)·α_t]
 //
 // leaving pure O(1) arithmetic per step (fitting-side MH loads a stale
-// density from its retained build counts here instead). Same stationary
-// conditional as the dense core, different trajectory. Arguments as for
-// foldInDoc.
+// density from its retained build counts here instead). toks are the
+// document's usable tokens; the document's topic counts are left in nDK,
+// which the caller zeroes.
 func foldInDocMH(fm *FoldInModel, toks []int, seed int64, di uint64, sweeps int, nDK []int, alphaSum float64, ctr *sweepCounters) {
 	k := len(nDK)
 	z := make([]int, len(toks))
@@ -596,7 +534,7 @@ func (fm *FoldInModel) drawWord(w, k int, u float64) int {
 	return linalg.DrawColumn(fm.tab.Prob[row:row+k], fm.tab.Alias[row:row+k], u)
 }
 
-// foldInTheta is the smoothed normalization both cores share.
+// foldInTheta is the smoothed normalization of a document's topic counts.
 func foldInTheta(fm *FoldInModel, nDK []int, nToks int, alphaSum float64) []float64 {
 	out := make([]float64, len(nDK))
 	denom := float64(nToks) + alphaSum
@@ -604,22 +542,4 @@ func foldInTheta(fm *FoldInModel, nDK []int, nToks int, alphaSum float64) []floa
 		out[t] = (float64(nDK[t]) + fm.Alpha[t]) / denom
 	}
 	return out
-}
-
-// drawIndex samples an index proportionally to probs (sum = total). A
-// non-positive total (every topic scored zero) falls back to a uniform
-// draw, consuming exactly one stream step either way so trajectories stay
-// aligned.
-func drawIndex(rng *stream, probs []float64, total float64) int {
-	if total <= 0 {
-		return rng.Intn(len(probs))
-	}
-	r := rng.Float64() * total
-	for t, p := range probs {
-		r -= p
-		if r <= 0 {
-			return t
-		}
-	}
-	return len(probs) - 1
 }

@@ -47,9 +47,9 @@ const (
 // ResolveFor resolves SamplerAuto for a workload of kTotal topics (content
 // topics plus the background topic when present) over a v-word vocabulary:
 // the dense core below the small-K/small-V threshold, the MH core above
-// it. Explicit sampler names resolve to themselves. Run, RunPhrases and
-// FoldIn resolve through this and record the choice on Model.Sampler (the
-// CLIs log it).
+// it. Explicit sampler names resolve to themselves. Run and RunPhrases
+// resolve through this and record the choice on Model.Sampler (cmd/lesm
+// logs it).
 func (s Sampler) ResolveFor(kTotal, v int) Sampler {
 	if s != SamplerAuto {
 		return s

@@ -309,9 +309,4 @@ func TestFoldInValidatesModel(t *testing.T) {
 			t.Fatalf("alpha %v: err=%v", a, err)
 		}
 	}
-	// Unknown sampler.
-	fm = &FoldInModel{PhiLike: [][]float64{{0.5, 0.5}}, Alpha: []float64{1}}
-	if _, err := FoldIn(fm, [][]int{{0}}, FoldInConfig{Sampler: "turbo"}); err == nil || !strings.Contains(err.Error(), "sampler") {
-		t.Fatalf("unknown fold-in sampler: err=%v", err)
-	}
 }

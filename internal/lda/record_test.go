@@ -238,35 +238,33 @@ func TestFoldInRecorder(t *testing.T) {
 	m := Must(Run(docs, 10, Config{K: 3, Iters: 30, Seed: 47}))
 	fm := FoldInModelFromCounts(m.NKV, m.NK, DefaultFoldInAlpha, m.Beta)
 	queries := [][]int{{0, 1, 2, 3}, {5, 6, 7}, {2, 7, 9, 1, 4}}
-	for _, sampler := range []Sampler{SamplerDense, SamplerMH} {
-		cfg := FoldInConfig{Seed: 3, Sweeps: 5, Sampler: sampler}
-		base, err := FoldIn(fm, queries, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rec := &collectRecorder{}
-		cfg.Rec = rec
-		got, err := FoldIn(fm, queries, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(base, got) {
-			t.Fatalf("%s: theta differs with recorder attached", sampler)
-		}
-		if len(rec.sweeps) != 1 {
-			t.Fatalf("%s: %d records per batch, want 1", sampler, len(rec.sweeps))
-		}
-		s := rec.sweeps[0]
-		if s.Engine != "foldin" {
-			t.Fatalf("%s: engine %q, want foldin", sampler, s.Engine)
-		}
-		wantTokens := int64((4 + 3 + 5) * (cfg.Sweeps + 1)) // init pass + sweeps
-		if s.Tokens != wantTokens {
-			t.Fatalf("%s: tokens %d, want %d", sampler, s.Tokens, wantTokens)
-		}
-		if s.Docs != len(queries) {
-			t.Fatalf("%s: docs %d, want %d", sampler, s.Docs, len(queries))
-		}
+	cfg := FoldInConfig{Seed: 3, Sweeps: 5}
+	base, err := FoldIn(fm, queries, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := &collectRecorder{}
+	cfg.Rec = rec
+	got, err := FoldIn(fm, queries, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(base, got) {
+		t.Fatal("theta differs with recorder attached")
+	}
+	if len(rec.sweeps) != 1 {
+		t.Fatalf("%d records per batch, want 1", len(rec.sweeps))
+	}
+	s := rec.sweeps[0]
+	if s.Engine != "foldin" {
+		t.Fatalf("engine %q, want foldin", s.Engine)
+	}
+	wantTokens := int64((4 + 3 + 5) * (cfg.Sweeps + 1)) // init pass + sweeps
+	if s.Tokens != wantTokens {
+		t.Fatalf("tokens %d, want %d", s.Tokens, wantTokens)
+	}
+	if s.Docs != len(queries) {
+		t.Fatalf("docs %d, want %d", s.Docs, len(queries))
 	}
 }
 

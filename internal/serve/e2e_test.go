@@ -136,7 +136,7 @@ func TestServingEndToEnd(t *testing.T) {
 	if h["status"] != "ok" || h["generation"].(float64) != 1 {
 		t.Fatalf("healthz = %v", h)
 	}
-	if len(h["sections"].([]any)) != 6 {
+	if len(h["sections"].([]any)) != 7 {
 		t.Fatalf("sections = %v", h["sections"])
 	}
 	if got := mustGet(t, ts.URL+"/topics"); len(got["topics"].([]any)) != 2 {

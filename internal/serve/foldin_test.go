@@ -64,10 +64,16 @@ func TestMappedFoldInAliasesPhi(t *testing.T) {
 	}
 }
 
-// mhSnapshot is a Gibbs snapshot large enough (K = 32, V = 96) that the
-// auto sampler folds in with the MH core, carrying the foldin section
-// lesm.Save writes: the tables at lda.DefaultFoldInAlpha.
-func mhSnapshot(t *testing.T) *store.Snapshot {
+// withFoldInSection gives snap the foldin section lesm.Save writes: the
+// tables at lda.DefaultFoldInAlpha.
+func withFoldInSection(snap *store.Snapshot) *store.Snapshot {
+	snap.FoldIn = store.NewFoldIn(snap.FoldInModel(lda.DefaultFoldInAlpha), lda.DefaultFoldInAlpha)
+	return snap
+}
+
+// wideSnapshot is a Gibbs snapshot wider than testSnapshot (K = 32,
+// V = 96), carrying the foldin section lesm.Save writes.
+func wideSnapshot(t *testing.T) *store.Snapshot {
 	t.Helper()
 	const k, v = 32, 96
 	var docs [][]int
@@ -82,74 +88,77 @@ func mhSnapshot(t *testing.T) *store.Snapshot {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lda.SamplerAuto.ResolveFor(k, v) != lda.SamplerMH {
-		t.Fatalf("auto resolves K=%d V=%d to %s, want mh", k, v, lda.SamplerAuto.ResolveFor(k, v))
-	}
-	snap := &store.Snapshot{Topics: &store.Topics{
+	return withFoldInSection(&store.Snapshot{Topics: &store.Topics{
 		K: k, V: v, Weight: m.Rho, Phi: m.Phi,
 		Alpha: m.Alpha, Beta: m.Beta, NKV: m.NKV, NK: m.NK,
-	}}
-	snap.FoldIn = store.NewFoldIn(snap.FoldInModel(lda.DefaultFoldInAlpha), lda.DefaultFoldInAlpha)
-	return snap
+	}})
 }
 
-// TestFoldInSectionParity serves one snapshot three ways — adopting its
-// foldin section, with the section removed, and at a fold-in prior other
-// than the stored one — and each /infer theta must equal in-process
-// lda.FoldIn on a model freshly built from the counts at the same prior.
-// Only the first server may adopt the stored tables (they alias the
-// mapping); the other two must build their own.
+// TestFoldInSectionParity serves a snapshot three ways — adopting its
+// foldin section, with the section removed (a file saved before small
+// models got one), and at a fold-in prior other than the stored one —
+// and each /infer theta must equal in-process lda.FoldIn on a model
+// freshly built from the counts at the same prior. Only the first server
+// may adopt the stored tables (they alias the mapping); the other two
+// must build their own. It does so for the wide snapshot and, under
+// "K=2/", for the small test snapshot (K = 2, V = 10).
 func TestFoldInSectionParity(t *testing.T) {
-	ids := [][]int{{3, 8, 3, 40, 41, 95, 8}, {17}, {60, 61, 62, 63, 64, 65, 66, 67, 68}}
 	const seed, sweeps = 11, 6
-	want := func(tp *store.Topics, alpha float64) [][]float64 {
-		fm := lda.FoldInModelFromCounts(tp.NKV, tp.NK, alpha, tp.Beta)
-		theta, err := lda.FoldIn(fm, ids, lda.FoldInConfig{Seed: seed, Sweeps: sweeps})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return theta
-	}
-	withSection := mhSnapshot(t)
-	without := mhSnapshot(t)
-	without.FoldIn = nil
-	cases := []struct {
-		name  string
-		snap  *store.Snapshot
-		alpha float64
-		adopt bool
+	fixtures := []struct {
+		prefix string
+		snap   func(*testing.T) *store.Snapshot
+		ids    [][]int
 	}{
-		{"section", withSection, 0, true},
-		{"no section", without, 0, false},
-		{"other alpha", mhSnapshot(t), 0.3, false},
+		{"", wideSnapshot, [][]int{{3, 8, 3, 40, 41, 95, 8}, {17}, {60, 61, 62, 63, 64, 65, 66, 67, 68}}},
+		{"K=2/", func(t *testing.T) *store.Snapshot { return withFoldInSection(testSnapshot(t)) },
+			[][]int{{3, 8, 3, 0, 5, 8}, {7}, {0, 1, 2, 5, 6, 7, 9}}},
 	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			s, snap := servedFromMapping(t, c.snap, Options{Alpha: c.alpha})
-			tab := s.cur.Load().foldIn.Tables()
-			adopted := snap.FoldIn != nil && &tab.Prob[0] == &snap.FoldIn.Prob[0]
-			if adopted != c.adopt {
-				t.Fatalf("stored tables adopted = %v, want %v", adopted, c.adopt)
-			}
-			if !c.adopt && len(tab.Prob) != snap.Topics.K*snap.Topics.V {
-				t.Fatalf("built %d table cells, want K·V = %d", len(tab.Prob), snap.Topics.K*snap.Topics.V)
-			}
-			ts := httptest.NewServer(s.Handler())
-			defer ts.Close()
-			out := postJSON(t, ts.URL+"/infer", map[string]any{"seed": seed, "sweeps": sweeps, "ids": ids}, http.StatusOK)
-			alpha := c.alpha
-			if alpha == 0 {
-				alpha = lda.DefaultFoldInAlpha
-			}
-			exp := want(snap.Topics, alpha)
-			rows := out["theta"].([]any)
-			for d, row := range rows {
-				for k, x := range row.([]any) {
-					if x.(float64) != exp[d][k] {
-						t.Fatalf("theta[%d][%d] = %v, in-process fold-in gives %v", d, k, x, exp[d][k])
+	for _, f := range fixtures {
+		without := f.snap(t)
+		without.FoldIn = nil
+		cases := []struct {
+			name  string
+			snap  *store.Snapshot
+			alpha float64
+			adopt bool
+		}{
+			{"section", f.snap(t), 0, true},
+			{"no section", without, 0, false},
+			{"other alpha", f.snap(t), 0.3, false},
+		}
+		for _, c := range cases {
+			t.Run(f.prefix+c.name, func(t *testing.T) {
+				s, snap := servedFromMapping(t, c.snap, Options{Alpha: c.alpha})
+				tab := s.cur.Load().foldIn.Tables()
+				adopted := snap.FoldIn != nil && &tab.Prob[0] == &snap.FoldIn.Prob[0]
+				if adopted != c.adopt {
+					t.Fatalf("stored tables adopted = %v, want %v", adopted, c.adopt)
+				}
+				if !c.adopt && len(tab.Prob) != snap.Topics.K*snap.Topics.V {
+					t.Fatalf("built %d table cells, want K·V = %d", len(tab.Prob), snap.Topics.K*snap.Topics.V)
+				}
+				ts := httptest.NewServer(s.Handler())
+				defer ts.Close()
+				out := postJSON(t, ts.URL+"/infer", map[string]any{"seed": seed, "sweeps": sweeps, "ids": f.ids}, http.StatusOK)
+				alpha := c.alpha
+				if alpha == 0 {
+					alpha = lda.DefaultFoldInAlpha
+				}
+				tp := snap.Topics
+				fm := lda.FoldInModelFromCounts(tp.NKV, tp.NK, alpha, tp.Beta)
+				exp, err := lda.FoldIn(fm, f.ids, lda.FoldInConfig{Seed: seed, Sweeps: sweeps})
+				if err != nil {
+					t.Fatal(err)
+				}
+				rows := out["theta"].([]any)
+				for d, row := range rows {
+					for k, x := range row.([]any) {
+						if x.(float64) != exp[d][k] {
+							t.Fatalf("theta[%d][%d] = %v, in-process fold-in gives %v", d, k, x, exp[d][k])
+						}
 					}
 				}
-			}
-		})
+			})
+		}
 	}
 }

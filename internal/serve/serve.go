@@ -180,12 +180,10 @@ func buildArtifact(snap *store.Snapshot, opt Options, gen uint64, closer io.Clos
 		a.vocab = textkit.VocabularyFromWords(snap.Vocab)
 	}
 	a.foldIn = snap.FoldInModel(opt.Alpha)
-	if a.foldIn != nil && lda.SamplerAuto.ResolveFor(a.foldIn.K(), a.foldIn.V()) == lda.SamplerMH {
-		// /infer folds in on the core the auto rule picks for the
-		// model's shape. For MH without tables adopted from the
-		// snapshot's foldin section (stored at Alpha), pay the O(K·V)
-		// alias build at load, not on the first /infer request against
-		// this artifact.
+	if a.foldIn != nil {
+		// Without tables adopted from the snapshot's foldin section
+		// (stored at Alpha), pay the O(K·V) alias build at load, not on
+		// the first /infer request against this artifact.
 		a.foldIn.PrecomputeSparse()
 	}
 	if h := snap.Hierarchy; h != nil {

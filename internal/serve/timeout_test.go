@@ -8,8 +8,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"lesm/internal/lda"
 )
 
 // TestRouteTimeoutQueuedInfer: a request parked behind the in-flight
@@ -38,14 +36,12 @@ func TestRouteTimeoutQueuedInfer(t *testing.T) {
 // work already sampling, not just queued waiters — the batch aborts at its
 // next inter-chunk cancellation check and answers 503.
 func TestRouteTimeoutAbortsRunningFoldIn(t *testing.T) {
-	// P=1 pins the fold-in serial regardless of the host's core count,
-	// and the fixture folds in on the dense core, the slowest per token:
-	// the request below runs for seconds without the timeout on any
-	// machine, so a fast 503 proves the abort, not the workload finishing.
-	ts, s := newTestServerPair(t, Options{RouteTimeout: 150 * time.Millisecond, P: 1})
-	if fm := s.cur.Load().foldIn; lda.SamplerAuto.ResolveFor(fm.K(), fm.V()) != lda.SamplerDense {
-		t.Fatalf("auto folds the fixture (K=%d, V=%d) in with %s, want dense", fm.K(), fm.V(), lda.SamplerAuto.ResolveFor(fm.K(), fm.V()))
-	}
+	// P=1 pins the fold-in serial regardless of the host's core count:
+	// the request below runs for well over a second without the timeout
+	// (about 1.8 s on one core of a 2-vCPU x86 machine), an order of
+	// magnitude past the deadline, so a fast 503 proves the abort, not
+	// the workload finishing.
+	ts, _ := newTestServerPair(t, Options{RouteTimeout: 150 * time.Millisecond, P: 1})
 	// 256 documents × 400 tokens × 500 sweeps, split into 32 chunks with a
 	// cancellation check before each: completing inside 150ms is
 	// impossible, aborting within one chunk of the deadline is guaranteed.

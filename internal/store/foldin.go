@@ -9,9 +9,9 @@ import (
 	"lesm/internal/par"
 )
 
-// FoldIn is the optional `foldin` section: the MH fold-in core's per-word
-// alias tables (lda.FoldInTables) over α·φ for the snapshot's topics at
-// one document prior Alpha. Fold-in freezes the model, so the tables are
+// FoldIn is the optional `foldin` section: fold-in's per-word alias
+// tables (lda.FoldInTables) over α·φ for the snapshot's topics at one
+// document prior Alpha. Fold-in freezes the model, so the tables are
 // a pure function of the topics section and Alpha; storing them lets a
 // server adopt them straight from the mapping instead of building K·V
 // cells of tables on its heap at every load. The arrays are word-major
@@ -51,7 +51,7 @@ func NewFoldIn(fm *lda.FoldInModel, alpha float64) *FoldIn {
 //
 // The foldin section's tables are adopted only when they were built at
 // this alpha, bit for bit, and for the model's K and V; in every other
-// case (no section, another alpha) the MH core builds its own as before.
+// case (no section, another alpha) fold-in builds its own.
 // The snapshot must have passed Validate. FoldInModel returns nil when
 // the snapshot has no topics or they carry neither counts nor Phi.
 func (s *Snapshot) FoldInModel(alpha float64) *lda.FoldInModel {

@@ -90,7 +90,7 @@ func FuzzDecode(f *testing.F) {
 			alpha = s.FoldIn.Alpha
 		}
 		if fm := zs.FoldInModel(alpha); fm != nil {
-			_, _ = lda.FoldIn(fm, [][]int{{0, 1, 2, 1, 0}}, lda.FoldInConfig{Seed: 1, Sweeps: 2, P: 1, Sampler: lda.SamplerMH})
+			_, _ = lda.FoldIn(fm, [][]int{{0, 1, 2, 1, 0}}, lda.FoldInConfig{Seed: 1, Sweeps: 2, P: 1})
 		}
 	})
 }

@@ -424,6 +424,10 @@ func (r *AdvisorResult) Candidates(i int) []struct {
 // MineAdvisorTree runs the unsupervised TPFG pipeline (Section 6.1) on a
 // temporal collaboration network. An optional RunOptions bounds the
 // parallelism of the message-passing sweeps.
+//
+// seed is unused: TPFG inference is deterministic, so every seed gives
+// the same ranking. The parameter stays only because cmd/lesmbench's fit
+// passes it.
 func MineAdvisorTree(papers []RelPaper, numAuthors int, seed int64, opts ...RunOptions) (*AdvisorResult, error) {
 	if numAuthors <= 0 || len(papers) == 0 {
 		return nil, errors.New("lesm: empty collaboration network")
@@ -438,7 +442,6 @@ func MineAdvisorTree(papers []RelPaper, numAuthors int, seed int64, opts ...RunO
 	if ro.Ctx != nil && ro.Ctx.Err() != nil {
 		return nil, ro.Ctx.Err()
 	}
-	_ = seed
 	return &AdvisorResult{res: res}, nil
 }
 
@@ -825,11 +828,11 @@ func artifactFromSnapshot(s *store.Snapshot) *Artifact {
 // Encoding is deterministic — the same artifact always produces the same
 // bytes — and Load(Save(a)) re-encodes byte-identically.
 //
-// When the auto sampler would fold the topics in with the MH core, Save
-// also writes the foldin section: the core's per-word alias tables at
-// lda.DefaultFoldInAlpha (lesmd's default prior), which a server adopts
-// from the file instead of building them at every load. The tables are
-// the ones Infer uses, built once and cached on the artifact.
+// When the artifact carries a topic model, Save also writes the foldin
+// section: fold-in's per-word alias tables at lda.DefaultFoldInAlpha
+// (lesmd's default prior), which a server adopts from the file instead
+// of building them at every load. The tables are the ones Infer uses,
+// built once and cached on the artifact.
 func Save(path string, a *Artifact) error {
 	if a == nil {
 		return errors.New("lesm: nil artifact")
@@ -838,11 +841,11 @@ func Save(path string, a *Artifact) error {
 }
 
 // persisted is the snapshot Save writes: the artifact's sections plus,
-// when the auto sampler folds its topics in with the MH core, the foldin
-// section built from (and cached with) the fold-in model Infer uses.
+// for a topic model that yields a fold-in model, the foldin section built
+// from (and cached with) the fold-in model Infer uses.
 func (a *Artifact) persisted() *store.Snapshot {
 	s := a.snapshot()
-	if t := s.Topics; t != nil && lda.SamplerAuto.ResolveFor(t.K, t.V) == lda.SamplerMH {
+	if t := s.Topics; t != nil {
 		if fm, _ := a.foldInModel(); fm != nil && fm.K() == t.K && fm.V() == t.V {
 			s.FoldIn = store.NewFoldIn(fm, lda.DefaultFoldInAlpha)
 		}

@@ -2,12 +2,12 @@ package lesm
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"reflect"
 	"strings"
 	"testing"
 
-	"lesm/internal/lda"
 	"lesm/internal/synth"
 	"lesm/internal/tpfg"
 )
@@ -345,7 +345,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if wantAdv != gotAdv || wantScore != gotScore {
 		t.Fatalf("advisor answer changed: %d/%v vs %d/%v", gotAdv, gotScore, wantAdv, wantScore)
 	}
-	if !reflect.DeepEqual(got.Sections(), a.Sections()) || len(a.Sections()) != 6 {
+	if !reflect.DeepEqual(got.Sections(), a.Sections()) || len(a.Sections()) != 7 {
 		t.Fatalf("sections = %v vs %v", got.Sections(), a.Sections())
 	}
 }
@@ -497,58 +497,59 @@ func TestLoadMappedMatchesLoad(t *testing.T) {
 	}
 }
 
-// TestSaveWritesFoldInSection: for topics the auto sampler folds in with
-// the MH core, Save writes the foldin section; LoadMapped adopts its
-// tables from the mapping, re-saves byte-identically, and infers exactly
-// what a fresh artifact over the same topics infers.
+// TestSaveWritesFoldInSection: for any topic model, small (K=4) or not
+// (K=32), Save writes the foldin section; LoadMapped adopts its tables
+// from the mapping, re-saves byte-identically, and infers exactly what a
+// fresh artifact over the same topics infers.
 func TestSaveWritesFoldInSection(t *testing.T) {
 	corpus := demoCorpus()
-	topics, err := InferTopicsGibbs(corpus, 32, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s := lda.SamplerAuto.ResolveFor(len(topics.Phi), corpus.Vocab.Size()); s != lda.SamplerMH {
-		t.Fatalf("auto resolves the fixture to %s, want mh", s)
-	}
-	a := &Artifact{Topics: topics, Vocab: corpus.Vocab}
-	if want := []string{"vocab", "topics", "foldin"}; !reflect.DeepEqual(a.Sections(), want) {
-		t.Fatalf("sections = %v, want %v", a.Sections(), want)
-	}
-	dir := t.TempDir()
-	if err := Save(dir+"/m.lesm", a); err != nil {
-		t.Fatal(err)
-	}
-	mapped, closer, err := LoadMapped(dir + "/m.lesm")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer closer.Close()
-	if err := Save(dir+"/again.lesm", mapped); err != nil {
-		t.Fatal(err)
-	}
-	b1, _ := os.ReadFile(dir + "/m.lesm")
-	b2, _ := os.ReadFile(dir + "/again.lesm")
-	if !bytes.Equal(b1, b2) {
-		t.Fatalf("Save → LoadMapped → Save changed the snapshot (%d vs %d bytes)", len(b1), len(b2))
-	}
-	fm, err := mapped.foldInModel()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tab := fm.Tables(); &tab.Alias[0] != &mapped.foldTables.Alias[0] {
-		t.Fatal("the loaded artifact built its fold-in tables instead of adopting the section's")
-	}
-	docs := [][]int{{0, 1, 2, 3, 4, 5}, {7, 7, 9}}
-	fresh := &Artifact{Topics: topics, Vocab: corpus.Vocab}
-	want, err := fresh.Infer(docs, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := mapped.Infer(docs, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("fold-in over the adopted tables differs from a fresh build")
+	for _, k := range []int{32, 4} {
+		t.Run(fmt.Sprintf("K=%d", k), func(t *testing.T) {
+			topics, err := InferTopicsGibbs(corpus, k, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a := &Artifact{Topics: topics, Vocab: corpus.Vocab}
+			if want := []string{"vocab", "topics", "foldin"}; !reflect.DeepEqual(a.Sections(), want) {
+				t.Fatalf("sections = %v, want %v", a.Sections(), want)
+			}
+			dir := t.TempDir()
+			if err := Save(dir+"/m.lesm", a); err != nil {
+				t.Fatal(err)
+			}
+			mapped, closer, err := LoadMapped(dir + "/m.lesm")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer closer.Close()
+			if err := Save(dir+"/again.lesm", mapped); err != nil {
+				t.Fatal(err)
+			}
+			b1, _ := os.ReadFile(dir + "/m.lesm")
+			b2, _ := os.ReadFile(dir + "/again.lesm")
+			if !bytes.Equal(b1, b2) {
+				t.Fatalf("Save → LoadMapped → Save changed the snapshot (%d vs %d bytes)", len(b1), len(b2))
+			}
+			fm, err := mapped.foldInModel()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tab := fm.Tables(); &tab.Alias[0] != &mapped.foldTables.Alias[0] {
+				t.Fatal("the loaded artifact built its fold-in tables instead of adopting the section's")
+			}
+			docs := [][]int{{0, 1, 2, 3, 4, 5}, {7, 7, 9}}
+			fresh := &Artifact{Topics: topics, Vocab: corpus.Vocab}
+			want, err := fresh.Infer(docs, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := mapped.Infer(docs, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatal("fold-in over the adopted tables differs from a fresh build")
+			}
+		})
 	}
 }
