@@ -2,6 +2,7 @@ package search
 
 import (
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -131,7 +132,8 @@ func benchSource() Source {
 var benchIndexes *Index
 
 // BenchmarkBuild times one index build over benchSource, the work a
-// server does per generation on top of decoding the snapshot.
+// server does per generation on top of decoding the snapshot, and reports
+// the heap one built index keeps live as retained-B/entry.
 func BenchmarkBuild(b *testing.B) {
 	src := benchSource()
 	b.ReportAllocs()
@@ -139,4 +141,17 @@ func BenchmarkBuild(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		benchIndexes = Build(src)
 	}
+	b.StopTimer()
+	benchIndexes = nil
+	base := liveHeap()
+	benchIndexes = Build(src)
+	b.ReportMetric(float64(int64(liveHeap())-int64(base))/float64(benchIndexes.Entries()), "retained-B/entry")
+}
+
+// liveHeap is the live heap after a collection.
+func liveHeap() uint64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
 }

@@ -321,13 +321,13 @@ func FuzzSearch(f *testing.F) {
 			}
 			found := false
 			for _, h := range ix.Search(name, 0) {
-				if h.Entry == ix.entries[e] && h.Distance == 0 && h.Matched == h.Of {
+				if h.Entry == ix.Entry(e) && h.Distance == 0 && h.Matched == h.Of {
 					found = true
 					break
 				}
 			}
 			if !found {
-				t.Fatalf("Search(%q) misses its own entry %+v as an exact full match", name, ix.entries[e])
+				t.Fatalf("Search(%q) misses its own entry %+v as an exact full match", name, ix.Entry(e))
 			}
 		}
 	})

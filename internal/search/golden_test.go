@@ -49,8 +49,12 @@ func TestBuildChecksumGolden(t *testing.T) {
 		t.Errorf("Checksum = %#016x, want %#016x", got, wantSum)
 	}
 	wantTokens := []int{1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2, 2, 1, 1, 1, 1, 1, 1, 2, 2, 2, 2, 4, 4, 3, 3, 1, 3, 2, 4}
-	if !reflect.DeepEqual(ix.nameTokens, wantTokens) {
-		t.Errorf("nameTokens = %v, want %v", ix.nameTokens, wantTokens)
+	gotTokens := make([]int, len(ix.nameTokens))
+	for i, c := range ix.nameTokens {
+		gotTokens[i] = int(c)
+	}
+	if !reflect.DeepEqual(gotTokens, wantTokens) {
+		t.Errorf("nameTokens = %v, want %v", gotTokens, wantTokens)
 	}
 	for i := 0; i < ix.Entries(); i++ {
 		e := ix.Entry(i)

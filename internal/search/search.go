@@ -1,13 +1,16 @@
 package search
 
 import (
+	"cmp"
 	"hash/fnv"
 	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"unicode/utf8"
 
 	"lesm/internal/core"
+	"lesm/internal/par"
 	"lesm/internal/store"
 	"lesm/internal/textkit"
 )
@@ -166,92 +169,169 @@ func FromSnapshot(snap *store.Snapshot) *Index {
 // lookups are read-only, so a server can share one Index across
 // concurrent requests without locking and swap whole indexes atomically
 // on snapshot reload.
+//
+// It is a few flat arrays. The entries are not stored: Entry reads them
+// from the Source, whose words are ids [0, phraseLo), phrases
+// [phraseLo, authorLo) and authors [authorLo, Entries()).
 type Index struct {
-	entries []Entry
-	// terms is the sorted distinct token dictionary; postings[i] lists the
-	// entries containing terms[i], ascending, deduplicated.
-	terms    []string
-	postings [][]int32
+	src                Source
+	phraseLo, authorLo int
+	// terms is the sorted distinct token dictionary. The entries
+	// containing terms[i] are post[postOff[i]:postOff[i+1]], ascending and
+	// deduplicated: the posting lists in compressed sparse rows.
+	terms   []string
+	postOff []int32
+	post    []int32
 	// lcp[i] is the rune length of the longest common prefix of terms[i-1]
 	// and terms[i] (lcp[0] = 0): the sorted dictionary read as an implicit
 	// trie, which the fuzzy walk in within descends.
 	lcp []int32
-	// foldedName[i] is Fold(entries[i].Name), for exact full-name checks.
+	// foldedName[i] is Fold(Entry(i).Name), for exact full-name checks.
 	foldedName []string
 	// nameTokens[i] is entry i's distinct token count (min 1), the length
 	// normalizer of the match score.
-	nameTokens []int
-	// byName maps a folded full name to the entries carrying it
-	// (ascending), for O(1) exact resolution.
-	byName map[string][]int32
+	nameTokens []int32
+	// names holds every entry id sorted by (folded name, id): the entries
+	// carrying one folded name are a run of it, found by binary search.
+	names []int32
+}
+
+// pair is one (token, entry) occurrence Build collects before sorting.
+type pair struct {
+	tok string
+	id  int32
 }
 
 // Build constructs the index. The construction is deterministic: the same
 // Source always produces a bit-identical Index (test-gated by Checksum
 // equality), because entries are numbered in Source order and the term
-// dictionary is sorted.
+// dictionary is sorted. The index keeps src: its slices must not change
+// afterwards.
+//
+// Entry ranges are folded and tokenized on the pool into (token, entry)
+// pairs; the pairs, sorted by (token, entry), become the dictionary and
+// its posting lists, while the name table is sorted alongside. Building
+// takes no map, and a word that is one whole token costs no allocation.
 func Build(src Source) *Index {
-	n := len(src.Words) + len(src.Phrases) + len(src.Authors)
+	nw, np := len(src.Words), len(src.Phrases)
+	n := nw + np + len(src.Authors)
 	ix := &Index{
-		entries:    make([]Entry, 0, n),
-		foldedName: make([]string, 0, n),
-		nameTokens: make([]int, 0, n),
-		byName:     make(map[string][]int32, n),
+		src:        src,
+		phraseLo:   nw,
+		authorLo:   nw + np,
+		foldedName: make([]string, n),
+		nameTokens: make([]int32, n),
+		names:      make([]int32, n),
 	}
-	terms := make(map[string][]int32, n)
-	add := func(e Entry, fn string, tokens []string) {
-		id := int32(len(ix.entries))
-		ix.entries = append(ix.entries, e)
-		ix.foldedName = append(ix.foldedName, fn)
-		ix.byName[fn] = append(ix.byName[fn], id)
-		distinct := 0
-		for _, t := range tokens {
-			if t == "" {
-				continue
+	chunks := make([][]pair, par.NumChunks(n))
+	par.ForChunks(par.Opts{}, n, func(c, lo, hi int) {
+		var one [1]string
+		pairs := make([]pair, 0, hi-lo)
+		for i := lo; i < hi; i++ {
+			var toks []string
+			ix.foldedName[i], toks = ix.fold(&one, i)
+			for _, t := range toks {
+				if t != "" {
+					pairs = append(pairs, pair{t, int32(i)})
+				}
 			}
-			// Entries are added in id order, so a token this entry already
-			// listed ends its posting list.
-			p := terms[t]
-			if len(p) > 0 && p[len(p)-1] == id {
-				continue
-			}
-			terms[t] = append(p, id)
-			distinct++
+			ix.names[i] = int32(i)
 		}
-		ix.nameTokens = append(ix.nameTokens, max(distinct, 1))
+		chunks[c] = pairs
+	})
+	total := 0
+	for _, c := range chunks {
+		total += len(c)
 	}
-	var one [1]string
-	for w, word := range src.Words {
-		fn := textkit.Fold(word)
-		add(Entry{Kind: KindWord, Name: word, ID: w}, fn, wordTokens(&one, word, fn))
-	}
-	for i, p := range src.Phrases {
-		add(Entry{Kind: KindPhrase, Name: p.Display, ID: i, Path: p.Path, Weight: p.Score}, textkit.Fold(p.Display), textkit.Tokenize(p.Display))
-	}
-	for _, a := range src.Authors {
-		name := a.Label
-		digits := strconv.Itoa(a.ID)
-		if name == "" {
-			name = digits
-		}
-		toks := append(textkit.Tokenize(a.Label), digits)
-		add(Entry{Kind: KindAuthor, Name: name, ID: a.ID}, textkit.Fold(name), toks)
+	pairs := make([]pair, 0, total)
+	for _, c := range chunks {
+		pairs = append(pairs, c...)
 	}
 
-	ix.terms = make([]string, 0, len(terms))
-	for t := range terms {
-		ix.terms = append(ix.terms, t)
+	folded := ix.foldedName
+	sorts := [...]func(){
+		func() {
+			slices.SortFunc(pairs, func(a, b pair) int {
+				if c := strings.Compare(a.tok, b.tok); c != 0 {
+					return c
+				}
+				return cmp.Compare(a.id, b.id)
+			})
+		},
+		func() {
+			slices.SortFunc(ix.names, func(a, b int32) int {
+				if c := strings.Compare(folded[a], folded[b]); c != 0 {
+					return c
+				}
+				return cmp.Compare(a, b)
+			})
+		},
 	}
-	slices.Sort(ix.terms)
-	ix.postings = make([][]int32, len(ix.terms))
-	ix.lcp = make([]int32, len(ix.terms))
-	for i, t := range ix.terms {
-		ix.postings[i] = terms[t] // already ascending: entries added in id order
-		if i > 0 {
-			ix.lcp[i] = int32(sharedRunes(ix.terms[i-1], t))
+	par.For(par.Opts{}, len(sorts), func(lo, hi int) {
+		for _, run := range sorts[lo:hi] {
+			run()
 		}
+	})
+
+	// A token an entry names twice is an adjacent duplicate pair: drop it.
+	// What remains counts each entry's distinct tokens.
+	kept, terms := pairs[:0], 0
+	for _, p := range pairs {
+		if len(kept) > 0 {
+			last := kept[len(kept)-1]
+			if p.id == last.id && p.tok == last.tok {
+				continue
+			}
+			if p.tok != last.tok {
+				terms++
+			}
+		} else {
+			terms++
+		}
+		ix.nameTokens[p.id]++
+		kept = append(kept, p)
 	}
+	for i, c := range ix.nameTokens {
+		ix.nameTokens[i] = max(c, 1)
+	}
+
+	ix.terms = make([]string, 0, terms)
+	ix.lcp = make([]int32, terms)
+	ix.postOff = make([]int32, 0, terms+1)
+	ix.post = make([]int32, len(kept))
+	for k, p := range kept {
+		if t := len(ix.terms); t == 0 || p.tok != ix.terms[t-1] {
+			if t > 0 {
+				ix.lcp[t] = int32(sharedRunes(ix.terms[t-1], p.tok))
+			}
+			ix.terms = append(ix.terms, p.tok)
+			ix.postOff = append(ix.postOff, int32(k))
+		}
+		ix.post[k] = p.id
+	}
+	ix.postOff = append(ix.postOff, int32(len(kept)))
 	return ix
+}
+
+// fold returns entry i's folded name and its tokens. A word's tokens may
+// be returned in one.
+func (ix *Index) fold(one *[1]string, i int) (string, []string) {
+	switch {
+	case i < ix.phraseLo:
+		word := ix.src.Words[i]
+		fn := textkit.Fold(word)
+		return fn, wordTokens(one, word, fn)
+	case i < ix.authorLo:
+		p := ix.src.Phrases[i-ix.phraseLo].Display
+		return textkit.Fold(p), textkit.Tokenize(p)
+	}
+	a := ix.src.Authors[i-ix.authorLo]
+	digits := strconv.Itoa(a.ID)
+	name := a.Label
+	if name == "" {
+		name = digits
+	}
+	return textkit.Fold(name), append(textkit.Tokenize(a.Label), digits)
 }
 
 // wordTokens is textkit.Tokenize(word) for a word whose folded form is
@@ -279,44 +359,73 @@ func sharedRunes(a, b string) int {
 }
 
 // Entries returns the number of indexed entries.
-func (ix *Index) Entries() int { return len(ix.entries) }
+func (ix *Index) Entries() int { return len(ix.foldedName) }
 
 // Terms returns the size of the token dictionary.
 func (ix *Index) Terms() int { return len(ix.terms) }
 
 // Postings returns the total posting count across all terms.
-func (ix *Index) Postings() int {
-	n := 0
-	for _, p := range ix.postings {
-		n += len(p)
-	}
-	return n
-}
+func (ix *Index) Postings() int { return len(ix.post) }
 
-// Entry returns indexed entry i.
-func (ix *Index) Entry(i int) Entry { return ix.entries[i] }
+// Entry returns indexed entry i, read from the Source. An author without
+// a label is named by its id digits, its folded name.
+func (ix *Index) Entry(i int) Entry {
+	switch {
+	case i < ix.phraseLo:
+		return Entry{Kind: KindWord, Name: ix.src.Words[i], ID: i}
+	case i < ix.authorLo:
+		p := ix.src.Phrases[i-ix.phraseLo]
+		return Entry{Kind: KindPhrase, Name: p.Display, ID: i - ix.phraseLo, Path: p.Path, Weight: p.Score}
+	}
+	a := ix.src.Authors[i-ix.authorLo]
+	name := a.Label
+	if name == "" {
+		name = ix.foldedName[i]
+	}
+	return Entry{Kind: KindAuthor, Name: name, ID: a.ID}
+}
 
 // Phrases returns the first phrase entry's id and the folded names of all
 // phrase entries. Build numbers entries by kind, so the phrase entries are
 // the ids lo, lo+1, ... in Source order. The slice is the index's own.
 func (ix *Index) Phrases() (lo int, folded []string) {
-	lo = sort.Search(len(ix.entries), func(i int) bool { return ix.entries[i].Kind >= KindPhrase })
-	hi := sort.Search(len(ix.entries), func(i int) bool { return ix.entries[i].Kind > KindPhrase })
-	return lo, ix.foldedName[lo:hi]
+	return ix.phraseLo, ix.foldedName[ix.phraseLo:ix.authorLo:ix.authorLo]
+}
+
+// postings returns the posting list of term t, clipped to its length so
+// an append cannot write into the next term's list.
+func (ix *Index) postings(t int) []int32 {
+	lo, hi := ix.postOff[t], ix.postOff[t+1]
+	return ix.post[lo:hi:hi]
 }
 
 // WithToken returns the ascending ids of the entries whose name holds the
 // folded token. The slice is the index's own.
 func (ix *Index) WithToken(token string) []int32 {
 	if i := sort.SearchStrings(ix.terms, token); i < len(ix.terms) && ix.terms[i] == token {
-		return ix.postings[i]
+		return ix.postings(i)
 	}
 	return nil
 }
 
 // WithName returns the ascending ids of the entries whose folded name is
 // Fold(name). The slice is the index's own.
-func (ix *Index) WithName(name string) []int32 { return ix.byName[textkit.Fold(name)] }
+func (ix *Index) WithName(name string) []int32 { return ix.named(textkit.Fold(name)) }
+
+// named returns the run of the name table whose folded name is folded,
+// clipped like a posting list.
+func (ix *Index) named(folded string) []int32 {
+	names, fn := ix.names, ix.foldedName
+	lo := sort.Search(len(names), func(i int) bool { return fn[names[i]] >= folded })
+	hi := lo
+	for hi < len(names) && fn[names[hi]] == folded {
+		hi++
+	}
+	if lo == hi {
+		return nil
+	}
+	return names[lo:hi:hi]
+}
 
 // Checksum is an FNV-1a digest over the index's canonical serialization
 // (entries in id order, then the sorted term dictionary with its posting
@@ -334,8 +443,9 @@ func (ix *Index) Checksum() uint64 {
 		h.Write([]byte(s))
 		h.Write([]byte{0})
 	}
-	num(int64(len(ix.entries)))
-	for i, e := range ix.entries {
+	num(int64(ix.Entries()))
+	for i := range ix.foldedName {
+		e := ix.Entry(i)
 		num(int64(e.Kind))
 		str(e.Name)
 		str(ix.foldedName[i])
@@ -348,7 +458,7 @@ func (ix *Index) Checksum() uint64 {
 	num(int64(len(ix.terms)))
 	for i, t := range ix.terms {
 		str(t)
-		for _, p := range ix.postings[i] {
+		for _, p := range ix.postings(i) {
 			num(int64(p))
 		}
 	}
@@ -425,7 +535,7 @@ func (ix *Index) rank(out []termMatch) []termMatch {
 		if out[a].dist != out[b].dist {
 			return out[a].dist < out[b].dist
 		}
-		da, db := len(ix.postings[out[a].term]), len(ix.postings[out[b].term])
+		da, db := len(ix.postings(out[a].term)), len(ix.postings(out[b].term))
 		if da != db {
 			return da > db // prefer the better-attested term
 		}
@@ -622,7 +732,7 @@ func (ix *Index) Search(q string, limit int) []Hit {
 	for qi, tok := range tokens {
 		for _, m := range ix.expand(tok) {
 			w := 1.0 / float64(1+m.dist)
-			for _, e := range ix.postings[m.term] {
+			for _, e := range ix.postings(m.term) {
 				a := accs[e]
 				if a == nil {
 					a = &acc{lastTok: -1}
@@ -657,7 +767,7 @@ func (ix *Index) Search(q string, limit int) []Hit {
 		// queried word remain findable, just below the word itself.
 		cov := float64(a.matched) / float64(ix.nameTokens[e])
 		h := Hit{
-			Entry:    ix.entries[e],
+			Entry:    ix.Entry(int(e)),
 			Score:    a.score / float64(len(tokens)) * (0.5 + 0.5*cov),
 			Distance: a.dist,
 			Matched:  a.matched,
@@ -703,10 +813,11 @@ func hitLess(ha, hb Hit) bool {
 // restricts resolution to those entry kinds. The boolean reports whether
 // any full-coverage hit existed.
 func (ix *Index) Resolve(name string, kinds ...Kind) (Hit, bool) {
-	// Exact folded-name lookup first: O(1) and immune to the expansion cap.
-	if ids := ix.byName[textkit.Fold(name)]; len(ids) > 0 {
+	// Exact folded-name lookup first: a binary search of the name table,
+	// immune to the expansion cap.
+	if ids := ix.named(textkit.Fold(name)); len(ids) > 0 {
 		for _, id := range ids {
-			e := ix.entries[id]
+			e := ix.Entry(int(id))
 			if kindAllowed(e.Kind, kinds) {
 				toks := len(dedupe(textkit.Tokenize(name)))
 				return Hit{Entry: e, Score: 2, Matched: toks, Of: toks}, true

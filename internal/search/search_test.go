@@ -1,10 +1,12 @@
 package search
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 
 	"lesm/internal/core"
+	"lesm/internal/par"
 	"lesm/internal/store"
 	"lesm/internal/tpfg"
 )
@@ -31,6 +33,23 @@ func TestBuildCounts(t *testing.T) {
 	}
 	if ix.Terms() == 0 || ix.Postings() == 0 {
 		t.Fatalf("empty dictionary: terms=%d postings=%d", ix.Terms(), ix.Postings())
+	}
+}
+
+// TestBuildAllocsIndependentOfWords checks that Build allocates nothing
+// per word entry: words-only sources of n and 4n whole-token words, both
+// large enough that par.NumChunks sits at its ceiling, must cost the same
+// allocations up to a small constant.
+func TestBuildAllocsIndependentOfWords(t *testing.T) {
+	const n = 2048
+	if par.NumChunks(n) != par.MaxChunks {
+		t.Fatalf("NumChunks(%d) = %d, want the ceiling %d", n, par.NumChunks(n), par.MaxChunks)
+	}
+	words := syllableWords(rand.New(rand.NewSource(1)), 4*n)
+	small := testing.AllocsPerRun(10, func() { Build(Source{Words: words[:n]}) })
+	large := testing.AllocsPerRun(10, func() { Build(Source{Words: words}) })
+	if d := large - small; d < -4 || d > 4 {
+		t.Errorf("Build allocates %.0f times for %d words, %.0f for %d: more than a constant apart", small, n, large, 4*n)
 	}
 }
 

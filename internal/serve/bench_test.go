@@ -14,6 +14,7 @@ import (
 
 	"lesm/internal/core"
 	"lesm/internal/lda"
+	"lesm/internal/search"
 	"lesm/internal/store"
 )
 
@@ -177,7 +178,8 @@ func k200Snapshot(b *testing.B, dir string, section bool) *store.Snapshot {
 // BenchmarkBuildArtifact times one generation's artifact build over a
 // mapped K=200 snapshot at lesmd's defaults, with the foldin section
 // (tables adopted from the mapping) and without it (tables built), and
-// reports the heap one built artifact keeps live as heap-B/artifact.
+// reports the heap one built artifact keeps live as heap-B/artifact, and
+// the part of it one search index keeps, per entry, as index-B/entry.
 func BenchmarkBuildArtifact(b *testing.B) {
 	for _, section := range []bool{true, false} {
 		name := "section"
@@ -207,7 +209,11 @@ func BenchmarkBuildArtifact(b *testing.B) {
 				b.Fatalf("index holds %d entries, want V + V/3 + V/10 = %d", a.index.Entries(), v+v/3+v/10)
 			}
 			b.ReportMetric(float64(int64(heapNow())-int64(base)), "heap-B/artifact")
+			base = heapNow()
+			ix := search.FromSnapshot(snap)
+			b.ReportMetric(float64(int64(heapNow())-int64(base))/float64(ix.Entries()), "index-B/entry")
 			runtime.KeepAlive(a)
+			runtime.KeepAlive(ix)
 		})
 	}
 }
