@@ -73,9 +73,11 @@ type Author struct {
 }
 
 // Source is the name-bearing content an Index is built from. Build
-// consumes the slices in order, so callers wanting deterministic indexes
-// must hand over deterministically ordered sources (SourceFromSnapshot
-// does: vocabulary order, snapshot phrase order, ascending author id).
+// numbers the entries in slice order, so callers wanting deterministic
+// indexes must hand over deterministically ordered sources
+// (SourceFromSnapshot does: vocabulary order, snapshot phrase order,
+// ascending author id). The index reads its entries from the slices, so
+// they must not change after Build.
 type Source struct {
 	Words   []string
 	Phrases []Phrase
@@ -205,8 +207,7 @@ type pair struct {
 // Build constructs the index. The construction is deterministic: the same
 // Source always produces a bit-identical Index (test-gated by Checksum
 // equality), because entries are numbered in Source order and the term
-// dictionary is sorted. The index keeps src: its slices must not change
-// afterwards.
+// dictionary is sorted. The index keeps src.
 //
 // Entry ranges are folded and tokenized on the pool into (token, entry)
 // pairs; the pairs, sorted by (token, entry), become the dictionary and
@@ -273,19 +274,16 @@ func Build(src Source) *Index {
 		}
 	})
 
-	// A token an entry names twice is an adjacent duplicate pair: drop it.
-	// What remains counts each entry's distinct tokens.
+	// A token an entry names twice is an adjacent duplicate pair: drop it,
+	// and count each entry's distinct tokens and the distinct terms. kept
+	// compacts in place and never overtakes k, so pairs[k-1] is still the
+	// sorted pair before p.
 	kept, terms := pairs[:0], 0
-	for _, p := range pairs {
-		if len(kept) > 0 {
-			last := kept[len(kept)-1]
-			if p.id == last.id && p.tok == last.tok {
-				continue
-			}
-			if p.tok != last.tok {
-				terms++
-			}
-		} else {
+	for k, p := range pairs {
+		if k > 0 && p == pairs[k-1] {
+			continue
+		}
+		if k == 0 || p.tok != pairs[k-1].tok {
 			terms++
 		}
 		ix.nameTokens[p.id]++
@@ -300,8 +298,8 @@ func Build(src Source) *Index {
 	ix.postOff = make([]int32, 0, terms+1)
 	ix.post = make([]int32, len(kept))
 	for k, p := range kept {
-		if t := len(ix.terms); t == 0 || p.tok != ix.terms[t-1] {
-			if t > 0 {
+		if k == 0 || p.tok != kept[k-1].tok {
+			if t := len(ix.terms); t > 0 {
 				ix.lcp[t] = int32(sharedRunes(ix.terms[t-1], p.tok))
 			}
 			ix.terms = append(ix.terms, p.tok)
