@@ -13,6 +13,12 @@
 // The walk returns exactly the terms a full scan would; its row stack is
 // bounded by the query's length, not the dictionary's.
 //
+// The index is a few flat arrays: the posting lists in compressed sparse
+// rows, a table of entry ids sorted by folded name for exact lookups, and
+// no entry records (they are read from the Source the index keeps).
+// Build sorts (token, entry) pairs instead of filling maps, so an index
+// holds little heap and few pointers for the collector to mark.
+//
 // An Index is immutable after Build and safe for concurrent lock-free
 // reads, so the serving tier builds one per snapshot generation inside
 // its artifact-build path and swaps it with the rest of the generation
